@@ -23,7 +23,7 @@ END_TO_END = {
     "peak_rss_mb": ("MiB", "lower", 0.2),
     "ok_frac": ("ratio", "higher", 0.01),
     "mtp_modeled_ms": ("ms", "lower", 0.15),
-    "energy_modeled_mj": ("mJ/frame", "lower", 0.15),
+    "energy_modeled_mj": ("mJ/frame", "lower", 0.2),
     "psnr_db": ("dB", "higher", 0.05),
     "psnr_gain_db": ("dB", "higher", 0.1),
     "lpips": ("score", "lower", 0.05),
