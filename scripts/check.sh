@@ -7,6 +7,7 @@
 # longer runs:  PYTHONPATH=src python benchmarks/bench_hotpath.py
 #               PYTHONPATH=src python benchmarks/bench_codec.py
 #               PYTHONPATH=src python benchmarks/bench_roi.py
+#               PYTHONPATH=src python benchmarks/bench_render.py
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,6 +59,12 @@ echo "ok: wrote BENCH_hotpath.smoke.json"
 echo "== codec bench (smoke) =="
 python benchmarks/bench_codec.py --smoke >/dev/null
 echo "ok: wrote BENCH_codec.smoke.json"
+
+echo "== render bench (smoke) =="
+# Batched rasterizer vs the frozen per-triangle reference on every scene
+# at both geometries; fails unless color and depth are byte-identical.
+python benchmarks/bench_render.py --smoke >/dev/null
+echo "ok: wrote BENCH_render.smoke.json"
 
 echo "== roi bench (smoke) =="
 python benchmarks/bench_roi.py --smoke >/dev/null

@@ -13,12 +13,21 @@ distance normalized by the far plane, in [0, 1] with 0 at the camera and
 quantity; ReShade-style depth shaders — the tool the paper uses to capture
 depth — linearize it before use, so we expose the linearized form
 directly. It is what Fig. 5's grayscale depth map shows.)
+
+A frame is rasterized in one batched pass, not triangle by triangle:
+every face of every mesh is gathered at once, candidate pixels are
+generated only inside bounding-box tiles that survive an edge test, the
+z-buffer is resolved by scatter-min over draw-ordered fragment chunks, and
+each visible pixel is shaded once. The result is bit-identical to drawing
+the triangles one after another with a strict ``<`` depth test: a pixel
+keeps the earliest-drawn fragment among those at its minimum depth,
+provided that depth is below the far plane.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +41,25 @@ __all__ = ["RenderOutput", "render", "sky_gradient"]
 #: Triangles whose doubled signed screen-space area is below this are
 #: treated as degenerate (edge-on or collapsed) and skipped.
 _DEGENERATE_TRIANGLE_AREA = 1e-12
+
+#: A pixel is inside a triangle when all three barycentrics are >= -this.
+_INSIDE_TOLERANCE = 1e-9
+
+#: Side, in pixels, of the bounding-box tiles culled against triangle edges.
+_TILE = 8
+
+#: A tile is culled only when all of it lies more than this many pixels
+#: outside one edge line: far beyond both the inside tolerance and float
+#: rounding, so culling never drops a pixel the exact test would keep.
+_CULL_MARGIN_PX = 1.0
+
+#: Edges shorter than this many pixels are too ill-conditioned to cull with.
+_MIN_CULL_EDGE_PX = 1e-3
+
+#: Candidate fragment slots generated and z-resolved at once, and visible
+#: pixels shaded at once. Bounds the per-fragment arrays regardless of
+#: frame size and overdraw.
+_MAX_CHUNK_FRAGMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -59,31 +87,251 @@ def sky_gradient(
     return np.broadcast_to(zenith * (1 - t) + horizon * t, (height, width, 3)).copy()
 
 
+@dataclass(frozen=True)
+class _Triangles:
+    """Screen-space triangles of one frame, in draw order.
+
+    Per-vertex arrays are vertex-major, (3, T), so gathering one vertex's
+    values for many fragments reads contiguous rows. ``face`` indexes the
+    frame-wide face tables (normals, material group) a triangle came from.
+    """
+
+    xs: np.ndarray  # (3, T) viewport x of each vertex
+    ys: np.ndarray  # (3, T) viewport y
+    inv_w: np.ndarray  # (3, T) 1 / w_clip
+    us: np.ndarray  # (3, T) texture u
+    vs: np.ndarray  # (3, T) texture v
+    area: np.ndarray  # (T,) doubled signed area
+    bbox: np.ndarray  # (T, 4) on-screen [min_x, max_x, min_y, max_y]
+    face: np.ndarray  # (T,)
+
+    def __len__(self) -> int:
+        return len(self.area)
+
+
+def _edge(xa, ya, xb, yb, px, py):
+    """Edge function of the directed edge a->b at pixel (px, py)."""
+    return (xa - px) * (yb - py) - (xb - px) * (ya - py)
+
+
 def _clip_near(
     positions: np.ndarray, uvs: np.ndarray, near_w: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sutherland-Hodgman clip of one triangle against ``w >= near_w``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sutherland-Hodgman clip of S straddling triangles against ``w >= near_w``.
 
-    ``positions``: (3, 4) clip coordinates; ``uvs``: (3, 2). Returns the
-    clipped polygon as ((K, 4), (K, 2)) with K in {0, 3, 4}.
+    ``positions``: (S, 3, 4) clip coordinates with one or two vertices
+    behind the plane; ``uvs``: (S, 3, 2). Returns the clipped polygons as
+    (S, 4, 4) positions, (S, 4, 2) uvs and an (S,) mask of those that are
+    quads (the others are triangles in their first three slots).
     """
-    out_pos: List[np.ndarray] = []
-    out_uv: List[np.ndarray] = []
+    n = len(positions)
+    inside = positions[:, :, 3] >= near_w
+    slot_pos = np.zeros((n, 6, 4))
+    slot_uv = np.zeros((n, 6, 2))
+    valid = np.zeros((n, 6), dtype=bool)
     for i in range(3):
-        current_p, current_uv = positions[i], uvs[i]
-        next_p, next_uv = positions[(i + 1) % 3], uvs[(i + 1) % 3]
-        current_in = current_p[3] >= near_w
-        next_in = next_p[3] >= near_w
-        if current_in:
-            out_pos.append(current_p)
-            out_uv.append(current_uv)
-        if current_in != next_in:
-            t = (near_w - current_p[3]) / (next_p[3] - current_p[3])
-            out_pos.append(current_p + t * (next_p - current_p))
-            out_uv.append(current_uv + t * (next_uv - current_uv))
-    if len(out_pos) < 3:
-        return np.empty((0, 4)), np.empty((0, 2))
-    return np.asarray(out_pos), np.asarray(out_uv)
+        j = (i + 1) % 3
+        cur_p, next_p = positions[:, i], positions[:, j]
+        cur_uv, next_uv = uvs[:, i], uvs[:, j]
+        slot_pos[:, 2 * i] = cur_p
+        slot_uv[:, 2 * i] = cur_uv
+        valid[:, 2 * i] = inside[:, i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = ((near_w - cur_p[:, 3]) / (next_p[:, 3] - cur_p[:, 3]))[:, None]
+            slot_pos[:, 2 * i + 1] = cur_p + t * (next_p - cur_p)
+            slot_uv[:, 2 * i + 1] = cur_uv + t * (next_uv - cur_uv)
+        valid[:, 2 * i + 1] = inside[:, i] != inside[:, j]
+    # Compact the emitted vertices, keeping their order.
+    order = np.argsort(~valid, axis=1, kind="stable")[:, :4, None]
+    poly_pos = np.take_along_axis(slot_pos, order, axis=1)
+    poly_uv = np.take_along_axis(slot_uv, order, axis=1)
+    return poly_pos, poly_uv, valid.sum(axis=1) == 4
+
+
+def _assemble(
+    clip: np.ndarray, uvs: np.ndarray, near_w: float, width: int, height: int
+) -> _Triangles:
+    """Near-clip, project and bound every face; drop what covers no pixel.
+
+    ``clip``: (F, 3, 4) clip coordinates of the frame's faces in draw
+    order; ``uvs``: (F, 3, 2). A face clipped to a quad becomes two
+    triangles (fan 0-1-2, then 0-2-3) drawn consecutively in its slot.
+    """
+    behind = (clip[:, :, 3] < near_w).sum(axis=1)
+    whole = np.flatnonzero(behind == 0)
+    straddle = np.flatnonzero((behind > 0) & (behind < 3))
+    poly_pos, poly_uv, quad = _clip_near(clip[straddle], uvs[straddle], near_w)
+    second_fan = [0, 2, 3]
+    positions = np.concatenate(
+        [clip[whole], poly_pos[:, :3], poly_pos[quad][:, second_fan]]
+    )
+    uv = np.concatenate([uvs[whole], poly_uv[:, :3], poly_uv[quad][:, second_fan]])
+    # Draw order: by face, then by fan position within a clipped face.
+    key = np.concatenate([2 * whole, 2 * straddle, 2 * straddle[quad] + 1])
+    order = np.argsort(key)
+    positions, uv, face = positions[order], uv[order], key[order] // 2
+
+    w_clip = positions[:, :, 3]
+    ndc = positions[:, :, :3] / w_clip[:, :, None]
+    xs = (ndc[:, :, 0] + 1.0) * 0.5 * (width - 1)
+    ys = (1.0 - ndc[:, :, 1]) * 0.5 * (height - 1)
+    inv_w = 1.0 / w_clip
+
+    min_x = np.maximum(np.floor(xs.min(axis=1)), 0)
+    max_x = np.minimum(np.ceil(xs.max(axis=1)), width - 1)
+    min_y = np.maximum(np.floor(ys.min(axis=1)), 0)
+    max_y = np.minimum(np.ceil(ys.max(axis=1)), height - 1)
+    area = (xs[:, 1] - xs[:, 0]) * (ys[:, 2] - ys[:, 0]) - (xs[:, 2] - xs[:, 0]) * (
+        ys[:, 1] - ys[:, 0]
+    )
+    keep = (
+        (min_x <= max_x)
+        & (min_y <= max_y)
+        & ~(np.abs(area) < _DEGENERATE_TRIANGLE_AREA)
+    )
+    bbox = np.stack([min_x, max_x, min_y, max_y], axis=1)[keep].astype(np.intp)
+    return _Triangles(
+        xs=xs[keep].T.copy(),
+        ys=ys[keep].T.copy(),
+        inv_w=inv_w[keep].T.copy(),
+        us=uv[keep, :, 0].T.copy(),
+        vs=uv[keep, :, 1].T.copy(),
+        area=area[keep],
+        bbox=bbox,
+        face=face[keep],
+    )
+
+
+def _tiles(tris: _Triangles) -> tuple[np.ndarray, np.ndarray]:
+    """Bounding-box tiles that may hold an inside pixel, in draw order.
+
+    Returns the owning triangle of each surviving tile and its (K, 4)
+    inclusive pixel rectangle [x0, x1, y0, y1].
+    """
+    min_x, max_x, min_y, max_y = tris.bbox.T
+    nx = (max_x - min_x) // _TILE + 1
+    counts = nx * ((max_y - min_y) // _TILE + 1)
+    tri = np.repeat(np.arange(len(tris)), counts)
+    k = np.arange(len(tri)) - np.repeat(np.cumsum(counts) - counts, counts)
+    x0 = min_x[tri] + (k % nx[tri]) * _TILE
+    y0 = min_y[tri] + (k // nx[tri]) * _TILE
+    x1 = np.minimum(x0 + _TILE - 1, max_x[tri])
+    y1 = np.minimum(y0 + _TILE - 1, max_y[tri])
+
+    corner_x = np.stack([x0, x1, x0, x1], axis=1).astype(np.float64)
+    corner_y = np.stack([y0, y0, y1, y1], axis=1).astype(np.float64)
+    xs, ys = tris.xs[:, tri, None], tris.ys[:, tri, None]
+    orient = np.sign(tris.area)[tri, None]
+    keep = np.ones(len(tri), dtype=bool)
+    for a, b in ((1, 2), (2, 0), (0, 1)):
+        length = np.hypot(xs[b] - xs[a], ys[b] - ys[a])[:, 0]
+        # Affine in the pixel, so its maximum over a tile is at a corner.
+        edge = _edge(xs[a], ys[a], xs[b], ys[b], corner_x, corner_y)
+        reach = (orient * edge).max(axis=1)
+        keep &= (length < _MIN_CULL_EDGE_PX) | (reach >= -_CULL_MARGIN_PX * length)
+    return tri[keep], np.stack([x0, x1, y0, y1], axis=1)[keep]
+
+
+def _barycentrics(tris: _Triangles, tri: np.ndarray, px: np.ndarray, py: np.ndarray):
+    """Barycentric weights of pixels (px, py) in triangles ``tri``.
+
+    ``tri``, ``px`` and ``py`` broadcast together.
+    """
+    x, y = px.astype(np.float64), py.astype(np.float64)
+    x0, x1, x2 = np.take(tris.xs, tri, axis=1)
+    y0, y1, y2 = np.take(tris.ys, tri, axis=1)
+    area = tris.area[tri]
+    w0 = _edge(x1, y1, x2, y2, x, y) / area
+    w1 = _edge(x2, y2, x0, y0, x, y) / area
+    return w0, w1, 1.0 - w0 - w1
+
+
+def _one_over_w(tris: _Triangles, tri: np.ndarray, b0, b1, b2) -> np.ndarray:
+    """Perspective-correct interpolation of 1/w (gives the true view distance)."""
+    inv_w0, inv_w1, inv_w2 = np.take(tris.inv_w, tri, axis=1)
+    return b0 * inv_w0 + b1 * inv_w1 + b2 * inv_w2
+
+
+def _resolve(tris: _Triangles, far: float, depth: np.ndarray) -> np.ndarray:
+    """Z-test every fragment; return the triangle that owns each pixel.
+
+    Fills ``depth`` (H, W) in place and returns an (H*W,) array with the
+    index of each pixel's winning triangle, or ``len(tris)`` where none.
+    Fragments are generated and resolved in draw-order chunks of whole
+    tiles against the running depth buffer. Within a chunk the new depth
+    is a scatter-min, and exact depth ties go to the earliest-drawn
+    triangle, which is what the sequential strict ``<`` test keeps.
+    """
+    width = depth.shape[1]
+    zbuf = depth.reshape(-1)
+    none = len(tris)
+    owner = np.full(zbuf.size, none, dtype=np.intp)
+    tile_tri, rects = _tiles(tris)
+    step = max(1, _MAX_CHUNK_FRAGMENTS // _TILE**2)
+    offset = np.arange(_TILE)
+    for start in range(0, len(tile_tri), step):
+        # Each tile is a (_TILE, _TILE) block of candidate pixels; its
+        # triangle's values broadcast over the block, and the x (y) terms
+        # of the edge functions are computed once per column (row).
+        tri = tile_tri[start : start + step, None, None]
+        x0, x1, y0, y1 = (edge[:, None, None] for edge in rects[start : start + step].T)
+        px, py = x0 + offset, y0 + offset[:, None]
+        b0, b1, b2 = _barycentrics(tris, tri, px, py)
+        inside = (
+            (px <= x1)
+            & (py <= y1)
+            & (b0 >= -_INSIDE_TOLERANCE)
+            & (b1 >= -_INSIDE_TOLERANCE)
+            & (b2 >= -_INSIDE_TOLERANCE)
+        )
+        one_over_w = _one_over_w(tris, tri, b0, b1, b2)[inside]
+        frag_depth = np.clip((1.0 / one_over_w) / far, 0.0, 1.0)
+        pixel = (py * width + px)[inside]
+        tri = np.broadcast_to(tri, inside.shape)[inside]
+
+        closer = frag_depth < zbuf[pixel]
+        tri, pixel, frag_depth = tri[closer], pixel[closer], frag_depth[closer]
+        np.minimum.at(zbuf, pixel, frag_depth)
+        won = frag_depth == zbuf[pixel]
+        tri, pixel = tri[won], pixel[won]
+        owner[pixel] = none
+        np.minimum.at(owner, pixel, tri)
+    return owner
+
+
+def _interpolate(tris: _Triangles, tri: np.ndarray, px: np.ndarray, py: np.ndarray):
+    """Perspective-correct (N, 2) uv and (N,) view distance at pixels."""
+    b0, b1, b2 = _barycentrics(tris, tri, px, py)
+    one_over_w = _one_over_w(tris, tri, b0, b1, b2)
+    inv_w0, inv_w1, inv_w2 = np.take(tris.inv_w, tri, axis=1)
+    uv = np.empty((len(tri), 2))
+    for k, coord in enumerate((tris.us, tris.vs)):
+        c0, c1, c2 = np.take(coord, tri, axis=1)
+        uv[:, k] = (b0 * c0 * inv_w0 + b1 * c1 * inv_w1 + b2 * c2 * inv_w2) / one_over_w
+    return uv, 1.0 / one_over_w
+
+
+def _shade_visible(
+    material: Material,
+    uv: np.ndarray,
+    view_distance: np.ndarray,
+    face_ids: np.ndarray,
+    normals: np.ndarray,
+    light: DirectionalLight,
+) -> np.ndarray:
+    """:meth:`Material.shade` of fragments from many faces in one call.
+
+    ``face_ids`` (N,) index ``normals`` (F, 3). Bit-identical to shading
+    each face's fragments on their own: the texture work is elementwise
+    and the Lambert factor is the same scalar dot, once per distinct face.
+    """
+    color = material.albedo(uv, view_distance)
+    if not material.unlit:
+        faces = np.flatnonzero(np.bincount(face_ids, minlength=len(normals)))
+        slot = np.empty(len(normals), dtype=np.intp)
+        slot[faces] = np.arange(len(faces))
+        color = color * light.shade_terms(normals[faces])[slot[face_ids], None]
+    return np.clip(color, 0.0, 1.0)
 
 
 def render(
@@ -97,7 +345,8 @@ def render(
     """Render world-space ``(mesh, material)`` pairs to a framebuffer.
 
     Meshes must already be in world space (apply model transforms first via
-    :meth:`Mesh.transformed`).
+    :meth:`Mesh.transformed`). Objects draw in order and faces in mesh
+    order; where two fragments tie exactly in depth the earlier one wins.
     """
     if width < 2 or height < 2:
         raise ValueError(f"viewport too small: {width}x{height}")
@@ -116,122 +365,42 @@ def render(
             np.asarray(background, dtype=np.float64), (height, width, 3)
         ).copy()
     depth = np.ones((height, width), dtype=np.float64)
+    if not objects:
+        return RenderOutput(color=color, depth=depth)
 
+    # Gather every face of every mesh in draw order, tagged by material.
     mvp = camera.view_projection(width, height)
+    materials: dict[int, tuple[int, Material]] = {}
+    clip, uvs, normals, groups = [], [], [], []
     for mesh, material in objects:
-        _raster_mesh(mesh, material, mvp, camera, light, color, depth)
+        clip.append(transform_points(mvp, mesh.vertices)[mesh.faces])
+        uvs.append(mesh.uvs[mesh.faces])
+        normals.append(mesh.face_normals())
+        group, _ = materials.setdefault(id(material), (len(materials), material))
+        groups.append(np.full(len(mesh.faces), group))
+    normals = np.concatenate(normals)
 
-    return RenderOutput(color=color, depth=depth)
-
-
-def _raster_triangle(
-    positions: np.ndarray,  # (3, 4) clip coords, all w >= near_w
-    uv_face: np.ndarray,  # (3, 2)
-    normal: np.ndarray,
-    material: Material,
-    light: DirectionalLight,
-    far: float,
-    color: np.ndarray,
-    depth: np.ndarray,
-) -> None:
-    height, width = depth.shape
-    w_clip = positions[:, 3]
-    ndc = positions[:, :3] / w_clip[:, None]
-    xs = (ndc[:, 0] + 1.0) * 0.5 * (width - 1)
-    ys = (1.0 - ndc[:, 1]) * 0.5 * (height - 1)
-    inv_w = 1.0 / w_clip
-
-    min_x = max(int(np.floor(xs.min())), 0)
-    max_x = min(int(np.ceil(xs.max())), width - 1)
-    min_y = max(int(np.floor(ys.min())), 0)
-    max_y = min(int(np.ceil(ys.max())), height - 1)
-    if min_x > max_x or min_y > max_y:
-        return
-
-    area = (xs[1] - xs[0]) * (ys[2] - ys[0]) - (xs[2] - xs[0]) * (ys[1] - ys[0])
-    if abs(area) < _DEGENERATE_TRIANGLE_AREA:
-        return
-    px, py = np.meshgrid(
-        np.arange(min_x, max_x + 1, dtype=np.float64),
-        np.arange(min_y, max_y + 1, dtype=np.float64),
-        indexing="xy",
+    tris = _assemble(
+        np.concatenate(clip), np.concatenate(uvs), camera.near, width, height
     )
-    w0 = ((xs[1] - px) * (ys[2] - py) - (xs[2] - px) * (ys[1] - py)) / area
-    w1 = ((xs[2] - px) * (ys[0] - py) - (xs[0] - px) * (ys[2] - py)) / area
-    w2 = 1.0 - w0 - w1
-    inside = (w0 >= -1e-9) & (w1 >= -1e-9) & (w2 >= -1e-9)
-    if not inside.any():
-        return
+    owner = _resolve(tris, camera.far, depth)
 
-    b0, b1, b2 = w0[inside], w1[inside], w2[inside]
-    rows = py[inside].astype(np.intp)
-    cols = px[inside].astype(np.intp)
-
-    # Perspective-correct interpolation of 1/w gives the true view distance.
-    one_over_w = b0 * inv_w[0] + b1 * inv_w[1] + b2 * inv_w[2]
-    view_distance = 1.0 / one_over_w
-    frag_depth = np.clip(view_distance / far, 0.0, 1.0)
-
-    closer = frag_depth < depth[rows, cols]
-    if not closer.any():
-        return
-    rows, cols = rows[closer], cols[closer]
-    b0, b1, b2 = b0[closer], b1[closer], b2[closer]
-    one_over_w = one_over_w[closer]
-    frag_depth = frag_depth[closer]
-    view_distance = view_distance[closer]
-
-    uv = (
-        b0[:, None] * uv_face[0] * inv_w[0]
-        + b1[:, None] * uv_face[1] * inv_w[1]
-        + b2[:, None] * uv_face[2] * inv_w[2]
-    ) / one_over_w[:, None]
-
-    shaded = material.shade(uv, normal, view_distance, light)
-    depth[rows, cols] = frag_depth
-    color[rows, cols] = shaded
-
-
-def _raster_mesh(
-    mesh: Mesh,
-    material: Material,
-    mvp: np.ndarray,
-    camera: Camera,
-    light: DirectionalLight,
-    color: np.ndarray,
-    depth: np.ndarray,
-) -> None:
-    clip = transform_points(mvp, mesh.vertices)  # (V, 4)
-    near_w = camera.near
-    normals = mesh.face_normals()
-
-    for f_idx, face in enumerate(mesh.faces):
-        positions = clip[face]
-        uvs = mesh.uvs[face]
-        if (positions[:, 3] < near_w).any():
-            if (positions[:, 3] < near_w).all():
-                continue
-            poly_pos, poly_uv = _clip_near(positions, uvs, near_w)
-            # Fan-triangulate the clipped polygon (3 or 4 vertices).
-            for k in range(1, len(poly_pos) - 1):
-                _raster_triangle(
-                    poly_pos[[0, k, k + 1]],
-                    poly_uv[[0, k, k + 1]],
-                    normals[f_idx],
-                    material,
-                    light,
-                    camera.far,
-                    color,
-                    depth,
-                )
-        else:
-            _raster_triangle(
-                positions,
-                uvs,
-                normals[f_idx],
-                material,
-                light,
-                camera.far,
-                color,
-                depth,
+    # Shade each visible pixel once. Sorting the pixels by material makes
+    # each material's share one contiguous run, shaded in bounded blocks.
+    pixel = np.flatnonzero(owner < len(tris))
+    pixel_group = np.concatenate(groups)[tris.face[owner[pixel]]]
+    pixel = pixel[np.argsort(pixel_group, kind="stable")]
+    counts = np.bincount(pixel_group, minlength=len(materials))
+    stops = np.cumsum(counts)
+    flat_color = color.reshape(-1, 3)
+    for group, material in materials.values():
+        stop = stops[group]
+        for start in range(stop - counts[group], stop, _MAX_CHUNK_FRAGMENTS):
+            block = pixel[start : min(start + _MAX_CHUNK_FRAGMENTS, stop)]
+            tri = owner[block]
+            py, px = np.divmod(block, width)
+            uv, view_distance = _interpolate(tris, tri, px, py)
+            flat_color[block] = _shade_visible(
+                material, uv, view_distance, tris.face[tri], normals, light
             )
+    return RenderOutput(color=color, depth=depth)

@@ -134,6 +134,24 @@ class DirectionalLight:
         d = np.asarray(self.direction, dtype=np.float64)
         return d / np.linalg.norm(d)
 
+    def shade_terms(self, normals: np.ndarray) -> np.ndarray:
+        """(K,) Lambert factors (ambient floor + diffuse) of (K, 3) face normals.
+
+        Each dot product is the scalar ``float(to_light @ n)`` of one face
+        (a BLAS ``ddot``): a matrix-vector product or an explicit
+        ``n0*d0 + n1*d1 + n2*d2`` rounds differently on some faces, and a
+        face's color must not depend on which other faces are lit with it.
+        """
+        to_light = -self.unit_direction()
+        return np.array(
+            [
+                self.ambient
+                + self.intensity * max(0.0, float(to_light @ n)) * (1 - self.ambient)
+                for n in normals
+            ],
+            dtype=np.float64,
+        )
+
 
 @dataclass(frozen=True)
 class Material:
@@ -164,17 +182,11 @@ class Material:
                 f"unknown texture {self.texture!r}; choose from {sorted(TEXTURES)}"
             ) from None
 
-    def shade(
-        self,
-        uv: np.ndarray,
-        normal: np.ndarray,
-        view_distance: np.ndarray,
-        light: DirectionalLight,
-    ) -> np.ndarray:
-        """Shade ``N`` fragments; returns (N, 3) linear colors in [0, 1].
+    def albedo(self, uv: np.ndarray, view_distance: np.ndarray) -> np.ndarray:
+        """Unlit, unclipped (N, 3) colors of ``N`` fragments.
 
-        ``uv``: (N, 2) texture coordinates; ``normal``: (3,) face normal;
-        ``view_distance``: (N,) distance from the camera in world units.
+        The base color modulated by the detail texture, whose contribution
+        fades with ``view_distance`` (N,) like a mip chain.
         """
         uv = np.asarray(uv, dtype=np.float64)
         n = len(uv)
@@ -192,9 +204,22 @@ class Material:
             modulation = (pattern - 0.5)[:, None] * self.detail_strength
             tint = np.asarray(self.detail_tint, dtype=np.float64)
             color = color * (1.0 + modulation * lod[:, None] * 2.0 * tint)
+        return color
 
+    def shade(
+        self,
+        uv: np.ndarray,
+        normal: np.ndarray,
+        view_distance: np.ndarray,
+        light: DirectionalLight,
+    ) -> np.ndarray:
+        """Shade ``N`` fragments of one face; returns (N, 3) colors in [0, 1].
+
+        ``uv``: (N, 2) texture coordinates; ``normal``: (3,) face normal;
+        ``view_distance``: (N,) distance from the camera in world units.
+        """
+        color = self.albedo(uv, view_distance)
         if not self.unlit:
-            lambert = max(0.0, float(-light.unit_direction() @ normal))
-            shade_term = light.ambient + light.intensity * lambert * (1 - light.ambient)
-            color = color * shade_term
+            normals = np.asarray(normal, dtype=np.float64)[None]
+            color = color * light.shade_terms(normals)[0]
         return np.clip(color, 0.0, 1.0)
