@@ -29,28 +29,27 @@ python -m repro.lint --fail-stale-baseline src tests scripts benchmarks
 echo "== tier-1 tests =="
 python -m pytest -q -m tier1
 
-echo "== session-pipeline smoke (REPRO_CONTRACTS=1, serial + pipelined) =="
-# --pipelined also streams each design through the software-pipelined
-# executor and asserts byte-identity of the canonical trace exports.
-REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py --pipelined
+echo "== session-pipeline smoke (REPRO_CONTRACTS=1) =="
+# Streams each design through run_session with seam contracts on and
+# validates every trace export against the pinned schema.
+REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py
 
-echo "== GOP-reuse smoke (REPRO_CONTRACTS=1, serial + pipelined) =="
+echo "== GOP-reuse smoke (REPRO_CONTRACTS=1) =="
 # Streams the reuse-capable designs with gop_reuse=True: contract-checked
-# warp/mask/composite seams plus pipelined byte-identity of reuse traces.
-REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py --pipelined --gop-reuse
+# warp/mask/composite seams and the per-frame reuse ledger.
+REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py --gop-reuse
 
-echo "== model-zoo backend smoke (REPRO_CONTRACTS=1, serial + pipelined) =="
+echo "== model-zoo backend smoke (REPRO_CONTRACTS=1) =="
 # RoI designs driven by a non-default zoo backend and by the
-# difficulty-aware tile dispatcher, pipelined byte-identity included.
-REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py --pipelined --sr-backend quicksrnet
-REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py --pipelined --dispatch
+# difficulty-aware tile dispatcher.
+REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py --sr-backend quicksrnet
+REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py --dispatch
 
-echo "== network-scenario + ABR smoke (REPRO_CONTRACTS=1, serial + pipelined) =="
+echo "== network-scenario + ABR smoke (REPRO_CONTRACTS=1) =="
 # Trace-driven time-varying link with skip-dropped transport, then the
-# ABR loop co-adapting quality/GOP/RoI/backend on top of it — both with
-# pipelined byte-identity of the canonical trace exports.
-REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py --pipelined --scenario wifi_congested
-REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py --pipelined --scenario lte_drive --abr
+# ABR loop co-adapting quality/GOP/RoI/backend on top of it.
+REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py --scenario wifi_congested
+REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py --scenario lte_drive --abr
 
 echo "== hot-path bench (smoke) =="
 python benchmarks/bench_hotpath.py --smoke >/dev/null
@@ -70,7 +69,9 @@ echo "== roi bench (smoke) =="
 python benchmarks/bench_roi.py --smoke >/dev/null
 echo "ok: wrote BENCH_roi.smoke.json"
 
-echo "== pipeline bench (smoke) =="
+echo "== modeled pipeline schedule bench (smoke) =="
+# One serial session's modeled spans scheduled through the two-stage
+# pipeline; fails unless the serial baseline equals 1000 / mean MTP.
 python benchmarks/bench_pipeline.py --smoke >/dev/null
 echo "ok: wrote BENCH_pipeline.smoke.json"
 

@@ -9,10 +9,6 @@ present, one MTP network span). Exits non-zero on any violation — this is
 the check.sh gate that the stage/trace architecture stays wired end to
 end without running the heavy analysis matrices.
 
-With ``--pipelined`` every design is additionally streamed through the
-software-pipelined executor (``repro.streaming.pipelined``, depth 2) and
-its canonical trace export is asserted byte-identical to the serial run.
-
 ``--gop-reuse``, ``--sr-backend NAME`` and ``--dispatch`` (mutually
 exclusive) restrict the matrix to the RoI designs and stream them with
 the corresponding SR-execution knob on, asserting its per-frame ledger
@@ -22,9 +18,9 @@ the corresponding SR-execution knob on, asserting its per-frame ledger
 (skip-dropped transport, 100 ms delivery budget) and asserts the
 ``net.scenario/*`` ledger; ``--abr`` (requires ``--scenario``) closes
 the bitrate control loop on the RoI designs and asserts the ``abr/*``
-ledger — both still byte-identical between executors with --pipelined.
+ledger.
 
-Usage: PYTHONPATH=src python scripts/pipeline_smoke.py [--out DIR] [--pipelined]
+Usage: PYTHONPATH=src python scripts/pipeline_smoke.py [--out DIR]
            [--gop-reuse | --sr-backend NAME | --dispatch]
            [--scenario NAME [--abr]]
 """
@@ -103,12 +99,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=None, help="trace output dir (default: tmp)")
     parser.add_argument(
-        "--pipelined",
-        action="store_true",
-        help="also run each design through the pipelined executor and "
-        "assert its canonical trace export is byte-identical to serial",
-    )
-    parser.add_argument(
         "--gop-reuse",
         action="store_true",
         help="smoke only the GOP-reuse designs with gop_reuse=True "
@@ -182,9 +172,9 @@ def main(argv=None) -> int:
     net_budget_ms = 100.0
 
     def make_knobs():
-        # A fresh knob set per run: the ABR controller is stateful, so
-        # the serial and pipelined runs must each get their own instance
-        # (the scenario link is rebuilt by name inside run_session).
+        # A fresh knob set per design: the ABR controller is stateful, so
+        # each session must get its own instance (the scenario link is
+        # rebuilt by name inside run_session).
         knobs = dict(
             gop_reuse=args.gop_reuse, sr_backend=sr_backend, dispatch=dispatch
         )
@@ -253,30 +243,9 @@ def main(argv=None) -> int:
             assert result.metrics.counter("sr.dispatch/frames").value >= 1, (
                 f"sr.dispatch/frames not recorded for {result.design}"
             )
-        suffix = ""
-        if args.pipelined:
-            from repro.observability import canonicalize_session_trace
-            from repro.streaming import run_session_pipelined
-
-            piped = run_session_pipelined(
-                make_server(roi_side), client, n_frames=N_FRAMES, depth=2,
-                **make_knobs(),
-            )
-            serial_canon = json.dumps(
-                canonicalize_session_trace(result.to_trace_dict()), sort_keys=True
-            )
-            piped_canon = json.dumps(
-                canonicalize_session_trace(piped.to_trace_dict()), sort_keys=True
-            )
-            assert piped_canon == serial_canon, (
-                f"pipelined canonical trace diverged from serial "
-                f"for {result.design}"
-            )
-            suffix = "  pipelined byte-identical"
         print(
             f"ok: {result.design:22s} mtp {result.mean_mtp().total_ms:7.2f} ms  "
             f"energy {result.mean_energy().total:7.2f} mJ  traces validated"
-            f"{suffix}"
         )
     print(f"ok: schema-validated trace exports in {out_dir}")
     return 0

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from typing import Any, Dict, List, Sequence, Tuple
 
 from ..cache import artifact_path, cache_disabled
@@ -87,25 +86,18 @@ def _task_cost(task: SessionTask) -> Tuple[int, int]:
     return (1 if kind == "quality" else 0, int(kwargs.get("n_frames", 0)))
 
 
-def _build_session(task: SessionTask, pipelined: bool = False) -> None:
+def _build_session(task: SessionTask) -> None:
     """Worker entry point: build one session, write-through to the cache."""
     # Imported here (not at module top): experiments imports this module.
     from .experiments import _cached_session
 
     kind, kwargs = task
-    if pipelined:
-        _cached_session(kind, pipelined=True, **kwargs)
-    else:
-        # Keep the call shape identical to the serial path: the flag does
-        # not affect the artifact, and builders substituted in tests may
-        # not accept it.
-        _cached_session(kind, **kwargs)
+    _cached_session(kind, **kwargs)
 
 
 def run_session_matrix(
     tasks: Sequence[SessionTask],
     workers: int | None = None,
-    pipelined: bool = False,
 ) -> None:
     """Ensure every task's session artifact exists, fanning out if needed.
 
@@ -113,24 +105,13 @@ def run_session_matrix(
     function returns once all artifacts are on disk. Results are *not*
     returned — callers read them through ``_cached_session`` afterwards,
     which is then a pure cache hit.
-
-    ``pipelined`` builds each session through the software-pipelined
-    executor (``repro.streaming.pipelined``) instead of the serial loop.
-    The artifacts are byte-identical either way, so the flag does not
-    enter the cache key — it only changes how a cache *miss* is built
-    (useful when the matrix is dominated by a few long sessions the
-    fan-out alone cannot overlap).
     """
     if workers is None:
         workers = default_worker_count()
-    # Bind the executor flag only when set: the default path keeps the
-    # plain one-argument _build_session(task) call shape (callers and
-    # tests may substitute single-argument builders).
-    build = partial(_build_session, pipelined=True) if pipelined else _build_session
     if cache_disabled():
         # No artifact store to fan out over: build everything in-process.
         for task in tasks:
-            build(task)
+            _build_session(task)
         return
     pending = [t for t in tasks if not _task_cached(t)]
     if not pending:
@@ -138,7 +119,7 @@ def run_session_matrix(
     pending.sort(key=_task_cost, reverse=True)
     if workers <= 1 or len(pending) == 1:
         for task in pending:
-            build(task)
+            _build_session(task)
         return
 
     # Train/load the shared SR weights once before forking, so workers
@@ -148,4 +129,4 @@ def run_session_matrix(
     default_sr_model()
     with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
         # list() propagates the first worker exception, if any.
-        list(pool.map(build, pending))
+        list(pool.map(_build_session, pending))

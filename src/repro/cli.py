@@ -85,7 +85,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     from .sr.runner import SRRunner
     from .streaming.client import GameStreamSRClient, NemoClient
     from .streaming.frames import StreamGeometry
-    from .streaming.pipelined import run_session_pipelined
     from .streaming.server import GameStreamServer
     from .streaming.session import run_session
 
@@ -162,13 +161,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         server = GameStreamServer(
             build_game(args.game), geometry, roi_side=roi, gop_size=args.frames
         )
-        if args.pipelined:
-            result = run_session_pipelined(
-                server, client, n_frames=args.frames,
-                depth=args.depth, workers=args.workers, **knobs,
-            )
-        else:
-            result = run_session(server, client, n_frames=args.frames, **knobs)
+        result = run_session(server, client, n_frames=args.frames, **knobs)
         extras = ""
         if args.scenario is not None:
             extras = (
@@ -222,20 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--device", default="samsung_tab_s8")
     stream.add_argument("--frames", type=int, default=8)
     stream.add_argument("--profile", default="tiny", help="SR model profile")
-    stream.add_argument(
-        "--pipelined",
-        action="store_true",
-        help="run via the software-pipelined executor (overlaps server and "
-        "client stages across frames; byte-identical results)",
-    )
-    stream.add_argument(
-        "--depth", type=int, default=2,
-        help="pipeline depth: frames the server may run ahead (with --pipelined)",
-    )
-    stream.add_argument(
-        "--workers", type=int, default=1,
-        help="server-side processes; >1 adds a render-prefetch pool (with --pipelined)",
-    )
     stream.add_argument(
         "--gop-reuse",
         action="store_true",

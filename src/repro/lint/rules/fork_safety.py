@@ -1,31 +1,24 @@
 """fork-safety: the whole worker-reachable call tree must be fork-safe.
 
-PR 6's syntactic worker-entry rule (part of ``nondeterminism``) checks
-the function literally handed to ``Process(target=...)`` — but a worker
-entry that immediately calls into another module escapes it entirely.
-This pass generalizes the check to *reachability*: it resolves every
-worker entry point project-wide (``Process``/``Pool``/
-``ProcessPoolExecutor`` targets and initializers, executor ``submit``/
-``map`` arguments, ``partial``-wrapped references, through imports),
-closes over the call graph, and checks everything reachable:
+The syntactic worker-entry rule (part of ``nondeterminism``) checks the
+function literally handed to a process pool — but a worker entry that
+immediately calls into another module escapes it entirely. This pass
+generalizes the check to *reachability*: it resolves every worker entry
+point project-wide (``Process``/``Pool``/``ProcessPoolExecutor``
+targets, executor ``submit``/``map`` arguments, ``partial``-wrapped
+references, through imports), closes over the call graph, and checks
+everything reachable. Today that is the session-matrix fan-out
+(``ProcessPoolExecutor.map`` in :mod:`repro.analysis.parallel`), whose
+cached artifacts must match what the in-process path builds:
 
 * **no unseeded RNG or wall-clock reads** — entropy-seeded generators
-  and ``time.time()`` silently diverge per process, breaking the
-  pipelined executor's byte-identity guarantee. (Functions the
+  and ``time.time()`` silently diverge per process. (Functions the
   per-file rule already covers — hot-package code and same-module
   syntactic entries — are skipped to avoid double reports.)
-* **no captured SharedMemory handles** — a module-level
-  ``SharedMemory``/``ShmRing`` binding read from worker-reachable code
-  is a handle captured at fork time: the child inherits a descriptor
-  the parent may close or unlink under it. Workers must *attach* by
-  name instead. (Locally constructed rings are fine — they are owned
-  and cleaned up by the creating process.)
 * **no module-level mutable state** — a worker-reachable function that
   reads a module-level list/dict/set *that the module also mutates*, or
   rebinds a global, operates on state that silently forked: each
-  process sees its own copy and they diverge. The one sanctioned idiom
-  is exempt: a ``ProcessPoolExecutor(initializer=...)`` target exists
-  precisely to populate per-process globals.
+  process sees its own copy and they diverge.
 
 Findings name the worker entry point the offending function is
 reachable from, so the spawn edge is auditable from the message.
@@ -34,7 +27,7 @@ reachable from, so the spawn edge is auditable from the message.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 from ..framework import Finding, LintPass, ModuleInfo, Project, register_pass
 from ..graph import Symbol, callable_refs, dotted_parts
@@ -42,9 +35,6 @@ from .common import HOT_PACKAGES, module_aliases, walk_calls
 from .nondeterminism import _DISPATCHERS, _SPAWNERS, _worker_entry_names
 
 __all__ = ["ForkSafetyPass"]
-
-#: Constructor names that produce OS-level shared-memory handles.
-_SHM_CONSTRUCTORS = ("SharedMemory", "ShmRing")
 
 #: AST nodes that build a mutable container at module level.
 _MUTABLE_DISPLAYS = (
@@ -72,12 +62,9 @@ _MUTATORS = (
 )
 
 
-def _worker_roots(
-    project: Project, table
-) -> Tuple[Dict[str, Symbol], Set[str]]:
-    """(worker-entry symbols by qualname, initializer-entry qualnames)."""
+def _worker_roots(project: Project, table) -> Dict[str, Symbol]:
+    """Worker-entry symbols by qualname."""
     roots: Dict[str, Symbol] = {}
-    initializers: Set[str] = set()
     for mod in project.modules:
         if mod.tree is None or mod.name is None:
             continue
@@ -112,19 +99,16 @@ def _worker_roots(
                         continue
                     for sym in resolve_ref(kw.value):
                         roots[sym.qualname] = sym
-                        if kw.arg == "initializer":
-                            initializers.add(sym.qualname)
             elif callee in _DISPATCHERS and call.args:
                 for sym in resolve_ref(call.args[0]):
                     roots[sym.qualname] = sym
-    return roots, initializers
+    return roots
 
 
-def _module_state(mod: ModuleInfo, table) -> Tuple[Set[str], Set[str]]:
-    """(mutable container globals that the module mutates, shm globals)."""
+def _mutated_containers(mod: ModuleInfo) -> Set[str]:
+    """Module-level mutable container globals that the module mutates."""
     assert mod.tree is not None and mod.name is not None
     containers: Set[str] = set()
-    shm: Set[str] = set()
     for stmt in mod.tree.body:
         targets: List[ast.Name] = []
         value: Optional[ast.expr] = None
@@ -141,10 +125,6 @@ def _module_state(mod: ModuleInfo, table) -> Tuple[Set[str], Set[str]]:
             and (dotted_parts(value.func) or ("",))[-1] in ("dict", "list", "set")
         ):
             containers.update(t.id for t in targets)
-        elif isinstance(value, ast.Call):
-            chain = dotted_parts(value.func)
-            if chain and chain[-1] in _SHM_CONSTRUCTORS:
-                shm.update(t.id for t in targets)
 
     mutated: Set[str] = set()
     for node in ast.walk(mod.tree):
@@ -167,7 +147,7 @@ def _module_state(mod: ModuleInfo, table) -> Tuple[Set[str], Set[str]]:
                     target.value, ast.Name
                 ):
                     mutated.add(target.value.id)
-    return containers & mutated, shm
+    return containers & mutated
 
 
 @register_pass
@@ -175,18 +155,17 @@ class ForkSafetyPass(LintPass):
     name = "fork-safety"
     description = (
         "functions reachable from multiprocessing worker entry points must "
-        "not capture SharedMemory handles, mutated module globals, or "
-        "unseeded RNG/wall-clock"
+        "not capture mutated module globals or unseeded RNG/wall-clock"
     )
 
     def run(self, project: Project) -> Iterator[Finding]:
         table = project.symbols
         graph = project.call_graph
-        roots, initializers = _worker_roots(project, table)
+        roots = _worker_roots(project, table)
         if not roots:
             return
         origin = graph.reachable(roots)
-        state_cache: Dict[str, Tuple[Set[str], Set[str]]] = {}
+        state_cache: Dict[str, Set[str]] = {}
         entry_cache: Dict[str, Set[str]] = {}
 
         for qualname in sorted(origin):
@@ -202,24 +181,15 @@ class ForkSafetyPass(LintPass):
             )
 
             if mod.name not in state_cache:
-                state_cache[mod.name] = _module_state(mod, table)
-            mutated_containers, shm_globals = state_cache[mod.name]
+                state_cache[mod.name] = _mutated_containers(mod)
 
-            yield from self._check_globals(
-                sym, via, mutated_containers, shm_globals,
-                is_initializer=qualname in initializers,
-            )
+            yield from self._check_globals(sym, via, state_cache[mod.name])
             yield from self._check_rng(sym, via, entry_cache)
 
-    # -- shared/mutable state capture -----------------------------------
+    # -- mutable state capture ------------------------------------------
 
     def _check_globals(
-        self,
-        sym: Symbol,
-        via: str,
-        mutated_containers: Set[str],
-        shm_globals: Set[str],
-        is_initializer: bool,
+        self, sym: Symbol, via: str, mutated_containers: Set[str]
     ) -> Iterator[Finding]:
         mod = sym.module
         # Names the function binds locally shadow the module globals.
@@ -242,35 +212,28 @@ class ForkSafetyPass(LintPass):
                 local_bound.add(node.id)
         local_bound -= declared_global
         for node in ast.walk(sym.node):
-            if isinstance(node, ast.Global) and not is_initializer:
+            if isinstance(node, ast.Global):
                 yield self.finding(
                     mod,
                     node,
                     f"{sym.name} {via} and rebinds module global(s) "
                     f"{', '.join(node.names)}; per-process copies diverge "
-                    "silently (only ProcessPoolExecutor initializers may "
-                    "populate per-process globals)",
+                    "silently",
                 )
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                if node.id in local_bound:
-                    continue
-                if node.id in shm_globals:
-                    yield self.finding(
-                        mod,
-                        node,
-                        f"{sym.name} {via} and reads module-level shared-"
-                        f"memory handle {node.id!r}; workers must attach by "
-                        "name, not inherit an open handle across fork",
-                    )
-                elif node.id in mutated_containers and not is_initializer:
-                    yield self.finding(
-                        mod,
-                        node,
-                        f"{sym.name} {via} and reads module-level mutable "
-                        f"container {node.id!r}, which this module mutates; "
-                        "each process sees a diverging copy — pass the state "
-                        "in explicitly",
-                    )
+            elif (
+                isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)
+                and node.id not in local_bound
+                and node.id in mutated_containers
+            ):
+                yield self.finding(
+                    mod,
+                    node,
+                    f"{sym.name} {via} and reads module-level mutable "
+                    f"container {node.id!r}, which this module mutates; "
+                    "each process sees a diverging copy — pass the state "
+                    "in explicitly",
+                )
 
     # -- nondeterminism, beyond the per-file rule's sight ----------------
 

@@ -1,29 +1,22 @@
 """knob-parity: the session-knob surfaces must agree, everywhere.
 
-The same knob set is spelled out in five places: the serial executor
-(:func:`repro.streaming.session.run_session`), the pipelined executor
-(:func:`repro.streaming.pipelined.run_session_pipelined`), the shared
-client-side applier/validator (``apply_client_knobs`` /
-``_validate_abr_knobs``), the ``repro stream`` CLI flags, and the
-experiment matrix (``run_session_matrix`` / ``_cached_session``). Every
-recent plumbing regression was one of these drifting from the others,
-so this pass pins them against each other:
+The same knob set is spelled out in three places: the session loop
+(:func:`repro.streaming.session.run_session`), the shared client-side
+applier/validator (``apply_client_knobs`` / ``_validate_abr_knobs``),
+and the ``repro stream`` CLI flags. Every plumbing regression so far was
+one of these drifting from the others, so this pass pins them against
+each other:
 
-* the pipelined executor exposes exactly the serial knobs (same names,
-  same defaults) plus the documented executor extras
-  (:data:`PIPELINED_EXTRAS`);
-* ``apply_client_knobs``'s knobs are a subset of both executors' knobs
-  with identical defaults, and both executors call it forwarding every
-  one of those knobs by keyword;
+* ``apply_client_knobs``'s knobs are a subset of ``run_session``'s
+  knobs with identical defaults, and ``run_session`` calls it
+  forwarding every one of those knobs by keyword;
 * ``_validate_abr_knobs``'s mutual-exclusion list (the string literals
   naming conflicting knobs in its body) matches its own signature, and
-  both executors call it forwarding every parameter;
-* every serial knob is reachable from the CLI as ``--knob-name`` unless
+  ``run_session`` calls it forwarding every parameter;
+* every session knob is reachable from the CLI as ``--knob-name`` unless
   deliberately exempt (:data:`CLI_EXEMPT_KNOBS`), and every ``stream``
-  flag maps back to a knob, a pipelined extra, or documented CLI-only
-  plumbing (:data:`CLI_ONLY_FLAGS`);
-* the matrix entry points agree on the executor-selection knobs
-  (:data:`EXECUTOR_KNOBS`).
+  flag maps back to a knob or to documented CLI-only plumbing
+  (:data:`CLI_ONLY_FLAGS`).
 
 Surfaces absent from the linted project are skipped (the pass degrades
 to a no-op on partial trees, e.g. single-file invocations).
@@ -40,25 +33,13 @@ from ..graph import Symbol, dotted_parts
 __all__ = [
     "KnobParityPass",
     "SESSION_MODULE",
-    "PIPELINED_MODULE",
     "CLI_MODULE",
-    "PARALLEL_MODULE",
-    "EXPERIMENTS_MODULE",
-    "PIPELINED_EXTRAS",
     "CLI_EXEMPT_KNOBS",
     "CLI_ONLY_FLAGS",
-    "EXECUTOR_KNOBS",
 ]
 
 SESSION_MODULE = "repro.streaming.session"
-PIPELINED_MODULE = "repro.streaming.pipelined"
 CLI_MODULE = "repro.cli"
-PARALLEL_MODULE = "repro.analysis.parallel"
-EXPERIMENTS_MODULE = "repro.analysis.experiments"
-
-#: Extra keyword parameters only the pipelined executor carries (ring
-#: geometry and process count — executor shape, not session semantics).
-PIPELINED_EXTRAS = ("depth", "workers", "slot_bytes")
 
 #: run_session knobs deliberately *not* surfaced as ``repro stream``
 #: flags: quality evaluation is a research-harness concern (the CLI
@@ -79,22 +60,17 @@ CLI_EXEMPT_KNOBS = frozenset(
 
 #: ``stream`` flag destinations that are command plumbing, not session
 #: knobs (workload/device selection, budgets materialized into knob
-#: objects, executor choice, trace export).
+#: objects, trace export).
 CLI_ONLY_FLAGS = frozenset(
     {
         "device",
         "frames",
         "profile",
-        "pipelined",
         "trace_json",
         "dispatch_budget_ms",
         "net_budget_ms",
     }
 )
-
-#: Knobs that select between executors; the matrix entry points
-#: (run_session_matrix, _cached_session) must both carry them.
-EXECUTOR_KNOBS = ("pipelined",)
 
 
 def _keyword_params(
@@ -130,9 +106,8 @@ def _same_default(a: Optional[ast.expr], b: Optional[ast.expr]) -> bool:
 class KnobParityPass(LintPass):
     name = "knob-parity"
     description = (
-        "session knobs must agree across run_session, run_session_pipelined, "
-        "apply_client_knobs/_validate_abr_knobs, the stream CLI flags, and "
-        "the experiment matrix"
+        "session knobs must agree across run_session, "
+        "apply_client_knobs/_validate_abr_knobs and the stream CLI flags"
     )
 
     def run(self, project: Project) -> Iterator[Finding]:
@@ -142,65 +117,22 @@ class KnobParityPass(LintPass):
             return
         knobs = dict(_keyword_params(run_session.node, skip=3))
 
-        pipelined = table.qualified(f"{PIPELINED_MODULE}.run_session_pipelined")
-        if pipelined is not None and pipelined.kind == "function":
-            yield from self._check_pipelined(run_session, pipelined, knobs)
-
         applier = table.qualified(f"{SESSION_MODULE}.apply_client_knobs")
         if applier is not None and applier.kind == "function":
             yield from self._check_shared_helper(
-                applier, skip=1, knobs=knobs, executors=(run_session, pipelined)
+                applier, skip=1, knobs=knobs, executors=(run_session,)
             )
 
         validator = table.qualified(f"{SESSION_MODULE}._validate_abr_knobs")
         if validator is not None and validator.kind == "function":
             yield from self._check_shared_helper(
-                validator, skip=1, knobs=knobs, executors=(run_session, pipelined)
+                validator, skip=1, knobs=knobs, executors=(run_session,)
             )
             yield from self._check_exclusion_literals(validator, knobs)
 
         cli = project.by_name.get(CLI_MODULE)
         if cli is not None and cli.tree is not None:
             yield from self._check_cli(cli, knobs)
-
-        yield from self._check_matrix(table)
-
-    # -- executor signature parity --------------------------------------
-
-    def _check_pipelined(
-        self,
-        run_session: Symbol,
-        pipelined: Symbol,
-        knobs: Dict[str, Optional[ast.expr]],
-    ) -> Iterator[Finding]:
-        pipelined_knobs = dict(_keyword_params(pipelined.node, skip=3))
-        for name, default in knobs.items():
-            if name not in pipelined_knobs:
-                yield self.finding(
-                    pipelined.module,
-                    pipelined.node,
-                    f"run_session knob {name!r} is missing from "
-                    "run_session_pipelined (the pipelined executor is a "
-                    "drop-in: plumb the knob through or retire it)",
-                )
-            elif not _same_default(default, pipelined_knobs[name]):
-                yield self.finding(
-                    pipelined.module,
-                    pipelined.node,
-                    f"knob {name!r} defaults disagree: run_session has "
-                    f"{_default_repr(default)}, run_session_pipelined has "
-                    f"{_default_repr(pipelined_knobs[name])}",
-                )
-        for name in pipelined_knobs:
-            if name not in knobs and name not in PIPELINED_EXTRAS:
-                yield self.finding(
-                    pipelined.module,
-                    pipelined.node,
-                    f"run_session_pipelined parameter {name!r} is neither a "
-                    "run_session knob nor a documented executor extra "
-                    f"({', '.join(PIPELINED_EXTRAS)}); add it to run_session "
-                    "or to PIPELINED_EXTRAS in the knob-parity rule",
-                )
 
     # -- shared helper parity -------------------------------------------
 
@@ -209,7 +141,7 @@ class KnobParityPass(LintPass):
         helper: Symbol,
         skip: int,
         knobs: Dict[str, Optional[ast.expr]],
-        executors: Tuple[Optional[Symbol], ...],
+        executors: Tuple[Symbol, ...],
     ) -> Iterator[Finding]:
         helper_knobs = dict(_keyword_params(helper.node, skip=skip))
         for name, default in helper_knobs.items():
@@ -229,8 +161,6 @@ class KnobParityPass(LintPass):
                     f"({_default_repr(knobs[name])})",
                 )
         for executor in executors:
-            if executor is None:
-                continue
             yield from self._check_forwarding(executor, helper, helper_knobs)
 
     def _check_forwarding(
@@ -249,8 +179,8 @@ class KnobParityPass(LintPass):
             yield self.finding(
                 executor.module,
                 executor.node,
-                f"{executor.name} never calls {helper.name}; both executors "
-                "must route knobs through the shared helper",
+                f"{executor.name} never calls {helper.name}; the session "
+                "loop must route knobs through the shared helper",
             )
             return
         for call in calls:
@@ -341,44 +271,12 @@ class KnobParityPass(LintPass):
                 "in CLI_EXEMPT_KNOBS in the knob-parity rule",
             )
         for dest, node in sorted(flags.items()):
-            if dest in knobs or dest in PIPELINED_EXTRAS or dest in CLI_ONLY_FLAGS:
+            if dest in knobs or dest in CLI_ONLY_FLAGS:
                 continue
             yield self.finding(
                 cli,
                 node,
                 f"stream flag --{dest.replace('_', '-')} maps to no "
-                "run_session knob or pipelined extra; plumb it through or "
+                "run_session knob; plumb it through or "
                 "list it in CLI_ONLY_FLAGS in the knob-parity rule",
             )
-
-    # -- matrix parity ---------------------------------------------------
-
-    def _check_matrix(self, table) -> Iterator[Finding]:
-        matrix = table.qualified(f"{PARALLEL_MODULE}.run_session_matrix")
-        cached = table.qualified(f"{EXPERIMENTS_MODULE}._cached_session")
-        entries = [s for s in (matrix, cached) if s is not None and s.kind == "function"]
-        if len(entries) < 2:
-            return
-        params = [dict(_keyword_params(s.node)) for s in entries]
-        for knob in EXECUTOR_KNOBS:
-            missing = [
-                s for s, p in zip(entries, params) if knob not in p
-            ]
-            for sym in missing:
-                yield self.finding(
-                    sym.module,
-                    sym.node,
-                    f"matrix entry point {sym.name} is missing the executor "
-                    f"knob {knob!r}",
-                )
-            if missing:
-                continue
-            defaults = [p[knob] for p in params]
-            if not _same_default(defaults[0], defaults[1]):
-                yield self.finding(
-                    entries[1].module,
-                    entries[1].node,
-                    f"executor knob {knob!r} defaults disagree between "
-                    f"{entries[0].name} ({_default_repr(defaults[0])}) and "
-                    f"{entries[1].name} ({_default_repr(defaults[1])})",
-                )

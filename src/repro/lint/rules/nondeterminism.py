@@ -17,9 +17,9 @@ points* — functions handed to ``multiprocessing.Process(target=...)``,
 ``ProcessPoolExecutor(initializer=...)``, ``pool.submit(f, ...)`` /
 ``pool.map(f, ...)``, or wrapped in ``functools.partial`` in a module
 that spawns processes. A worker must be a deterministic replica of the
-serial path (the pipelined executor's byte-identity guarantee depends on
-it), and entropy-seeded RNG or ``time.time()`` inside one silently
-diverges per process.
+in-process path (the session-matrix fan-out writes the same cache
+artifacts either way), and entropy-seeded RNG or ``time.time()`` inside
+one silently diverges per process.
 
 Passing an ``np.random.Generator`` *in* (the repo idiom: every
 stochastic function takes ``rng``) is untouched — the pass only looks

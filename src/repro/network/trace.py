@@ -23,8 +23,8 @@ link time-varying:
   can name a scenario with one string.
 
 Everything is seeded and deterministic: the same trace + seed yields an
-identical :class:`~repro.network.link.TransmitResult` sequence, which is
-what lets serial and pipelined sessions stay byte-identical.
+identical :class:`~repro.network.link.TransmitResult` sequence, so a
+seeded session replays byte-identically.
 """
 
 from __future__ import annotations

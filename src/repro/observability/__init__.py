@@ -37,9 +37,6 @@ __all__ = [
     "default_latency_buckets",
     "match_metric_family",
     "observe_frame_trace",
-    "observe_pipeline_dequeue",
-    "observe_pipeline_producer",
-    "observe_pipeline_truncation",
     "validate",
     "validate_session_trace",
 ]
@@ -166,50 +163,3 @@ def _observe_abr(registry: MetricsRegistry, abr: dict) -> None:
         registry.counter("abr/idr_requests").inc()
     registry.histogram("abr/quality").observe(float(abr.get("quality", 0.0)))
     registry.histogram("abr/roi_side").observe(float(abr.get("roi_side", 0.0)))
-
-
-# -- pipelined-executor metrics (all under the volatile "pipeline/"
-# namespace: they measure executor scheduling, not the platform model,
-# and are stripped by canonicalize_session_trace) ------------------------
-
-
-def observe_pipeline_dequeue(
-    registry: MetricsRegistry,
-    queue_wait_ms: float,
-    occupancy: int,
-    stalled: bool,
-) -> None:
-    """Record the consumer side of one ring-buffer dequeue.
-
-    ``queue_wait_ms`` is how long the consumer blocked for the frame to
-    be published; ``occupancy`` is how many published-but-unconsumed
-    frames the ring held right after the pop; ``stalled`` marks waits
-    long enough to mean the producer was the bottleneck for this frame.
-    """
-    registry.histogram("pipeline/queue_wait_ms").observe(queue_wait_ms)
-    registry.histogram("pipeline/ring_occupancy").observe(float(occupancy))
-    if stalled:
-        registry.counter("pipeline/consumer_stalls").inc()
-
-
-def observe_pipeline_producer(
-    registry: MetricsRegistry,
-    backpressure_waits: int,
-    backpressure_wait_ms: float,
-    frames_produced: int,
-) -> None:
-    """Record the producer's end-of-session stall evidence.
-
-    ``backpressure_waits``/``backpressure_wait_ms`` come from the ring's
-    shared stall counters: pushes that found the ring full (the *client*
-    was the bottleneck) and the total time blocked in them.
-    """
-    registry.counter("pipeline/producer_stalls").inc(backpressure_waits)
-    registry.counter("pipeline/producer_stall_ms").inc(backpressure_wait_ms)
-    registry.counter("pipeline/frames_produced").inc(frames_produced)
-
-
-def observe_pipeline_truncation(registry: MetricsRegistry, missing_frames: int) -> None:
-    """Record that the producer died before publishing every frame."""
-    registry.counter("pipeline/truncated").inc()
-    registry.counter("pipeline/frames_missing").inc(missing_frames)

@@ -26,11 +26,11 @@ __all__ = [
     "validate_session_trace",
 ]
 
-#: Metric-name prefixes whose values depend on wall-clock measurement or
-#: executor scheduling rather than the deterministic platform model.
-#: :func:`canonicalize_session_trace` strips them so serial and pipelined
-#: exports of the same session compare byte-identical.
-VOLATILE_METRIC_PREFIXES = ("stage_wall_ms/", "pipeline/")
+#: Metric-name prefixes whose values depend on wall-clock measurement
+#: rather than the deterministic platform model.
+#: :func:`canonicalize_session_trace` strips them so two runs of the same
+#: seeded session compare byte-identical.
+VOLATILE_METRIC_PREFIXES = ("stage_wall_ms/",)
 
 #: The pinned metric-name registry: every counter/histogram the
 #: observability layer may emit, mapped to its kind. Families ending in
@@ -75,14 +75,6 @@ METRIC_FAMILIES: Dict[str, str] = {
     "abr/idr_requests": "counter",
     "abr/quality": "histogram",
     "abr/roi_side": "histogram",
-    "pipeline/queue_wait_ms": "histogram",
-    "pipeline/ring_occupancy": "histogram",
-    "pipeline/consumer_stalls": "counter",
-    "pipeline/producer_stalls": "counter",
-    "pipeline/producer_stall_ms": "counter",
-    "pipeline/frames_produced": "counter",
-    "pipeline/truncated": "counter",
-    "pipeline/frames_missing": "counter",
 }
 
 
@@ -221,9 +213,8 @@ def canonicalize_session_trace(instance: Dict[str, Any]) -> Dict[str, Any]:
     left — span names and order, ``modeled_ms``, energy attributions,
     metadata, modeled-latency metrics — is a pure function of the session
     configuration, so two canonicalized exports of the same session are
-    equal regardless of which executor (serial or pipelined) produced
-    them or how the host was loaded. The determinism suite and the
-    ``scripts/check.sh`` pipelined smoke compare these.
+    equal however the host was loaded. The seeded-replay tests compare
+    these.
     """
     out = {
         "session": dict(instance["session"]),

@@ -17,18 +17,14 @@ from .pipeline import (
     ENERGY_CATEGORIES,
     EnergyAttribution,
     FrameTrace,
+    PipelineSchedule,
     SERVER_STAGES,
     Stage,
     StageSpan,
     TransmissionSplit,
+    modeled_pipeline_schedule,
     split_transmission,
 )
-from .pipelined import (
-    PipelineSchedule,
-    modeled_pipeline_schedule,
-    run_session_pipelined,
-)
-from .ring import DEFAULT_SLOT_BYTES, RingClosed, RingOverflow, ShmRing
 from .server import GameStreamServer
 from .session import (
     FrameRecord,
@@ -47,7 +43,6 @@ __all__ = [
     "CLIENT_STAGES",
     "ClientFrameResult",
     "DEFAULT_LADDER",
-    "DEFAULT_SLOT_BYTES",
     "ENERGY_CATEGORIES",
     "EnergyAttribution",
     "FrameRecord",
@@ -60,13 +55,10 @@ __all__ = [
     "NemoClient",
     "PipelineSchedule",
     "ROI_METADATA_BYTES",
-    "RingClosed",
-    "RingOverflow",
     "SERVER_STAGES",
     "SRIntegratedDecoderClient",
     "ServerFrame",
     "SessionResult",
-    "ShmRing",
     "Stage",
     "StageSpan",
     "StreamGeometry",
@@ -80,6 +72,5 @@ __all__ = [
     "mtp_from_frame",
     "mtp_from_trace",
     "run_session",
-    "run_session_pipelined",
     "split_transmission",
 ]

@@ -22,9 +22,8 @@ rungs), an RoI-size cap multiplied onto the inherited
 :class:`~repro.streaming.adaptive.AdaptiveRoIController` AIMD side, and
 the SR backend (a lighter model buys client-side headroom when the
 link forces small, low-quality frames). The session layer actuates the
-rung's server knobs before each frame is produced — in the pipelined
-executor the decision crosses the feedback pipe in lock-step, which is
-what keeps serial and pipelined sessions byte-identical.
+rung's knobs before each frame is produced, so a decision taken on frame
+``n``'s transmit outcome shapes frame ``n+1``.
 
 This is an extension beyond the paper (which assumes a fixed 80 Mbps
 WiFi link); the default pipeline keeps the static configuration.
@@ -242,8 +241,7 @@ class ABRController(AdaptiveRoIController):
 
         ``eval_roi_side`` is the controller side rescaled to the eval
         geometry by the session layer (``None`` for servers without RoI
-        detection). Consumes the pending IDR request. The returned dict
-        crosses the pipelined feedback pipe verbatim.
+        detection). Consumes the pending IDR request.
         """
         rung = self.rung
         knobs: Dict[str, object] = {

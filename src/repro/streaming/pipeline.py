@@ -49,6 +49,8 @@ __all__ = [
     "FrameTrace",
     "TransmissionSplit",
     "split_transmission",
+    "PipelineSchedule",
+    "modeled_pipeline_schedule",
 ]
 
 #: Fig. 12 energy categories a span may attribute components to.
@@ -364,4 +366,83 @@ def split_transmission(
         total_ms=total,
         propagation_ms=propagation,
         serialization_ms=total - propagation,
+    )
+
+
+# ----------------------------------------------------------------------
+# Modeled two-stage pipeline schedule
+
+
+@dataclass(frozen=True)
+class PipelineSchedule:
+    """Modeled steady-state timing of a depth-bounded two-stage pipeline.
+
+    Computed from per-frame *modeled* MTP spans (the calibrated platform
+    model the paper's numbers come from), so it is deterministic and
+    host-independent — the headline metric of
+    ``benchmarks/bench_pipeline.py``.
+    """
+
+    n_frames: int
+    depth: int
+    serial_total_ms: float
+    pipelined_total_ms: float
+    server_busy_ms: float
+    client_busy_ms: float
+
+    @property
+    def serial_fps(self) -> float:
+        return 1e3 * self.n_frames / self.serial_total_ms
+
+    @property
+    def pipelined_fps(self) -> float:
+        return 1e3 * self.n_frames / self.pipelined_total_ms
+
+    @property
+    def speedup(self) -> float:
+        return self.serial_total_ms / self.pipelined_total_ms
+
+
+def modeled_pipeline_schedule(
+    traces: List[FrameTrace], depth: int = 2
+) -> PipelineSchedule:
+    """Schedule a session's frames through the modeled two-stage pipeline.
+
+    The paper's 16.66 ms deadline assumes the server encodes frame
+    ``i+1`` while the client upscales frame ``i``. The server half of
+    frame ``i`` (input/game/render/RoI/encode/network MTP spans) may
+    start once frame ``i-1``'s server half is done *and* slot
+    ``i % depth`` is free (the client has consumed frame ``i - depth``);
+    the client half (decode/SR/display) starts when its frame is
+    published and the client is idle:
+
+    ``server_done[i] = max(server_done[i-1], client_done[i-depth]) + S_i``
+    ``client_done[i] = max(client_done[i-1], server_done[i]) + C_i``
+
+    Only MTP spans count (the client's ``mtp=False`` RX span is energy
+    bookkeeping), so the serial baseline ``sum(S_i + C_i)`` equals the
+    session's summed MTP.
+    """
+    if not traces:
+        raise ValueError("cannot schedule an empty session")
+    if depth < 1:
+        raise ValueError(f"pipeline depth must be >= 1, got {depth}")
+    server_ms = [sum(t.timings_ms(SERVER_STAGES).values()) for t in traces]
+    client_ms = [sum(t.timings_ms(CLIENT_STAGES).values()) for t in traces]
+    server_done: List[float] = []
+    client_done: List[float] = []
+    for i in range(len(traces)):
+        start = server_done[i - 1] if i >= 1 else 0.0
+        if i >= depth:
+            start = max(start, client_done[i - depth])
+        server_done.append(start + server_ms[i])
+        prev_client = client_done[i - 1] if i >= 1 else 0.0
+        client_done.append(max(prev_client, server_done[i]) + client_ms[i])
+    return PipelineSchedule(
+        n_frames=len(traces),
+        depth=depth,
+        serial_total_ms=sum(server_ms) + sum(client_ms),
+        pipelined_total_ms=client_done[-1],
+        server_busy_ms=sum(server_ms),
+        client_busy_ms=sum(client_ms),
     )

@@ -123,19 +123,12 @@ class GameStreamServer:
         """Native HR render of frame ``index`` (the quality ground truth)."""
         return self._render_hr(index).color
 
-    def next_frame(self, prerendered: Optional[RenderOutput] = None) -> ServerFrame:
+    def next_frame(self) -> ServerFrame:
         """Advance one frame through the staged server pipeline.
 
         Every stage records a span into the frame's trace; the returned
         ``server_timings_ms`` dict is the trace's MTP view and therefore
         numerically identical to the pre-refactor hand-assembled dict.
-
-        ``prerendered`` substitutes an already-computed
-        :meth:`render_lr` output for this frame's render stage — the
-        pipelined executor's render-prefetch pool uses it (``render_lr``
-        is pure in the frame index, so prefetching cannot change the
-        stream). The stage's span and modeled latency are recorded
-        exactly as if the render had run inline.
         """
         index = self._index
         self._index += 1
@@ -147,7 +140,7 @@ class GameStreamServer:
             st.modeled_ms = lat.server_game_logic_ms()
 
         with trace.stage("render") as st:
-            rendered = prerendered if prerendered is not None else self.render_lr(index)
+            rendered = self.render_lr(index)
             st.modeled_ms = lat.server_render_ms(self.geometry.modeled_lr_pixels)
             st.meta(lr_source=self.geometry.lr_source)
 

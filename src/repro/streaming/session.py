@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -313,7 +313,7 @@ def _transport_stage(
 
 
 def _resolve_scenario(
-    scenario: Optional[object], link: Optional[NetworkLink], seed: int = 0
+    scenario: Optional[object], link: Optional[NetworkLink]
 ) -> Optional[NetworkLink]:
     """Materialize the ``scenario=`` knob into the session's link.
 
@@ -328,90 +328,63 @@ def _resolve_scenario(
     if isinstance(scenario, NetworkLink):
         return scenario
     if isinstance(scenario, str):
-        return build_scenario(scenario, seed=seed)
+        return build_scenario(scenario, seed=0)
     raise TypeError(
         f"scenario must be a name or NetworkLink, got {type(scenario).__name__}"
     )
 
 
-def _apply_server_knobs(server: GameStreamServer, knobs: Dict[str, Any]) -> None:
-    """Actuate one frame's ABR decision on the server before production.
+def _apply_roi_side(
+    server: GameStreamServer,
+    client: StreamingClient,
+    controller: AdaptiveRoIController,
+) -> Optional[int]:
+    """Push the controller's (modeled-scale) window side into the pipeline.
 
-    Shared by the serial loop and the pipelined producer (the dict
-    crosses the feedback pipe verbatim), so both executors mutate the
-    encoder identically. ``force_idr`` resets the encoder's GOP phase:
-    the next frame is an I-frame regardless of position.
+    The controller plans on the modeled geometry (the paper's 720p frame);
+    the server detects on the eval frame, so the side is rescaled by frame
+    height exactly like ``RoIWindowPlan.side_for_frame`` does. A client
+    with a pinned ``modeled_roi_side`` follows the controller directly.
+    Returns the eval-scale side (``None`` when the server has no RoI
+    detector).
     """
-    side = knobs.get("eval_roi_side")
-    if side is not None and server.detector is not None:
-        server.set_roi_side(side)
-    quality = knobs.get("quality")
-    if quality is not None:
-        server.encoder.quality = quality
-    gop_size = knobs.get("gop_size")
-    if gop_size is not None:
-        server.encoder.gop_size = gop_size
-    if knobs.get("force_idr"):
-        server.encoder.reset()
-
-
-def _abr_produce_knobs(
-    abr: ABRController, server_has_roi: bool, geometry: StreamGeometry
-) -> Dict[str, Any]:
-    """The ABR decision for the next frame, with the RoI side rescaled
-    to the eval geometry (``None`` when the server has no detector)."""
-    eval_side = _adaptive_eval_side(abr, geometry) if server_has_roi else None
-    return abr.next_frame_knobs(eval_side)
-
-
-def _apply_abr_client_knobs(client: StreamingClient, abr: ABRController) -> None:
-    """Actuate the rung's client-side knobs (consumer process).
-
-    The RoI pin follows the capped controller side like the adaptive
-    path; the SR backend switches only when the rung actually changed it
-    (``set_sr_backend`` rebuilds the upscaler) and only on designs that
-    expose the zoo knob.
-    """
+    eval_side = None
+    if server.detector is not None:
+        geometry = server.geometry
+        eval_side = int(
+            round(
+                controller.side
+                * geometry.eval_lr_height
+                / geometry.modeled_lr_height
+            )
+        )
+        eval_side = max(2, min(eval_side, geometry.eval_lr_height))
+        server.set_roi_side(eval_side)
     if getattr(client, "modeled_roi_side", None) is not None:
-        client.modeled_roi_side = abr.side
+        client.modeled_roi_side = controller.side
+    return eval_side
+
+
+def _apply_abr_knobs(
+    server: GameStreamServer, client: StreamingClient, abr: ABRController
+) -> None:
+    """Actuate the ABR decision for the next frame before production.
+
+    The RoI side follows the rung-capped controller side like the
+    adaptive path; ``force_idr`` resets the encoder's GOP phase (the next
+    frame is an I-frame regardless of position). The SR backend switches
+    only when the rung actually changed it (``set_sr_backend`` rebuilds
+    the upscaler) and only on designs that expose the zoo knob.
+    """
+    knobs = abr.next_frame_knobs(_apply_roi_side(server, client, abr))
+    server.encoder.quality = knobs["quality"]
+    server.encoder.gop_size = knobs["gop_size"]
+    if knobs["force_idr"]:
+        server.encoder.reset()
     backend = abr.client_backend()
     if backend is not None and hasattr(client, "set_sr_backend"):
         if getattr(client, "sr_backend", None) is not backend:
             client.set_sr_backend(backend)
-
-
-def _adaptive_eval_side(
-    adaptive: AdaptiveRoIController, geometry: StreamGeometry
-) -> int:
-    """The controller's window side rescaled to the eval geometry.
-
-    The controller plans on the modeled geometry (the paper's 720p frame);
-    the server detects on the eval frame, so the side is rescaled by frame
-    height exactly like ``RoIWindowPlan.side_for_frame`` does.
-    """
-    eval_side = int(
-        round(adaptive.side * geometry.eval_lr_height / geometry.modeled_lr_height)
-    )
-    return max(2, min(eval_side, geometry.eval_lr_height))
-
-
-def _apply_adaptive_side(
-    server: GameStreamServer,
-    client: StreamingClient,
-    adaptive: AdaptiveRoIController,
-    geometry: StreamGeometry,
-) -> None:
-    """Push the controller's (modeled-scale) window side into the pipeline.
-
-    A client with a pinned ``modeled_roi_side`` follows the controller
-    directly. The pipelined executor splits this into its two halves —
-    the server side crosses the process boundary via the feedback
-    channel, the client pin stays with the consumer.
-    """
-    if server.detector is not None:
-        server.set_roi_side(_adaptive_eval_side(adaptive, geometry))
-    if getattr(client, "modeled_roi_side", None) is not None:
-        client.modeled_roi_side = adaptive.side
 
 
 def _require_knob(client: StreamingClient, knob: str) -> None:
@@ -438,9 +411,9 @@ def apply_client_knobs(
 ) -> None:
     """Validate and enable the per-session client execution knobs.
 
-    One shared entry point for every caller (serial session, pipelined
-    session, CLI), so support checks and the mutual-exclusion rule live
-    in exactly one place. All-defaults is a no-op.
+    One shared entry point for every caller (session loop, CLI), so
+    support checks and the mutual-exclusion rule live in exactly one
+    place. All-defaults is a no-op.
     """
     if gop_reuse:
         _require_knob(client, "gop_reuse")
@@ -544,19 +517,16 @@ def _consume_frame(
     lpips_stride: int,
     hr_fn: Optional[Callable[[int], np.ndarray]],
     skip_dropped: bool,
-    skip_state: Optional[Dict[str, bool]] = None,
-    abr: Optional[ABRController] = None,
-    at_ms: float = 0.0,
-) -> FrameRecord:
+    reference_broken: bool,
+    abr: Optional[ABRController],
+    at_ms: float,
+) -> Tuple[FrameRecord, bool]:
     """Run the client half of the pipeline on one produced server frame.
 
-    This is the single consumer implementation shared by the serial
-    :func:`run_session` loop and the pipelined executor
-    (:func:`repro.streaming.pipelined.run_session_pipelined`) — both
-    paths execute byte-for-byte the same transport, decode/SR, adaptive
-    observation, quality scoring, and trace/energy assembly, which is
-    what makes the cross-executor determinism guarantee hold by
-    construction.
+    Covers transport, decode/SR, controller observation, quality scoring
+    and trace/energy assembly. ``reference_broken`` says whether the
+    previous frame was skipped; the returned bool says whether this one
+    was, and is fed back in for the next frame.
     """
     dropped, retransmissions = False, 0
     if link is not None:
@@ -571,17 +541,13 @@ def _consume_frame(
 
     # A skipped frame breaks the decoder's reference chain: every later
     # P-frame is undecodable (its reference is missing or stale) until a
-    # delivered I-frame resets the decoder. ``skip_state`` carries that
-    # one bit of GOP state between consecutive _consume_frame calls.
+    # delivered I-frame resets the decoder.
     skipped, skip_reason = False, ""
     if skip_dropped:
-        broken = skip_state is not None and skip_state.get("reference_broken", False)
         if dropped:
             skipped, skip_reason = True, "transport_drop"
-        elif broken and server_frame.encoded.frame_type == "P":
+        elif reference_broken and server_frame.encoded.frame_type == "P":
             skipped, skip_reason = True, "reference_lost"
-        if skip_state is not None:
-            skip_state["reference_broken"] = skipped
     if skipped:
         client_result = _skipped_client_result(server_frame, skip_reason)
     else:
@@ -620,7 +586,7 @@ def _consume_frame(
         dropped=dropped,
         network_retransmissions=retransmissions,
         trace=trace,
-    )
+    ), skipped
 
 
 def run_session(
@@ -719,36 +685,31 @@ def run_session(
         metrics=metrics,
     )
     hr_fn = hr_reference_fn if hr_reference_fn is not None else server.render_hr_reference
-    skip_state = {"reference_broken": False}
+    reference_broken = False
     period_ms = 1000.0 / server.fps
     for index in range(n_frames):
         if abr is not None:
-            _apply_server_knobs(
-                server,
-                _abr_produce_knobs(abr, server.detector is not None, server.geometry),
-            )
-            _apply_abr_client_knobs(client, abr)
+            _apply_abr_knobs(server, client, abr)
         elif adaptive is not None:
-            _apply_adaptive_side(server, client, adaptive, server.geometry)
+            _apply_roi_side(server, client, adaptive)
 
         server_frame: ServerFrame = server.next_frame()
 
-        result.records.append(
-            _consume_frame(
-                server_frame,
-                client,
-                metrics,
-                link=link,
-                link_deadline_ms=link_deadline_ms,
-                adaptive=adaptive,
-                evaluate_quality=evaluate_quality,
-                with_lpips=with_lpips,
-                lpips_stride=lpips_stride,
-                hr_fn=hr_fn if evaluate_quality else None,
-                skip_dropped=skip_dropped,
-                skip_state=skip_state,
-                abr=abr,
-                at_ms=index * period_ms,
-            )
+        record, reference_broken = _consume_frame(
+            server_frame,
+            client,
+            metrics,
+            link=link,
+            link_deadline_ms=link_deadline_ms,
+            adaptive=adaptive,
+            evaluate_quality=evaluate_quality,
+            with_lpips=with_lpips,
+            lpips_stride=lpips_stride,
+            hr_fn=hr_fn if evaluate_quality else None,
+            skip_dropped=skip_dropped,
+            reference_broken=reference_broken,
+            abr=abr,
+            at_ms=index * period_ms,
         )
+        result.records.append(record)
     return result

@@ -18,9 +18,10 @@ from repro.streaming.client import (
     SRIntegratedDecoderClient,
 )
 from repro.streaming.frames import StreamGeometry
-from repro.streaming.pipelined import run_session_pipelined
 from repro.streaming.server import GameStreamServer
 from repro.streaming.session import run_session
+
+from ._replay import replay_twice
 
 GEO = StreamGeometry(eval_lr_height=48, eval_lr_width=80, lr_source="native")
 N = 6
@@ -221,20 +222,14 @@ class TestRefreshBoundaries:
         assert healed, "seed must process a frame after a skip gap"
 
 
-class TestPipelinedEquivalence:
-    def test_pipelined_reuse_byte_identical(self, device, tiny_runner):
-        client = GameStreamSRClient(device, tiny_runner, modeled_roi_side=300)
-        serial = run_session(make_server(), client, n_frames=N, gop_reuse=True)
-        piped = run_session_pipelined(
-            make_server(), client, n_frames=N, gop_reuse=True, depth=2
-        )
-        a = json.dumps(
-            canonicalize_session_trace(serial.to_trace_dict()), sort_keys=True
-        )
-        b = json.dumps(
-            canonicalize_session_trace(piped.to_trace_dict()), sort_keys=True
-        )
-        assert a == b
+class TestSeededReplay:
+    def test_reuse_session_replays_identically(self, device, tiny_runner):
+        def run(wrap):
+            client = GameStreamSRClient(device, tiny_runner, modeled_roi_side=300)
+            return run_session(make_server(), wrap(client), n_frames=N, gop_reuse=True)
+
+        first, _ = replay_twice(run)
+        assert any(reuse_meta(r)["refresh"] is False for r in first.records)
 
 
 class TestSRIntegratedDecoderReuse:

@@ -3,8 +3,7 @@
 The seeded-determinism contract of the ``scenario=``/``abr=`` knobs:
 the same :class:`~repro.network.trace.LinkTrace` + seed must produce
 identical :class:`~repro.network.link.TransmitResult` sequences — and
-therefore byte-identical session traces — run to run, and the serial
-and pipelined executors must agree on them canonically.
+therefore byte-identical session traces — run to run.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from repro.streaming import (
     build_abr,
     run_session,
 )
-from repro.streaming.pipelined import run_session_pipelined
 
 N_FRAMES = 8
 NET_BUDGET_MS = 100.0
@@ -57,7 +55,7 @@ def _abr_session_kwargs(runner):
     return client, plan, abr
 
 
-def _run_serial(runner, scenario="lte_drive", pipelined=False, **extra):
+def _run_serial(runner, scenario="lte_drive", **extra):
     client, plan, abr = _abr_session_kwargs(runner)
     kwargs = dict(
         n_frames=N_FRAMES,
@@ -67,10 +65,7 @@ def _run_serial(runner, scenario="lte_drive", pipelined=False, **extra):
         skip_dropped=True,
         **extra,
     )
-    server = _server(plan.side_for_frame(64))
-    if pipelined:
-        return run_session_pipelined(server, client, **kwargs)
-    return run_session(server, client, **kwargs)
+    return run_session(_server(plan.side_for_frame(64)), client, **kwargs)
 
 
 class TestSeededDeterminism:
@@ -80,13 +75,6 @@ class TestSeededDeterminism:
         a = _run_serial(tiny_runner).to_trace_dict()
         b = _run_serial(tiny_runner).to_trace_dict()
         assert canonicalize_session_trace(a) == canonicalize_session_trace(b)
-
-    def test_serial_matches_pipelined(self, tiny_runner):
-        """The pipelined executor must replay the exact same stochastic
-        link + ABR decision sequence as the serial loop."""
-        serial = _run_serial(tiny_runner).to_trace_dict()
-        piped = _run_serial(tiny_runner, pipelined=True).to_trace_dict()
-        assert canonicalize_session_trace(serial) == canonicalize_session_trace(piped)
 
     def test_prebuilt_link_replays_scenario(self, tiny_runner):
         """scenario= accepts a pre-built TraceDrivenLink; resetting and

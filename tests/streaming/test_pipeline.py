@@ -4,17 +4,27 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.roi_sizing import plan_roi_window
 from repro.observability import (
     FRAME_TRACE_SCHEMA,
     SchemaError,
     validate,
 )
 from repro.platform import latency as lat
+from repro.platform.device import get_device
 from repro.platform.energy import Component
+from repro.render.games import build_game
+from repro.streaming import (
+    GameStreamSRClient,
+    GameStreamServer,
+    StreamGeometry,
+    run_session,
+)
 from repro.streaming.pipeline import (
     CLIENT_STAGES,
     FrameTrace,
     SERVER_STAGES,
+    modeled_pipeline_schedule,
     split_transmission,
 )
 
@@ -162,4 +172,81 @@ class TestSplitTransmission:
             > split_transmission(10_000).serialization_ms
             > split_transmission(0).serialization_ms
             == 0.0
+        )
+
+
+# -- modeled pipeline schedule --------------------------------------------
+
+
+def _trace(index, server_ms, client_ms):
+    t = FrameTrace(index=index, frame_type="P")
+    t.add_span("encode", server_ms)
+    t.add_span("upscale", client_ms)
+    return t
+
+
+class TestModeledSchedule:
+    def test_balanced_pipeline_approaches_2x(self):
+        traces = [_trace(i, 10.0, 10.0) for i in range(100)]
+        sched = modeled_pipeline_schedule(traces, depth=2)
+        assert sched.serial_total_ms == 2000.0
+        # Pipelined: fill (10 ms) + 100 client slots of 10 ms.
+        assert sched.pipelined_total_ms == 1010.0
+        assert sched.speedup == pytest.approx(2000.0 / 1010.0)
+
+    def test_depth_one_serializes(self):
+        # depth=1: server i+1 must wait for client i (single slot).
+        traces = [_trace(i, 10.0, 5.0) for i in range(3)]
+        sched = modeled_pipeline_schedule(traces, depth=1)
+        assert sched.pipelined_total_ms == 45.0
+        assert sched.speedup == pytest.approx(1.0)
+        # depth=2 overlaps: server free-runs one ahead of the client.
+        sched2 = modeled_pipeline_schedule(traces, depth=2)
+        assert sched2.pipelined_total_ms == 35.0
+
+    def test_bottleneck_side_bounds_throughput(self):
+        traces = [_trace(i, 2.0, 10.0) for i in range(50)]
+        sched = modeled_pipeline_schedule(traces, depth=2)
+        # Client-bound: sustained FPS ~= 1000 / client_ms.
+        assert sched.pipelined_fps == pytest.approx(1000.0 / 10.0, rel=0.05)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="empty"):
+            modeled_pipeline_schedule([], depth=2)
+        with pytest.raises(ValueError, match="depth"):
+            modeled_pipeline_schedule([_trace(0, 1.0, 1.0)], depth=0)
+
+    def test_client_rx_span_is_not_server_time(self):
+        """The client's ``mtp=False`` network span is RX-energy
+        bookkeeping: it must not be charged to the server half."""
+        trace = _trace(0, 10.0, 5.0)
+        trace.add_span("network", 2.0, mtp=False)
+        sched = modeled_pipeline_schedule([trace], depth=2)
+        assert sched.server_busy_ms == 10.0
+        assert sched.serial_total_ms == trace.total_modeled_ms == 15.0
+
+    def test_serial_total_is_session_mtp(self, tiny_runner):
+        """On a real session the serial baseline is the summed MTP, so
+        ``serial_fps`` is 1000 / the session's mean MTP."""
+        device = get_device("samsung_tab_s8")
+        plan = plan_roi_window(device)
+        server = GameStreamServer(
+            build_game("G3"),
+            StreamGeometry(eval_lr_height=64, eval_lr_width=112, lr_source="native"),
+            roi_side=plan.side_for_frame(64),
+            gop_size=3,
+        )
+        client = GameStreamSRClient(device, tiny_runner, modeled_roi_side=plan.side)
+        result = run_session(server, client, n_frames=4)
+        traces = result.frame_traces()
+        assert any(
+            span.name == "network" and not span.mtp
+            for t in traces
+            for span in t.spans
+        )
+        sched = modeled_pipeline_schedule(traces, depth=2)
+        mtp_sum = sum(r.mtp.total_ms for r in result.records)
+        assert sched.serial_total_ms == pytest.approx(mtp_sum, abs=1e-9)
+        assert sched.serial_fps == pytest.approx(
+            1000.0 / result.mean_mtp().total_ms, rel=1e-12
         )

@@ -27,9 +27,10 @@ from repro.streaming.client import (
     SRIntegratedDecoderClient,
 )
 from repro.streaming.frames import StreamGeometry
-from repro.streaming.pipelined import run_session_pipelined
 from repro.streaming.server import GameStreamServer
 from repro.streaming.session import apply_client_knobs, run_session
+
+from ._replay import replay_twice
 
 GEO = StreamGeometry(eval_lr_height=48, eval_lr_width=80, lr_source="native")
 N = 6
@@ -221,18 +222,15 @@ class TestDispatchSessions:
         )
         assert routed.mean_upscale_ms(True) < base.mean_upscale_ms(True)
 
-    def test_serial_pipelined_byte_identical(self, device, tiny_runner):
-        serial = run_session(
-            make_server(),
-            GameStreamSRClient(device, tiny_runner, modeled_roi_side=300),
-            n_frames=N, dispatch=make_dispatcher(tiny_runner),
-        )
-        piped = run_session_pipelined(
-            make_server(),
-            GameStreamSRClient(device, tiny_runner, modeled_roi_side=300),
-            n_frames=N, dispatch=make_dispatcher(tiny_runner), depth=2,
-        )
-        assert canonical(serial) == canonical(piped)
+    def test_dispatch_session_replays_identically(self, device, tiny_runner):
+        def run(wrap):
+            client = GameStreamSRClient(device, tiny_runner, modeled_roi_side=300)
+            return run_session(
+                make_server(), wrap(client),
+                n_frames=N, dispatch=make_dispatcher(tiny_runner),
+            )
+
+        replay_twice(run)
 
     def test_sr_integrated_dispatches_reference_frames_only(
         self, device, tiny_runner
