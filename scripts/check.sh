@@ -20,8 +20,8 @@ echo "ok: all sources byte-compile"
 echo "== static analysis (reprolint) =="
 # Per-file rules (import cycles, layering, dtype discipline, epsilon
 # comparisons, nondeterminism, public-API drift) plus the whole-program
-# passes (knob-parity, contract-consistency, fork-safety, metric-schema)
-# in one run. Fails on any finding not in reprolint-baseline.json
+# passes (contract-consistency, fork-safety, metric-schema) in one run.
+# Fails on any finding not in reprolint-baseline.json
 # (grandfathered legacy benchmarks only) and on baseline entries that no
 # longer match any source line.
 python -m repro.lint --fail-stale-baseline src tests scripts benchmarks

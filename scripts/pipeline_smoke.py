@@ -55,7 +55,7 @@ def build_clients(device, runner, plan, roi_only=False):
     roi_eval = plan.side_for_frame(64)
     if roi_only:
         # Only the designs with GOP-reuse / zoo-backend / dispatch paths;
-        # run_session flips the knob on, exercising apply_client_knobs too.
+        # run_session sets the knob on each client through configure_sr.
         return [
             (GameStreamSRClient(device, runner, modeled_roi_side=plan.side), roi_eval),
             (SRIntegratedDecoderClient(device, runner), roi_eval),

@@ -123,45 +123,48 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             budget_ms=budget,
         )
 
-    for label, client, roi in (
-        ("gamestreamsr", GameStreamSRClient(device, runner, modeled_roi_side=plan.side),
-         plan.side_for_frame(64)),
-        ("nemo", NemoClient(device, runner), None),
-    ):
-        # The execution knobs apply only to the designs that carry them
-        # (the session's apply_client_knobs validates combinations);
-        # NEMO's codec-guided reconstruction has its own reuse story.
-        knobs = dict(
-            gop_reuse=args.gop_reuse and hasattr(client, "gop_reuse"),
-            sr_backend=sr_backend if hasattr(client, "sr_backend") else None,
-            dispatch=dispatch if hasattr(client, "dispatch") else None,
+    network_knobs = {}
+    if args.scenario is not None:
+        network_knobs.update(
+            scenario=args.scenario,
+            link_deadline_ms=args.net_budget_ms,
+            skip_dropped=True,
         )
-        if args.scenario is not None:
-            knobs["scenario"] = args.scenario
-            knobs["link_deadline_ms"] = args.net_budget_ms
-            knobs["skip_dropped"] = True
+    # The SR execution knobs reach only the RoI-SR arm: NEMO's
+    # codec-guided reconstruction has its own reuse story. ABR subsumes
+    # them and drives quality/GOP/RoI/backend per frame instead.
+    sr_knobs = {} if args.abr else dict(
+        gop_reuse=args.gop_reuse, sr_backend=sr_backend, dispatch=dispatch
+    )
+
+    for label, client, roi, roi_sr in (
+        ("gamestreamsr", GameStreamSRClient(device, runner, modeled_roi_side=plan.side),
+         plan.side_for_frame(64), True),
+        ("nemo", NemoClient(device, runner), None, False),
+    ):
+        knobs = dict(network_knobs)
+        if roi_sr:
+            knobs.update(sr_knobs)
         if args.abr:
             from .streaming.abr import build_abr
 
-            # ABR subsumes the static execution knobs: drop them and let
-            # the ladder drive quality/GOP/RoI/backend per frame.
-            knobs = {
-                k: v
-                for k, v in knobs.items()
-                if k not in ("gop_reuse", "sr_backend", "dispatch")
-            }
             knobs["abr"] = build_abr(
                 plan.side,
                 plan.min_side,
                 720,
-                runner=runner if hasattr(client, "set_sr_backend") else None,
+                # Backend switching needs a design with an RoI SR pass.
+                runner=runner if roi_sr else None,
                 profile=args.profile,
                 net_budget_ms=args.net_budget_ms,
             )
         server = GameStreamServer(
             build_game(args.game), geometry, roi_side=roi, gop_size=args.frames
         )
-        result = run_session(server, client, n_frames=args.frames, **knobs)
+        try:
+            result = run_session(server, client, n_frames=args.frames, **knobs)
+        except ValueError as exc:  # e.g. SessionConfig rejecting the knobs
+            print(f"repro stream: error: {exc}", file=sys.stderr)
+            return 2
         extras = ""
         if args.scenario is not None:
             extras = (
@@ -253,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--abr",
         action="store_true",
         help="close the bitrate control loop: co-adapt codec quality, GOP "
-        "structure, RoI size, and SR backend to the observed link "
-        "(subsumes --gop-reuse/--sr-backend/--dispatch)",
+        "structure, RoI size, and SR backend to the observed link; needs "
+        "--scenario (subsumes --gop-reuse/--sr-backend/--dispatch)",
     )
     stream.add_argument(
         "--net-budget-ms",

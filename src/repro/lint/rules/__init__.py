@@ -8,7 +8,7 @@ module before calling :func:`repro.lint.framework.run_lint`.
 
 The per-file passes (dtype, epsilon, nondeterminism, imports,
 public-api) inspect one module at a time; the whole-program passes
-(knob-parity, contract-consistency, fork-safety, metric-schema) resolve
+(contract-consistency, fork-safety, metric-schema) resolve
 names and calls across modules through ``project.symbols`` /
 ``project.call_graph`` (:mod:`repro.lint.graph`).
 """
@@ -21,7 +21,6 @@ from . import (
     epsilon,
     fork_safety,
     imports,
-    knobs,
     metric_schema,
     nondeterminism,
     public_api,
@@ -32,7 +31,6 @@ from .dtype import DtypeDisciplinePass
 from .epsilon import EpsilonComparisonPass
 from .fork_safety import ForkSafetyPass
 from .imports import LAYERS, ImportHygienePass
-from .knobs import KnobParityPass
 from .metric_schema import MetricSchemaPass
 from .nondeterminism import NondeterminismPass
 from .public_api import PublicApiPass
@@ -45,7 +43,6 @@ __all__ = [
     "EpsilonComparisonPass",
     "ForkSafetyPass",
     "ImportHygienePass",
-    "KnobParityPass",
     "MetricSchemaPass",
     "NondeterminismPass",
     "PublicApiPass",

@@ -28,8 +28,8 @@ from .pipeline import (
 from .server import GameStreamServer
 from .session import (
     FrameRecord,
+    SessionConfig,
     SessionResult,
-    apply_client_knobs,
     energy_from_trace,
     energy_of_frame,
     run_session,
@@ -58,13 +58,13 @@ __all__ = [
     "SERVER_STAGES",
     "SRIntegratedDecoderClient",
     "ServerFrame",
+    "SessionConfig",
     "SessionResult",
     "Stage",
     "StageSpan",
     "StreamGeometry",
     "StreamingClient",
     "TransmissionSplit",
-    "apply_client_knobs",
     "build_abr",
     "energy_from_trace",
     "energy_of_frame",

@@ -94,6 +94,29 @@ class StreamingClient:
     def reset(self) -> None:
         self.decoder.reset()
 
+    def configure_sr(
+        self,
+        *,
+        gop_reuse: bool = False,
+        sr_backend: Optional[SRBackend] = None,
+        dispatch: Optional[DifficultyDispatcher] = None,
+    ) -> None:
+        """Set the per-session SR execution knobs.
+
+        Only the RoI-SR designs carry them; asking any other design is a
+        configuration error, not a silent no-op.
+        """
+        for knob, on in (
+            ("gop_reuse", gop_reuse),
+            ("sr_backend", sr_backend is not None),
+            ("dispatch", dispatch is not None),
+        ):
+            if on:
+                raise ValueError(
+                    f"design {self.design!r} does not support {knob}; use "
+                    "GameStreamSRClient or SRIntegratedDecoderClient"
+                )
+
     # -- template pipeline ----------------------------------------------
     def process(self, frame: ServerFrame) -> ClientFrameResult:
         """Run one frame through the staged client pipeline."""
@@ -174,10 +197,13 @@ def _refresh_reuse_meta(geometry, roi: RoIBox, reason: str, block: int) -> Dict:
 
 
 class _ZooSRExecution:
-    """Mixin: model-zoo SR execution knobs for the RoI-SR clients.
+    """Mixin: the per-session SR execution knobs of the RoI-SR clients.
 
-    Two mutually exclusive knobs (also exclusive with ``gop_reuse``):
+    Three knobs, mutually exclusive (the rule lives on
+    :class:`~repro.streaming.session.SessionConfig`):
 
+    * ``gop_reuse`` — the compressed-domain SR cache; each design
+      implements its own warp-and-refresh path.
     * ``sr_backend`` — swap the RoI DNN for any
       :class:`~repro.sr.backends.SRBackend`; the modeled RoI pass rides
       the backend's own latency/energy anchors (same-engine work
@@ -188,40 +214,36 @@ class _ZooSRExecution:
       come from the plan, evaluated at the *modeled* per-tile pixel
       load so budgets compare against the real-time deadline.
 
-    Both default to ``None`` (off): the default path is untouched and
-    stays byte-identical to the paper configuration.
+    All default off: the default path stays byte-identical to the paper
+    configuration.
     """
 
+    gop_reuse: bool = False
     sr_backend: Optional[SRBackend] = None
     dispatch: Optional[DifficultyDispatcher] = None
 
-    def _init_sr_execution(
+    def configure_sr(
         self,
-        sr_backend: Optional[SRBackend],
-        dispatch: Optional[DifficultyDispatcher],
+        *,
+        gop_reuse: bool = False,
+        sr_backend: Optional[SRBackend] = None,
+        dispatch: Optional[DifficultyDispatcher] = None,
     ) -> None:
+        """Set all three SR execution knobs, "off" included.
+
+        ``run_session`` calls this at every session start, so neither a
+        knob nor a backend an ABR ladder switched to carries over into
+        the client's next session; the RoI pass returns to the
+        session runner unless ``sr_backend`` replaces it.
+        """
+        self.gop_reuse = gop_reuse
         self.sr_backend = None
         self.dispatch = None
+        self.upscaler = RoIAssistedUpscaler(self.runner)
         if sr_backend is not None:
             self.set_sr_backend(sr_backend)
         if dispatch is not None:
             self.set_dispatch(dispatch)
-
-    def _validate_sr_knobs(self) -> None:
-        active = [
-            name
-            for name, on in (
-                ("gop_reuse", bool(getattr(self, "gop_reuse", False))),
-                ("sr_backend", self.sr_backend is not None),
-                ("dispatch", self.dispatch is not None),
-            )
-            if on
-        ]
-        if len(active) > 1:
-            raise ValueError(
-                "mutually exclusive SR execution knobs enabled together: "
-                + ", ".join(active)
-            )
 
     def set_sr_backend(self, backend: SRBackend) -> None:
         """Route the RoI SR pass through a model-zoo backend."""
@@ -232,7 +254,6 @@ class _ZooSRExecution:
             )
         self.sr_backend = backend
         self.upscaler = RoIAssistedUpscaler(backend)
-        self._validate_sr_knobs()
 
     def set_dispatch(self, dispatcher: DifficultyDispatcher) -> None:
         """Route RoI tiles across a backend pool under a latency budget."""
@@ -242,7 +263,6 @@ class _ZooSRExecution:
                 f"{self.upscaler.scale}"
             )
         self.dispatch = dispatcher
-        self._validate_sr_knobs()
 
     # -- execution --------------------------------------------------------
     def _roi_residual_energy(
@@ -358,10 +378,7 @@ class GameStreamSRClient(_ZooSRExecution, StreamingClient):
         device: DeviceProfile,
         runner: SRRunner,
         modeled_roi_side: Optional[int] = None,
-        gop_reuse: bool = False,
         reuse_threshold: float = REUSE_DIRTY_THRESHOLD,
-        sr_backend: Optional[SRBackend] = None,
-        dispatch: Optional[DifficultyDispatcher] = None,
     ) -> None:
         """``modeled_roi_side`` pins the RoI side at the modeled geometry
         (the negotiated plan side, e.g. ~300 px on 720p); by default the
@@ -370,9 +387,7 @@ class GameStreamSRClient(_ZooSRExecution, StreamingClient):
         self.runner = runner
         self.upscaler = RoIAssistedUpscaler(runner)
         self.modeled_roi_side = modeled_roi_side
-        self.gop_reuse = gop_reuse
         self._reuse = GOPSRCache(threshold=reuse_threshold)
-        self._init_sr_execution(sr_backend, dispatch)
 
     def reset(self) -> None:
         super().reset()
@@ -703,17 +718,13 @@ class SRIntegratedDecoderClient(_ZooSRExecution, StreamingClient):
         self,
         device: DeviceProfile,
         runner: SRRunner,
-        gop_reuse: bool = False,
         reuse_threshold: float = REUSE_DIRTY_THRESHOLD,
-        sr_backend: Optional[SRBackend] = None,
-        dispatch: Optional[DifficultyDispatcher] = None,
     ) -> None:
         super().__init__(device)
+        self.runner = runner
         self.upscaler = RoIAssistedUpscaler(runner)
-        self.gop_reuse = gop_reuse
         self.reuse_threshold = reuse_threshold
         self._hr_reference: Optional[np.ndarray] = None
-        self._init_sr_execution(sr_backend, dispatch)
 
     def reset(self) -> None:
         super().reset()

@@ -9,19 +9,12 @@ The loop is staged end to end: every frame carries a merged
 :class:`~repro.streaming.pipeline.FrameTrace` (server render/RoI/encode/
 network spans + client decode/upscale/display spans) from which the MTP
 and energy aggregates are derived, and which feeds the session's
-:class:`~repro.observability.MetricsRegistry`. Two optional, default-off
-extension hooks wire previously-orphaned subsystems into the loop:
-
-* ``link`` — a lossy :class:`~repro.network.NetworkLink` transport stage
-  replacing the flat bandwidth model: per-frame packetization, random
-  loss, retransmission rounds, and deadline-based frame drops, all
-  surfaced in the network span (Sec. II-A's motivation, end to end).
-* ``adaptive`` — an :class:`~repro.streaming.adaptive.AdaptiveRoIController`
-  policy fed each frame's measured upscale span, driving the server's
-  RoI window side (and a pinned client-side modeled RoI) via AIMD.
-
-With both left at ``None`` the session is numerically identical to the
-paper's static configuration (guarded by the equivalence tests).
+:class:`~repro.observability.MetricsRegistry`. Every per-session knob
+(transport scenario, adaptive RoI, GOP reuse, SR backend/dispatch, ABR,
+quality scoring) is declared, defaulted and validated once, on
+:class:`SessionConfig`. With every knob at its default the session is
+numerically identical to the paper's static configuration (guarded by
+the equivalence tests).
 """
 
 from __future__ import annotations
@@ -29,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -41,6 +34,8 @@ from ..observability import MetricsRegistry, observe_frame_trace
 from ..platform import calibration as cal
 from ..platform.device import DeviceProfile
 from ..platform.energy import Component, EnergyBreakdown, overhead_mj, stage_energy_mj
+from ..sr.backends import SRBackend
+from ..sr.dispatch import DifficultyDispatcher
 from .abr import ABRController
 from .adaptive import AdaptiveRoIController
 from .client import StreamingClient
@@ -51,8 +46,8 @@ from .server import GameStreamServer
 
 __all__ = [
     "FrameRecord",
+    "SessionConfig",
     "SessionResult",
-    "apply_client_knobs",
     "run_session",
     "energy_of_frame",
     "energy_from_trace",
@@ -276,6 +271,118 @@ class SessionResult:
         return mean_bytes * 8 * fps / 1e6
 
 
+@dataclass(frozen=True)
+class SessionConfig:
+    """Every per-session knob of :func:`run_session`, declared once.
+
+    All knobs default off, and the all-defaults config is the paper's
+    static configuration. ``__post_init__`` owns every rule about which
+    knobs may be combined, so an invalid session is rejected before any
+    frame is produced. The config holds the caller's own controller,
+    link and dispatcher objects (never copies): callers read counters
+    back from the ``abr`` controller they passed in.
+    """
+
+    #: Render the native HR ground truth per frame and score PSNR (and
+    #: LPIPS when ``with_lpips``) of the client's output — substantially
+    #: slower, so latency/energy benches leave it off.
+    evaluate_quality: bool = False
+    with_lpips: bool = False
+    #: Score LPIPS on every k-th frame only (it is the most expensive
+    #: metric).
+    lpips_stride: int = 1
+    #: Overrides the ground-truth source (used to share renders across
+    #: designs); the server's native HR render by default.
+    hr_reference_fn: Optional[Callable[[int], np.ndarray]] = None
+    #: Frames the transport delivers later than this are flagged dropped.
+    link_deadline_ms: float = float("inf")
+    #: Closes the RoI-sizing loop from measured upscale spans.
+    adaptive: Optional[AdaptiveRoIController] = None
+    #: Short-circuit the client for frames the transport dropped: no
+    #: decode/SR work runs, a zeroed upscale span is recorded instead,
+    #: the frame is excluded from quality scoring, and the adaptive
+    #: controller never observes it. Because a skipped frame breaks the
+    #: decoder's reference chain, subsequent P-frames are skipped too
+    #: (tagged ``reason="reference_lost"``) until the next delivered
+    #: I-frame resets the decoder — decoding them against a missing or
+    #: stale reference would crash or silently corrupt. Off, the client
+    #: still processes dropped frames in full (the historical behavior,
+    #: pinned by the regression tests).
+    skip_dropped: bool = False
+    #: The compressed-domain SR cache (:mod:`repro.sr.gop_reuse`):
+    #: P-frames warp the previous frame's SR output by the decoded motion
+    #: field and only re-upscale the blocks whose residual energy marks
+    #: them dirty, with a mandatory full refresh on I-frames and
+    #: reference-chain breaks. RoI-SR designs only.
+    gop_reuse: bool = False
+    #: Swap the RoI SR executor for a model-zoo
+    #: :class:`~repro.sr.backends.SRBackend`. RoI-SR designs only.
+    sr_backend: Optional[SRBackend] = None
+    #: Route RoI tiles across a backend pool with a
+    #: :class:`~repro.sr.dispatch.DifficultyDispatcher`. RoI-SR designs
+    #: only.
+    dispatch: Optional[DifficultyDispatcher] = None
+    #: Stream over a lossy link in place of the flat bandwidth model: a
+    #: canned trace name (``"lte_drive"``), a ``"synthetic:<seed>"``
+    #: generator spec, or a prebuilt :class:`NetworkLink`. Frames
+    #: transmit at their session-time instant (``index / fps``) so a
+    #: trace-driven link's bandwidth/RTT/loss schedule lines up with the
+    #: stream, and the network span carries the instantaneous conditions
+    #: as ``scenario`` metadata.
+    scenario: Union[None, str, NetworkLink] = None
+    #: Close the bitrate control loop: an
+    #: :class:`~repro.streaming.abr.ABRController` observes each frame's
+    #: transmit outcome and co-adapts codec quality, GOP structure, RoI
+    #: size and SR backend before the next frame is produced. Needs a
+    #: ``scenario`` to observe; subsumes ``adaptive`` and the static SR
+    #: execution knobs.
+    abr: Optional[ABRController] = None
+
+    def __post_init__(self) -> None:
+        if self.lpips_stride < 1:
+            raise ValueError(f"lpips_stride must be >= 1, got {self.lpips_stride}")
+        if self.scenario is not None and not isinstance(
+            self.scenario, (str, NetworkLink)
+        ):
+            raise TypeError(
+                "scenario must be a name or NetworkLink, got "
+                f"{type(self.scenario).__name__}"
+            )
+        sr_knobs = [
+            name
+            for name, on in (
+                ("gop_reuse", self.gop_reuse),
+                ("sr_backend", self.sr_backend is not None),
+                ("dispatch", self.dispatch is not None),
+            )
+            if on
+        ]
+        if self.abr is not None:
+            # ABR owns the RoI loop (it *is* an AdaptiveRoIController)
+            # and switches SR backends per rung, so a second controller
+            # or a static SR pin would fight it frame by frame.
+            conflicts = (["adaptive"] if self.adaptive is not None else []) + sr_knobs
+            if conflicts:
+                raise ValueError(
+                    f"abr= is mutually exclusive with {', '.join(conflicts)}"
+                )
+            if self.scenario is None:
+                raise ValueError(
+                    "abr= needs a link to observe: pass scenario= as well"
+                )
+        if len(sr_knobs) > 1:
+            raise ValueError(
+                "mutually exclusive SR execution knobs enabled together: "
+                + ", ".join(sr_knobs)
+            )
+
+    def resolve_link(self) -> Optional[NetworkLink]:
+        """The session's transport link; names build a fresh seeded link."""
+        if isinstance(self.scenario, str):
+            return build_scenario(self.scenario, seed=0)
+        return self.scenario
+
+
 def _transport_stage(
     server_frame: ServerFrame,
     link: NetworkLink,
@@ -310,28 +417,6 @@ def _transport_stage(
     # sync so dict consumers (mtp fallback, reports) see the transport.
     server_frame.server_timings_ms["network"] = outcome.latency_ms
     return outcome
-
-
-def _resolve_scenario(
-    scenario: Optional[object], link: Optional[NetworkLink]
-) -> Optional[NetworkLink]:
-    """Materialize the ``scenario=`` knob into the session's link.
-
-    ``scenario`` is a canned/synthetic name (see
-    :func:`repro.network.trace.build_scenario`) or an already-built
-    :class:`NetworkLink`; mutually exclusive with an explicit ``link``.
-    """
-    if scenario is None:
-        return link
-    if link is not None:
-        raise ValueError("scenario= and link= are mutually exclusive")
-    if isinstance(scenario, NetworkLink):
-        return scenario
-    if isinstance(scenario, str):
-        return build_scenario(scenario, seed=0)
-    raise TypeError(
-        f"scenario must be a name or NetworkLink, got {type(scenario).__name__}"
-    )
 
 
 def _apply_roi_side(
@@ -387,82 +472,6 @@ def _apply_abr_knobs(
             client.set_sr_backend(backend)
 
 
-def _require_knob(client: StreamingClient, knob: str) -> None:
-    """Reject a per-session knob the client design does not expose.
-
-    Only the RoI-SR designs (``GameStreamSRClient``,
-    ``SRIntegratedDecoderClient``) carry the optional execution knobs;
-    asking any other design is a configuration error, not a silent
-    no-op.
-    """
-    if not hasattr(client, knob):
-        raise ValueError(
-            f"design {client.design!r} does not support {knob}; use "
-            "GameStreamSRClient or SRIntegratedDecoderClient"
-        )
-
-
-def apply_client_knobs(
-    client: StreamingClient,
-    *,
-    gop_reuse: bool = False,
-    sr_backend=None,
-    dispatch=None,
-) -> None:
-    """Validate and enable the per-session client execution knobs.
-
-    One shared entry point for every caller (session loop, CLI), so
-    support checks and the mutual-exclusion rule live in exactly one
-    place. All-defaults is a no-op.
-    """
-    if gop_reuse:
-        _require_knob(client, "gop_reuse")
-        client.gop_reuse = True
-    if sr_backend is not None:
-        _require_knob(client, "sr_backend")
-        client.set_sr_backend(sr_backend)
-    if dispatch is not None:
-        _require_knob(client, "dispatch")
-        client.set_dispatch(dispatch)
-    if gop_reuse and hasattr(client, "_validate_sr_knobs"):
-        # set_sr_backend/set_dispatch validate on their own; a lone
-        # gop_reuse=True must still catch a knob set at construction.
-        client._validate_sr_knobs()
-
-
-def _validate_abr_knobs(
-    abr: Optional[ABRController],
-    *,
-    adaptive: Optional[AdaptiveRoIController],
-    gop_reuse: bool,
-    sr_backend,
-    dispatch,
-) -> None:
-    """Reject knob combinations the ABR controller subsumes.
-
-    ABR owns the RoI loop (it *is* an :class:`AdaptiveRoIController`)
-    and switches SR backends per rung, so a simultaneous ``adaptive``
-    controller or a static ``gop_reuse``/``sr_backend``/``dispatch``
-    pin would fight it frame by frame.
-    """
-    if abr is None:
-        return
-    conflicts = [
-        name
-        for name, on in (
-            ("adaptive", adaptive is not None),
-            ("gop_reuse", gop_reuse),
-            ("sr_backend", sr_backend is not None),
-            ("dispatch", dispatch is not None),
-        )
-        if on
-    ]
-    if conflicts:
-        raise ValueError(
-            f"abr= is mutually exclusive with {', '.join(conflicts)}"
-        )
-
-
 def _skipped_client_result(frame: ServerFrame, reason: str) -> ClientFrameResult:
     """The client-side record of a skipped (never decoded) frame.
 
@@ -508,17 +517,11 @@ def _consume_frame(
     server_frame: ServerFrame,
     client: StreamingClient,
     metrics: MetricsRegistry,
+    config: SessionConfig,
     *,
     link: Optional[NetworkLink],
-    link_deadline_ms: float,
-    adaptive: Optional[AdaptiveRoIController],
-    evaluate_quality: bool,
-    with_lpips: bool,
-    lpips_stride: int,
-    hr_fn: Optional[Callable[[int], np.ndarray]],
-    skip_dropped: bool,
+    hr_fn: Callable[[int], np.ndarray],
     reference_broken: bool,
-    abr: Optional[ABRController],
     at_ms: float,
 ) -> Tuple[FrameRecord, bool]:
     """Run the client half of the pipeline on one produced server frame.
@@ -528,9 +531,12 @@ def _consume_frame(
     previous frame was skipped; the returned bool says whether this one
     was, and is fed back in for the next frame.
     """
+    abr = config.abr
     dropped, retransmissions = False, 0
     if link is not None:
-        outcome = _transport_stage(server_frame, link, link_deadline_ms, at_ms)
+        outcome = _transport_stage(
+            server_frame, link, config.link_deadline_ms, at_ms
+        )
         dropped, retransmissions = outcome.dropped, outcome.n_retransmissions
         if abr is not None:
             if server_frame.trace is not None and abr.frame_meta:
@@ -543,7 +549,7 @@ def _consume_frame(
     # P-frame is undecodable (its reference is missing or stale) until a
     # delivered I-frame resets the decoder.
     skipped, skip_reason = False, ""
-    if skip_dropped:
+    if config.skip_dropped:
         if dropped:
             skipped, skip_reason = True, "transport_drop"
         elif reference_broken and server_frame.encoded.frame_type == "P":
@@ -552,16 +558,15 @@ def _consume_frame(
         client_result = _skipped_client_result(server_frame, skip_reason)
     else:
         client_result = client.process(server_frame)
-        controller = abr if abr is not None else adaptive
+        controller = abr if abr is not None else config.adaptive
         if controller is not None:
             controller.observe(client_result.upscale_ms)
 
     psnr_db = lpips_val = None
-    if evaluate_quality and not skipped:
-        assert hr_fn is not None, "quality evaluation requires an HR source"
+    if config.evaluate_quality and not skipped:
         reference = hr_fn(server_frame.index)
         psnr_db = psnr_metric(reference, client_result.hr_frame)
-        if with_lpips and server_frame.index % lpips_stride == 0:
+        if config.with_lpips and server_frame.index % config.lpips_stride == 0:
             lpips_val = lpips_metric(reference, client_result.hr_frame)
 
     trace = None
@@ -593,86 +598,23 @@ def run_session(
     server: GameStreamServer,
     client: StreamingClient,
     n_frames: int,
-    evaluate_quality: bool = False,
-    with_lpips: bool = False,
-    lpips_stride: int = 1,
-    hr_reference_fn: Optional[Callable[[int], np.ndarray]] = None,
-    link: Optional[NetworkLink] = None,
-    link_deadline_ms: float = float("inf"),
-    adaptive: Optional[AdaptiveRoIController] = None,
-    skip_dropped: bool = False,
-    gop_reuse: bool = False,
-    sr_backend=None,
-    dispatch=None,
-    scenario=None,
-    abr: Optional[ABRController] = None,
+    **knobs: Any,
 ) -> SessionResult:
     """Stream ``n_frames`` through ``server`` -> ``client`` and aggregate.
 
-    ``evaluate_quality`` renders the native HR ground truth per frame and
-    scores PSNR (and LPIPS when ``with_lpips``) of the client's output —
-    substantially slower, so latency/energy benches leave it off.
-    ``lpips_stride`` scores LPIPS on every k-th frame only (it is the
-    most expensive metric); ``hr_reference_fn`` overrides the ground-truth
-    source (used to share renders across designs).
-
-    ``link`` injects a lossy :class:`NetworkLink` transport stage in place
-    of the flat bandwidth model (frames missing ``link_deadline_ms`` are
-    flagged dropped); ``adaptive`` closes the RoI-sizing loop from
-    measured upscale spans. Both default off, keeping the paper's static
-    configuration numerically identical to the pre-staged pipeline.
-
-    ``skip_dropped`` (default off) short-circuits the client for frames
-    the transport dropped: no decode/SR work runs, a zeroed upscale span
-    is recorded instead, the frame is excluded from quality scoring, and
-    the adaptive controller never observes it. Because a skipped frame
-    breaks the decoder's reference chain, subsequent P-frames are
-    skipped too (tagged ``reason="reference_lost"``) until the next
-    delivered I-frame resets the decoder — decoding them against a
-    missing or stale reference would crash or silently corrupt. With the
-    default ``False`` the client still processes dropped frames in full
-    — the historical behavior, pinned by the regression tests.
-
-    ``gop_reuse`` (default off) turns on the compressed-domain SR cache
-    on clients that support it (:mod:`repro.sr.gop_reuse`): P-frames warp
-    the previous frame's SR output by the decoded motion field and only
-    re-upscale the blocks whose residual energy marks them dirty, with a
-    mandatory full refresh on I-frames and reference-chain breaks. With
-    the default ``False`` the session traces stay byte-identical to the
-    per-frame-SR configuration (pinned by the equivalence tests).
-
-    ``sr_backend`` / ``dispatch`` (default off) swap the RoI SR executor
-    for a model-zoo :class:`~repro.sr.backends.SRBackend` or a
-    :class:`~repro.sr.dispatch.DifficultyDispatcher` on the clients that
-    support them; mutually exclusive with each other and with
-    ``gop_reuse`` (see :func:`apply_client_knobs`).
-
-    ``scenario`` (default off) streams over a trace-driven time-varying
-    link: a canned name (``"lte_drive"``), a ``"synthetic:<seed>"``
-    generator spec, or a prebuilt :class:`NetworkLink`; mutually
-    exclusive with ``link``. Frames transmit at their session-time
-    instant (``index / fps``) so the link's bandwidth/RTT/loss schedule
-    lines up with the stream, and the network span carries the
-    instantaneous conditions as ``scenario`` metadata.
-
-    ``abr`` (default off) closes the bitrate control loop: an
-    :class:`~repro.streaming.abr.ABRController` observes each frame's
-    transmit outcome and co-adapts codec quality, GOP structure, RoI
-    size, and SR backend before the next frame is produced. Subsumes
-    (and is mutually exclusive with) ``adaptive`` and the static
-    ``gop_reuse``/``sr_backend``/``dispatch`` knobs.
+    ``knobs`` are the :class:`SessionConfig` fields; an unknown name or
+    an invalid combination is rejected before any frame is produced. The
+    SR execution knobs are set on the client at every session start, so
+    a reused client never carries a knob over from an earlier session.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-    if lpips_stride < 1:
-        raise ValueError(f"lpips_stride must be >= 1, got {lpips_stride}")
-    link = _resolve_scenario(scenario, link)
-    _validate_abr_knobs(
-        abr, adaptive=adaptive, gop_reuse=gop_reuse,
-        sr_backend=sr_backend, dispatch=dispatch,
-    )
-    apply_client_knobs(
-        client, gop_reuse=gop_reuse, sr_backend=sr_backend, dispatch=dispatch
+    config = SessionConfig(**knobs)
+    link = config.resolve_link()
+    client.configure_sr(
+        gop_reuse=config.gop_reuse,
+        sr_backend=config.sr_backend,
+        dispatch=config.dispatch,
     )
     client.reset()
     metrics = MetricsRegistry()
@@ -684,7 +626,10 @@ def run_session(
         gop_size=server.gop_size,
         metrics=metrics,
     )
-    hr_fn = hr_reference_fn if hr_reference_fn is not None else server.render_hr_reference
+    hr_fn = config.hr_reference_fn
+    if hr_fn is None:
+        hr_fn = server.render_hr_reference
+    abr, adaptive = config.abr, config.adaptive
     reference_broken = False
     period_ms = 1000.0 / server.fps
     for index in range(n_frames):
@@ -699,16 +644,10 @@ def run_session(
             server_frame,
             client,
             metrics,
+            config,
             link=link,
-            link_deadline_ms=link_deadline_ms,
-            adaptive=adaptive,
-            evaluate_quality=evaluate_quality,
-            with_lpips=with_lpips,
-            lpips_stride=lpips_stride,
-            hr_fn=hr_fn if evaluate_quality else None,
-            skip_dropped=skip_dropped,
+            hr_fn=hr_fn,
             reference_broken=reference_broken,
-            abr=abr,
             at_ms=index * period_ms,
         )
         result.records.append(record)

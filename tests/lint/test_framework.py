@@ -274,7 +274,6 @@ class TestCli:
             "nondeterminism",
             "import-hygiene",
             "public-api",
-            "knob-parity",
             "contract-consistency",
             "fork-safety",
             "metric-schema",
@@ -303,7 +302,6 @@ class TestShippedTree:
 
     def test_whole_program_passes_registered(self):
         assert set(registered_passes()) >= {
-            "knob-parity",
             "contract-consistency",
             "fork-safety",
             "metric-schema",

@@ -1,10 +1,9 @@
-"""The four interprocedural passes over synthetic fixture trees.
+"""The three interprocedural passes over synthetic fixture trees.
 
 Each fixture reproduces the *real* module layout the pass keys off
-(``repro.streaming.session`` and friends for knob-parity, ``repro.*``
-emission sites for metric-schema) in miniature, then mutates one clean
-source per test to introduce exactly the drift the pass exists to
-catch — including a deliberately drifted knob signature and the
+(``repro.*`` emission sites for metric-schema, worker entry points for
+fork-safety) in miniature, then mutates one clean source per test to
+introduce exactly the drift the pass exists to catch — including the
 historical ``sr.dispatch/tiles_total`` collision.
 """
 
@@ -14,7 +13,6 @@ import pytest
 
 from ._fixtures import make_module
 
-KNOB_RULE = ("knob-parity",)
 CONTRACT_RULE = ("contract-consistency",)
 FORK_RULE = ("fork-safety",)
 METRIC_RULE = ("metric-schema",)
@@ -23,121 +21,6 @@ METRIC_RULE = ("metric-schema",)
 def _mutate(src: str, old: str, new: str) -> str:
     assert old in src, f"fixture drift target {old!r} not found"
     return src.replace(old, new)
-
-
-# -- knob-parity ---------------------------------------------------------
-
-SESSION_OK = """\
-__all__ = ["run_session", "apply_client_knobs"]
-
-
-def apply_client_knobs(client, *, gop_reuse=False, sr_backend=None, dispatch=None):
-    client.configure(gop_reuse, sr_backend, dispatch)
-
-
-def _validate_abr_knobs(abr, *, adaptive, gop_reuse, sr_backend, dispatch):
-    conflicts = [
-        name
-        for name, on in (
-            ("adaptive", adaptive is not None),
-            ("gop_reuse", gop_reuse),
-            ("sr_backend", sr_backend is not None),
-            ("dispatch", dispatch is not None),
-        )
-        if on
-    ]
-    if abr is not None and conflicts:
-        raise ValueError(str(conflicts))
-
-
-def run_session(server, client, n_frames, gop_reuse=False, sr_backend=None,
-                dispatch=None, scenario=None, abr=None, adaptive=None):
-    _validate_abr_knobs(abr, adaptive=adaptive, gop_reuse=gop_reuse,
-                        sr_backend=sr_backend, dispatch=dispatch)
-    apply_client_knobs(client, gop_reuse=gop_reuse, sr_backend=sr_backend,
-                       dispatch=dispatch)
-    return n_frames
-"""
-
-CLI_OK = """\
-import argparse
-
-
-def build_parser():
-    parser = argparse.ArgumentParser()
-    sub = parser.add_subparsers()
-    stream = sub.add_parser("stream", help="run one session")
-    stream.add_argument("game", nargs="?")
-    stream.add_argument("--device")
-    stream.add_argument("--frames", type=int)
-    stream.add_argument("--profile")
-    stream.add_argument("--gop-reuse", action="store_true")
-    stream.add_argument("--sr-backend")
-    stream.add_argument("--dispatch", action="store_true")
-    stream.add_argument("--dispatch-budget-ms", type=float)
-    stream.add_argument("--scenario")
-    stream.add_argument("--abr", action="store_true")
-    stream.add_argument("--net-budget-ms", type=float)
-    stream.add_argument("--trace-json")
-    return parser
-"""
-
-
-def _knob_modules(session=SESSION_OK, cli=CLI_OK):
-    return [
-        make_module(session, name="repro.streaming.session"),
-        make_module(cli, name="repro.cli"),
-    ]
-
-
-class TestKnobParity:
-    def test_parity_holds_on_clean_fixture(self, lint):
-        result = lint(_knob_modules(), KNOB_RULE)
-        assert result.ok and not result.new
-
-    def test_executor_must_forward_every_helper_knob(self, lint):
-        drifted = _mutate(
-            SESSION_OK,
-            "apply_client_knobs(client, gop_reuse=gop_reuse, sr_backend=sr_backend,\n"
-            "                       dispatch=dispatch)",
-            "apply_client_knobs(client, gop_reuse=gop_reuse, sr_backend=sr_backend)",
-        )
-        result = lint(_knob_modules(session=drifted), KNOB_RULE)
-        assert [f for f in result.new
-                if "without forwarding dispatch" in f.message
-                and "run_session calls apply_client_knobs" in f.message]
-
-    def test_validator_exclusion_list_names_every_param(self, lint):
-        drifted = _mutate(
-            SESSION_OK, '("dispatch", dispatch is not None),\n', ""
-        )
-        result = lint(_knob_modules(session=drifted), KNOB_RULE)
-        assert [f for f in result.new
-                if "mutual-exclusion" in f.message and "'dispatch'" in f.message]
-
-    def test_knob_without_cli_flag(self, lint):
-        drifted = _mutate(CLI_OK, '    stream.add_argument("--scenario")\n', "")
-        result = lint(_knob_modules(cli=drifted), KNOB_RULE)
-        assert [f for f in result.new
-                if "has no --scenario flag" in f.message]
-
-    def test_cli_flag_without_knob(self, lint):
-        drifted = _mutate(
-            CLI_OK,
-            '    stream.add_argument("--scenario")',
-            '    stream.add_argument("--scenario")\n'
-            '    stream.add_argument("--mystery")',
-        )
-        result = lint(_knob_modules(cli=drifted), KNOB_RULE)
-        assert [f for f in result.new
-                if "--mystery maps to no" in f.message]
-
-    def test_degrades_to_noop_on_partial_tree(self, lint):
-        # Single-module invocations must not fabricate parity findings.
-        result = lint(
-            [make_module(SESSION_OK, name="repro.streaming.session")], KNOB_RULE
-        )
-        assert result.ok and not result.new
 
 
 # -- contract-consistency ------------------------------------------------

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 
 from repro.network.link import NetworkLink
-from repro.observability import canonicalize_session_trace
 from repro.platform.device import samsung_tab_s8
 from repro.render.games import build_game
 from repro.streaming.client import (
@@ -54,9 +52,9 @@ class TestThresholdZeroBitIdentity:
         frames = make_frames()
         plain = GameStreamSRClient(device, tiny_runner, modeled_roi_side=300)
         reuse = GameStreamSRClient(
-            device, tiny_runner, modeled_roi_side=300,
-            gop_reuse=True, reuse_threshold=0.0,
+            device, tiny_runner, modeled_roi_side=300, reuse_threshold=0.0
         )
+        reuse.configure_sr(gop_reuse=True)
         for frame in frames:
             a = plain.process(frame)
             b = reuse.process(frame)
@@ -72,9 +70,8 @@ class TestThresholdZeroBitIdentity:
     def test_sr_integrated_decoder_identical(self, device, tiny_runner):
         frames = make_frames()
         plain = SRIntegratedDecoderClient(device, tiny_runner)
-        reuse = SRIntegratedDecoderClient(
-            device, tiny_runner, gop_reuse=True, reuse_threshold=0.0
-        )
+        reuse = SRIntegratedDecoderClient(device, tiny_runner, reuse_threshold=0.0)
+        reuse.configure_sr(gop_reuse=True)
         for frame in frames:
             a = plain.process(frame)
             b = reuse.process(frame)
@@ -93,29 +90,6 @@ class TestDefaultOffByteIdentity:
             assert "reuse" not in record.trace.span("upscale").metadata
             assert all(s.name != "sr.reuse/warp" for s in record.trace.spans)
         assert "sr.reuse/frames" not in result.metrics.to_dict()
-
-    def test_knob_matches_ctor_flag(self, device, tiny_runner):
-        """run_session(gop_reuse=True) == constructing the client with it."""
-        by_knob = run_session(
-            make_server(),
-            GameStreamSRClient(device, tiny_runner, modeled_roi_side=300),
-            n_frames=N,
-            gop_reuse=True,
-        )
-        by_ctor = run_session(
-            make_server(),
-            GameStreamSRClient(
-                device, tiny_runner, modeled_roi_side=300, gop_reuse=True
-            ),
-            n_frames=N,
-        )
-        a = json.dumps(
-            canonicalize_session_trace(by_knob.to_trace_dict()), sort_keys=True
-        )
-        b = json.dumps(
-            canonicalize_session_trace(by_ctor.to_trace_dict()), sort_keys=True
-        )
-        assert a == b
 
     def test_unsupported_client_raises(self, device):
         with pytest.raises(ValueError, match="gop_reuse"):
@@ -160,9 +134,8 @@ class TestRefreshBoundaries:
 
     def test_index_gap_breaks_chain(self, device, tiny_runner):
         frames = make_frames(n=3, gop=10)  # I P P, one GOP
-        client = GameStreamSRClient(
-            device, tiny_runner, modeled_roi_side=300, gop_reuse=True
-        )
+        client = GameStreamSRClient(device, tiny_runner, modeled_roi_side=300)
+        client.configure_sr(gop_reuse=True)
         client.process(frames[0])
         assert reuse_meta(client.process(frames[1]))["refresh"] is False
         # Feed frame 2 relabeled as frame 3 (as if frame 2 were dropped):
@@ -176,9 +149,8 @@ class TestRefreshBoundaries:
         self, device, tiny_runner
     ):
         frames = make_frames()
-        client = GameStreamSRClient(
-            device, tiny_runner, modeled_roi_side=300, gop_reuse=True
-        )
+        client = GameStreamSRClient(device, tiny_runner, modeled_roi_side=300)
+        client.configure_sr(gop_reuse=True)
         first = [reuse_meta(client.process(f)) for f in frames]
         client.reset()
         assert client._reuse.hr is None and client._reuse.last_index is None
@@ -193,7 +165,7 @@ class TestRefreshBoundaries:
             make_server(),
             client,
             n_frames=N,
-            link=NetworkLink(
+            scenario=NetworkLink(
                 bandwidth_mbps=20.0, propagation_ms=8.0, loss_rate=0.3, seed=13
             ),
             link_deadline_ms=80.0,
@@ -236,7 +208,8 @@ class TestSRIntegratedDecoderReuse:
     def test_masked_residual_is_cheaper(self, device, tiny_runner):
         frames = make_frames()
         plain = SRIntegratedDecoderClient(device, tiny_runner)
-        reuse = SRIntegratedDecoderClient(device, tiny_runner, gop_reuse=True)
+        reuse = SRIntegratedDecoderClient(device, tiny_runner)
+        reuse.configure_sr(gop_reuse=True)
         saw_saving = False
         for frame in frames:
             a = plain.process(frame)

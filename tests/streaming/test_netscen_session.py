@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.roi_sizing import plan_roi_window
-from repro.network import NetworkLink, build_scenario
+from repro.network import build_scenario
 from repro.observability import canonicalize_session_trace, validate_session_trace
 from repro.platform.device import get_device
 from repro.streaming import (
@@ -161,17 +161,6 @@ class TestABRBehavior:
 
 
 class TestKnobValidation:
-    def test_scenario_and_link_mutually_exclusive(self, tiny_runner):
-        device = get_device("samsung_tab_s8")
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            run_session(
-                _server(None),
-                BilinearClient(device),
-                n_frames=2,
-                scenario="wifi_stable",
-                link=NetworkLink(bandwidth_mbps=20.0, propagation_ms=8.0),
-            )
-
     def test_abr_conflicts_with_subsumed_knobs(self, tiny_runner):
         client, plan, abr = _abr_session_kwargs(tiny_runner)
         adaptive = AdaptiveRoIController(

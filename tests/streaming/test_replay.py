@@ -83,7 +83,7 @@ class TestSeededReplay:
             client, roi_side = _make_client(design, device, tiny_runner, plan)
             kwargs = {}
             if with_link:
-                kwargs["link"] = NetworkLink(**LINK_KW)
+                kwargs["scenario"] = NetworkLink(**LINK_KW)
                 kwargs["link_deadline_ms"] = 60.0
             if with_adaptive:
                 kwargs["adaptive"] = AdaptiveRoIController(
@@ -113,7 +113,7 @@ class TestSeededReplay:
                 _server(None),
                 wrap(BilinearClient(device)),
                 n_frames=N_FRAMES,
-                link=NetworkLink(**LINK_KW),
+                scenario=NetworkLink(**LINK_KW),
                 link_deadline_ms=60.0,
                 skip_dropped=True,
             )

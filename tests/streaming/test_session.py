@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.network.link import NetworkLink
 from repro.platform.device import samsung_tab_s8
 from repro.platform.energy import EnergyBreakdown
 from repro.render.games import build_game
+from repro.sr.backends import build_backend
+from repro.sr.dispatch import DifficultyDispatcher
+from repro.streaming.abr import ABRController
+from repro.streaming.adaptive import AdaptiveRoIController
 from repro.streaming.client import BilinearClient, GameStreamSRClient
 from repro.streaming.frames import StreamGeometry
 from repro.streaming.server import GameStreamServer
-from repro.streaming.session import run_session
+from repro.streaming.session import SessionConfig, run_session
 
 GEO = StreamGeometry(eval_lr_height=48, eval_lr_width=80, lr_source="native")
 
@@ -98,3 +103,57 @@ class TestQualityPath:
         server = GameStreamServer(build_game("G9"), GEO, roi_side=None, gop_size=3)
         with pytest.raises(ValueError):
             run_session(server, BilinearClient(samsung_tab_s8()), n_frames=0)
+
+
+class TestSessionConfig:
+    """Every knob-combination rule, checked on the config itself."""
+
+    ABR = ABRController(initial_side=300, min_side=200, max_side=720)
+    ADAPTIVE = AdaptiveRoIController(initial_side=300, min_side=200, max_side=720)
+    BACKEND = build_backend("bilinear_gpu")
+    DISPATCH = DifficultyDispatcher([BACKEND], budget_ms=8.0)
+
+    def test_defaults_construct(self):
+        config = SessionConfig()
+        assert config.resolve_link() is None
+        assert config.abr is None and not config.gop_reuse
+
+    @pytest.mark.parametrize(
+        "knobs, error, match",
+        [
+            (dict(abr=ABR, scenario="wifi_stable", adaptive=ADAPTIVE),
+             ValueError, "abr= is mutually exclusive with adaptive"),
+            (dict(abr=ABR, scenario="wifi_stable", gop_reuse=True),
+             ValueError, "abr= is mutually exclusive with gop_reuse"),
+            (dict(abr=ABR, scenario="wifi_stable", sr_backend=BACKEND),
+             ValueError, "abr= is mutually exclusive with sr_backend"),
+            (dict(abr=ABR, scenario="wifi_stable", dispatch=DISPATCH),
+             ValueError, "abr= is mutually exclusive with dispatch"),
+            (dict(gop_reuse=True, sr_backend=BACKEND),
+             ValueError, "mutually exclusive SR execution knobs"),
+            (dict(gop_reuse=True, dispatch=DISPATCH),
+             ValueError, "mutually exclusive SR execution knobs"),
+            (dict(sr_backend=BACKEND, dispatch=DISPATCH),
+             ValueError, "mutually exclusive SR execution knobs"),
+            (dict(lpips_stride=0), ValueError, "lpips_stride"),
+            (dict(scenario=42), TypeError, "scenario must be"),
+            (dict(abr=ABR), ValueError, "needs a link"),
+            (dict(link=NetworkLink(bandwidth_mbps=20.0, propagation_ms=8.0)),
+             TypeError, "link"),
+        ],
+        ids=[
+            "abr+adaptive", "abr+gop_reuse", "abr+sr_backend", "abr+dispatch",
+            "gop_reuse+sr_backend", "gop_reuse+dispatch", "sr_backend+dispatch",
+            "lpips_stride=0", "scenario=42", "abr-without-scenario",
+            "removed-link-knob",
+        ],
+    )
+    def test_rejected(self, knobs, error, match):
+        with pytest.raises(error, match=match):
+            SessionConfig(**knobs)
+
+    def test_holds_the_callers_objects(self):
+        link = NetworkLink(bandwidth_mbps=20.0, propagation_ms=8.0)
+        config = SessionConfig(abr=self.ABR, scenario=link)
+        assert config.abr is self.ABR
+        assert config.resolve_link() is link

@@ -44,7 +44,7 @@ class TestLossyLinkSession:
             _server(None),
             BilinearClient(device),
             n_frames=N_FRAMES,
-            link=NetworkLink(**self.LINK_KW),
+            scenario=NetworkLink(**self.LINK_KW),
             link_deadline_ms=deadline_ms,
         )
 
@@ -105,7 +105,7 @@ class TestLossyLinkSession:
             loss_rate=0.0,
         )
         result = run_session(
-            _server(None), BilinearClient(device), n_frames=2, link=link
+            _server(None), BilinearClient(device), n_frames=2, scenario=link
         )
         for record in result.records:
             assert record.mtp.stage("network") == pytest.approx(
@@ -145,7 +145,7 @@ class TestSkipDropped:
             _server(None, gop=self.GOP),
             BilinearClient(device),
             n_frames=N_FRAMES,
-            link=NetworkLink(**self.LINK_KW),
+            scenario=NetworkLink(**self.LINK_KW),
             link_deadline_ms=self.DEADLINE_MS,
             **kwargs,
         )
@@ -238,7 +238,7 @@ class TestSkipDropped:
             _server(plan.side_for_frame(64), gop=self.GOP),
             client,
             n_frames=N_FRAMES,
-            link=NetworkLink(**self.LINK_KW),
+            scenario=NetworkLink(**self.LINK_KW),
             link_deadline_ms=self.DEADLINE_MS,
             adaptive=controller,
             skip_dropped=True,

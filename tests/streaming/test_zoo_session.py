@@ -28,7 +28,7 @@ from repro.streaming.client import (
 )
 from repro.streaming.frames import StreamGeometry
 from repro.streaming.server import GameStreamServer
-from repro.streaming.session import apply_client_knobs, run_session
+from repro.streaming.session import run_session
 
 from ._replay import replay_twice
 
@@ -131,7 +131,10 @@ class TestBackendKnob:
     def test_backend_scale_mismatch_rejected(self, device, tiny_runner):
         backend = build_backend("bilinear_gpu", scale=3)
         with pytest.raises(ValueError, match="scale"):
-            GameStreamSRClient(device, tiny_runner, sr_backend=backend)
+            run_session(
+                make_server(), GameStreamSRClient(device, tiny_runner),
+                n_frames=2, sr_backend=backend,
+            )
 
     def test_gpu_backend_serializes_with_bilinear_rest(self, device, tiny_runner):
         # A GPU-engine SR backend shares silicon with the non-RoI
@@ -152,24 +155,18 @@ class TestKnobValidation:
         self, device, tiny_runner, quicksrnet_backend
     ):
         with pytest.raises(ValueError, match="mutually exclusive"):
-            GameStreamSRClient(
-                device, tiny_runner, gop_reuse=True,
-                sr_backend=quicksrnet_backend,
-            )
-        with pytest.raises(ValueError, match="mutually exclusive"):
             run_session(
-                make_server(),
-                GameStreamSRClient(device, tiny_runner, sr_backend=quicksrnet_backend),
-                n_frames=2, gop_reuse=True,
+                make_server(), GameStreamSRClient(device, tiny_runner),
+                n_frames=2, gop_reuse=True, sr_backend=quicksrnet_backend,
             )
 
     def test_dispatch_exclusive_with_backend(
         self, device, tiny_runner, quicksrnet_backend
     ):
         with pytest.raises(ValueError, match="mutually exclusive"):
-            GameStreamSRClient(
-                device, tiny_runner,
-                sr_backend=quicksrnet_backend,
+            run_session(
+                make_server(), GameStreamSRClient(device, tiny_runner),
+                n_frames=2, sr_backend=quicksrnet_backend,
                 dispatch=make_dispatcher(tiny_runner),
             )
 
@@ -184,9 +181,51 @@ class TestKnobValidation:
             with pytest.raises(ValueError, match=knob):
                 run_session(make_server(), client, n_frames=2, **{knob: value})
 
-    def test_apply_client_knobs_defaults_are_noop(self, device, tiny_runner):
+    def test_configure_sr_defaults_are_noop(self, device, tiny_runner):
         client = NemoClient(device, tiny_runner)
-        apply_client_knobs(client)  # must not raise on any design
+        client.configure_sr()  # must not raise on any design
+
+
+def upscale_spans(result):
+    """Every frame's upscale span without its wall-clock time."""
+    return [
+        {**r.trace.span("upscale").to_dict(), "wall_ms": 0.0}
+        for r in result.records
+    ]
+
+
+class TestReusedClient:
+    """Each session sets every SR knob; nothing leaks into the next one."""
+
+    def run_knob_sessions(self, client):
+        run_session(make_server(), client, n_frames=N, gop_reuse=True)
+        run_session(
+            make_server(), client, n_frames=N,
+            sr_backend=build_backend("bilinear_gpu"),
+        )
+
+    def test_default_session_matches_fresh_client(self, device, tiny_runner):
+        client = GameStreamSRClient(device, tiny_runner, modeled_roi_side=300)
+        self.run_knob_sessions(client)
+        reused = run_session(
+            make_server(), client, n_frames=N, evaluate_quality=True
+        )
+        fresh = run_session(
+            make_server(),
+            GameStreamSRClient(device, tiny_runner, modeled_roi_side=300),
+            n_frames=N, evaluate_quality=True,
+        )
+        assert upscale_spans(reused) == upscale_spans(fresh)
+        assert reused.psnr_series() == fresh.psnr_series()
+
+    def test_gop_reuse_alone_accepted_after_backend_session(
+        self, device, tiny_runner
+    ):
+        client = GameStreamSRClient(device, tiny_runner, modeled_roi_side=300)
+        self.run_knob_sessions(client)
+        result = run_session(make_server(), client, n_frames=N, gop_reuse=True)
+        for meta in (r.trace.span("upscale").metadata for r in result.records):
+            assert "reuse" in meta and "sr_backend" not in meta
 
 
 class TestDispatchSessions:

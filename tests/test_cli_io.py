@@ -94,3 +94,37 @@ class TestCLI:
             assert data["session"]["n_frames"] == 4
             assert len(data["frames"]) == 4
             assert data["metrics"]["frames_total"]["value"] == 4
+
+    @pytest.mark.parametrize(
+        "flags, span, key",
+        [
+            (["--gop-reuse"], "upscale", "reuse"),
+            (["--sr-backend", "bilinear_gpu"], "upscale", "sr_backend"),
+            (["--scenario", "wifi_congested"], "network", "scenario"),
+        ],
+        ids=["gop-reuse", "sr-backend", "scenario"],
+    )
+    def test_stream_flag_takes_effect(
+        self, flags, span, key, tmp_path, capsys, tiny_model
+    ):
+        """Each execution flag must reach the session: its trace records
+        the knob's metadata on every gamestreamsr frame."""
+        import json
+
+        code = main(
+            ["stream", "G9", "--frames", "2", "--profile", "tiny",
+             "--trace-json", str(tmp_path), *flags]
+        )
+        assert code == 0
+        capsys.readouterr()
+        data = json.loads((tmp_path / "G9_gamestreamsr_trace.json").read_text())
+        for frame in data["frames"]:
+            # The first span of that name: the server's network span
+            # precedes the client's RX span.
+            record = next(s for s in frame["spans"] if s["name"] == span)
+            assert key in record["metadata"]
+
+    def test_stream_abr_without_scenario_rejected(self, capsys, tiny_model):
+        assert main(["stream", "G9", "--frames", "2", "--profile", "tiny",
+                     "--abr"]) == 2
+        assert "abr= needs a link" in capsys.readouterr().err
