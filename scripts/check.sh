@@ -29,9 +29,12 @@ python -m repro.lint --fail-stale-baseline src tests scripts benchmarks
 echo "== tier-1 tests =="
 python -m pytest -q -m tier1
 
-echo "== session-pipeline smoke (REPRO_CONTRACTS=1) =="
+echo "== session-pipeline + server-memo replay smoke (REPRO_CONTRACTS=1) =="
 # Streams each design through run_session with seam contracts on and
-# validates every trace export against the pinned schema.
+# validates every trace export against the pinned schema. Every
+# pipeline_smoke.py leg streams each design twice over one shared G3:
+# the second pass replays the in-process server-stream memo and fails
+# unless its bitstream digests and canonical traces equal the first's.
 REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py
 
 echo "== GOP-reuse smoke (REPRO_CONTRACTS=1) =="

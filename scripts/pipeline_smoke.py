@@ -9,6 +9,13 @@ present, one MTP network span). Exits non-zero on any violation — this is
 the check.sh gate that the stage/trace architecture stays wired end to
 end without running the heavy analysis matrices.
 
+G3 is built once and each design streams it twice: the first pass
+records the server stream into the in-process memo
+(:mod:`repro.streaming.server`) and the second replays it. Both passes
+must have identical bitstream + HR-output digests and canonical traces,
+and without ``--abr`` (whose rung changes leave the memo) the second
+pass must have replayed every server frame.
+
 ``--gop-reuse``, ``--sr-backend NAME`` and ``--dispatch`` (mutually
 exclusive) restrict the matrix to the RoI designs and stream them with
 the corresponding SR-execution knob on, asserting its per-frame ledger
@@ -28,6 +35,7 @@ Usage: PYTHONPATH=src python scripts/pipeline_smoke.py [--out DIR]
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -95,6 +103,49 @@ def check_session(result, out_dir: Path) -> None:
         assert record.energy.total > 0.0
 
 
+def run_captured(server, client, **knobs):
+    """``run_session`` plus a sha256 of each frame's bitstream + HR output."""
+    from repro.streaming import run_session
+
+    digests = []
+    inner = client.process
+
+    def process(frame):
+        result = inner(frame)
+        digests.append(
+            hashlib.sha256(frame.encoded.payload + result.hr_frame.tobytes()).hexdigest()
+        )
+        return result
+
+    client.process = process
+    try:
+        result = run_session(server, client, n_frames=N_FRAMES, **knobs)
+    finally:
+        del client.process
+    return result, digests
+
+
+def canonical(result) -> str:
+    from repro.observability import canonicalize_session_trace
+
+    return json.dumps(canonicalize_session_trace(result.to_trace_dict()), sort_keys=True)
+
+
+def check_replay(first, replay, expect_replayed: bool) -> None:
+    """The memo-replayed pass must equal the recording pass byte for byte."""
+    (result, digests), (again, again_digests) = first, replay
+    assert digests == again_digests, f"replayed bitstream differs for {result.design}"
+    assert canonical(result) == canonical(again), (
+        f"replayed canonical trace differs for {result.design}"
+    )
+    if expect_replayed:
+        assert all(
+            r.trace.span(name).wall_ms == 0.0
+            for r in again.records
+            for name in ("render", "roi_detect", "encode")
+        ), f"second pass of {result.design} did not replay the server stream"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=None, help="trace output dir (default: tmp)")
@@ -144,7 +195,7 @@ def main(argv=None) -> int:
     from repro.render.games import build_game
     from repro.sr.pretrained import default_sr_model
     from repro.sr.runner import SRRunner
-    from repro.streaming import GameStreamServer, StreamGeometry, run_session
+    from repro.streaming import GameStreamServer, StreamGeometry
 
     device = get_device("samsung_tab_s8")
     plan = plan_roi_window(device)
@@ -197,16 +248,19 @@ def main(argv=None) -> int:
         or args.abr
     )
 
+    game = build_game("G3")
+
     def make_server(roi_side):
-        return GameStreamServer(
-            build_game("G3"), geometry, roi_side=roi_side, gop_size=GOP
-        )
+        return GameStreamServer(game, geometry, roi_side=roi_side, gop_size=GOP)
 
     out_dir = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="traces-"))
     for client, roi_side in build_clients(device, runner, plan, roi_only):
-        result = run_session(
-            make_server(roi_side), client, n_frames=N_FRAMES, **make_knobs(),
+        first, replay = (
+            run_captured(make_server(roi_side), client, **make_knobs())
+            for _ in range(2)
         )
+        check_replay(first, replay, expect_replayed=not args.abr)
+        result = first[0]
         check_session(result, out_dir)
         if args.scenario:
             # Every frame transmitted over the trace-driven link records

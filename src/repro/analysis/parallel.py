@@ -43,9 +43,10 @@ SessionTask = Tuple[str, Dict[str, Any]]
 #: Version of the cached-session artifact layout. Bumped whenever the
 #: pickled ``SessionResult`` schema changes shape in ways old readers
 #: would mis-handle (v2: staged pipeline — per-frame traces + metrics
-#: registry attached). Part of the cache key, so stale seed-era pickles
-#: are never loaded into the new code.
-SESSION_CACHE_SCHEMA = 2
+#: registry attached; v3: slotted ``StageSpan``/``EnergyAttribution``,
+#: which dict-state pickles cannot be restored into). Part of the cache
+#: key, so stale pickles are never loaded into the new code.
+SESSION_CACHE_SCHEMA = 3
 
 _MAX_DEFAULT_WORKERS = 8
 

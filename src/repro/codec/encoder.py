@@ -14,7 +14,7 @@ coefficients and motion vectors into a real byte payload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .entropy import encode_blocks
 from .motion import compensate, estimate_motion
 from .transform import DEFAULT_BLOCK, dequantize, forward_dct, inverse_dct, quantize
 
-__all__ = ["EncodedFrame", "VideoEncoder", "PIXEL_SCALE"]
+__all__ = ["EncodedFrame", "EncoderState", "VideoEncoder", "PIXEL_SCALE"]
 
 #: Planes are scaled to the 0-255 range the quantization tables assume.
 PIXEL_SCALE = 255.0
@@ -43,6 +43,7 @@ class EncodedFrame:
     quality: int
     payload: bytes
     #: Convenience copy of the luma-grid motion vectors (also in payload).
+    #: Read-only: one encoded frame may be handed to many sessions.
     motion_vectors: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
@@ -56,6 +57,15 @@ class EncodedFrame:
     @property
     def is_reference(self) -> bool:
         return self.frame_type == "I"
+
+
+class EncoderState(NamedTuple):
+    """What the next frame's encode depends on besides its pixels."""
+
+    frame_index: int
+    recon_y: Optional[np.ndarray]
+    recon_cb: Optional[np.ndarray]
+    recon_cr: Optional[np.ndarray]
 
 
 def _encode_plane(
@@ -131,6 +141,22 @@ class VideoEncoder:
     def next_is_reference(self) -> bool:
         return self._frame_index % self.gop_size == 0
 
+    def state(self) -> EncoderState:
+        """The reconstruction-loop state after the last encoded frame."""
+        return EncoderState(
+            self._frame_index, self._recon_y, self._recon_cb, self._recon_cr
+        )
+
+    def restore(self, state: EncoderState) -> None:
+        """Resume the stream from a :meth:`state` snapshot.
+
+        The snapshot's planes are shared, not copied: the encoder only
+        ever rebinds them, never writes into them.
+        """
+        (
+            self._frame_index, self._recon_y, self._recon_cb, self._recon_cr
+        ) = state
+
     @shaped(rgb="H W 3:n")
     def encode_frame(self, rgb: np.ndarray) -> EncodedFrame:
         """Encode the next frame of the stream."""
@@ -161,6 +187,7 @@ class VideoEncoder:
                 search_radius=self.search_radius,
                 method=self.motion_method,
             )
+            mv.flags.writeable = False
             _encode_motion(mv, writer)
             pred_y = compensate(self._recon_y, mv, self.block)
             mv_c = np.round(mv / 2.0).astype(np.int64)

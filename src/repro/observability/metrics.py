@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["Counter", "Histogram", "MetricsRegistry", "default_latency_buckets"]
 
@@ -30,6 +30,11 @@ def default_latency_buckets(
     if start_ms <= 0 or factor <= 1 or count < 1:
         raise ValueError("need start_ms > 0, factor > 1, count >= 1")
     return [start_ms * factor**i for i in range(count)]
+
+
+#: The default bounds, one tuple shared by every histogram that does not
+#: pass its own (a session registry holds dozens of histograms).
+_DEFAULT_BOUNDS: Tuple[float, ...] = tuple(default_latency_buckets())
 
 
 @dataclass
@@ -55,7 +60,7 @@ class Histogram:
     name: str
     #: Inclusive upper bounds of the finite buckets; observations above
     #: the last bound land in the implicit +inf overflow bucket.
-    bounds: Sequence[float] = field(default_factory=default_latency_buckets)
+    bounds: Sequence[float] = _DEFAULT_BOUNDS
     counts: List[int] = field(init=False)
     count: int = field(init=False, default=0)
     sum: float = field(init=False, default=0.0)
@@ -63,7 +68,7 @@ class Histogram:
     max: float = field(init=False, default=-math.inf)
 
     def __post_init__(self) -> None:
-        bounds = list(self.bounds)
+        bounds = tuple(self.bounds)
         if not bounds:
             raise ValueError("histogram needs at least one bucket bound")
         if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):

@@ -63,7 +63,7 @@ SERVER_STAGES = ("input", "game_logic", "render", "roi_detect", "encode", "netwo
 CLIENT_STAGES = ("decode", "upscale", "display")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnergyAttribution:
     """One (component, active-ms) energy contribution of a stage.
 
@@ -82,7 +82,7 @@ class EnergyAttribution:
         return self.category if self.category is not None else span_name
 
 
-@dataclass
+@dataclass(slots=True)
 class StageSpan:
     """The record one pipeline stage leaves in a :class:`FrameTrace`."""
 

@@ -13,24 +13,152 @@ the materialized MTP view of that trace. The ``network`` span carries the
 *flat* bandwidth-model downlink by default — :func:`run_session` amends
 it in place when a lossy :class:`~repro.network.NetworkLink` transport is
 injected.
+
+The server-stream memo
+----------------------
+Every design evaluated on one stream (Sec. V) sees the same server half,
+so the module keeps one in-process slot holding the last static stream
+produced, and :meth:`GameStreamServer.next_frame` serves frame *i* from
+it instead of rendering, detecting and encoding again.
+
+*Purity contract.* A stream's frames are a pure function of its key: the
+game's class and its dataclass field values (fields of a plain value
+type compare by value, any other field, such as the ``scene``, by
+identity, and the slot holds it strongly), the geometry, fps, RoI side
+and :class:`RoIConfig`, and the encoder's GOP size, quality, motion
+method, block and search radius. A scene must not be edited while it is
+being streamed, and a game class must keep all the state its frames
+depend on in its fields.
+
+*Bypass rules.* A game whose own class is not a dataclass (such as
+:class:`~repro.analysis.prerender.PrerenderedWorkload`) and an RoI
+config with ``warm_start`` (a stateful detector) never use the slot. A
+server leaves the memo for good, replaying and recording nothing more,
+once a live knob no longer matches its frame-0 key or its encoder's
+frame counter no longer equals the frame index: an ABR rung change,
+adaptive RoI resizing, ``set_roi_side`` or a forced IDR.
+
+A hit returns a fresh :class:`FrameTrace` (copied spans with
+``wall_ms=0.0``, since no stage work ran), a fresh ``server_timings_ms``
+dict and the shared, immutable :class:`EncodedFrame` and RoI box, and
+restores the encoder's reconstruction state after frame *i*, so a later
+live frame continues the same chain. A miss runs the pipeline and
+records frame *i* only while the slot holds exactly this key's frames
+``0..i-1`` (frame 0 claims the slot), up to :data:`MEMO_MAX_FRAMES`.
+Outputs are byte-identical either way, which also makes the slot safe
+to inherit across a fork: a child's copy holds valid frames.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import dataclasses
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
-from ..codec.encoder import VideoEncoder
+from ..codec.encoder import EncodedFrame, EncoderState, VideoEncoder
 from ..core.config import DEFAULT_ROI_CONFIG, RoIConfig
 from ..core.detector import RoIDetector
+from ..core.roi_search import RoIBox
 from ..platform import latency as lat
 from ..render.games import GameWorkload
 from ..render.rasterizer import RenderOutput
 from .frames import ROI_METADATA_BYTES, ServerFrame, StreamGeometry
-from .pipeline import SERVER_STAGES, FrameTrace, split_transmission
+from .pipeline import SERVER_STAGES, FrameTrace, StageSpan, split_transmission
 
-__all__ = ["GameStreamServer"]
+__all__ = ["GameStreamServer", "MEMO_MAX_FRAMES"]
+
+#: Most frames the memoized stream keeps; later frames of a longer
+#: session are produced live. About 90 KB per frame at the 64x112 perf
+#: geometry (three reconstruction planes) and 350 KB at 128x224.
+MEMO_MAX_FRAMES = 64
+
+#: Field types a memo key compares by value; any other field compares by
+#: identity.
+_VALUE_TYPES = (bool, int, float, str, bytes, type(None))
+
+
+class _Identity:
+    """A key part that equals another only if both wrap the same object."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj: Any) -> None:
+        self.obj = obj
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Identity) and other.obj is self.obj
+
+
+def _stream_key(server: "GameStreamServer") -> Optional[tuple]:
+    """Everything the server's frames depend on, or None to bypass the memo."""
+    game = server.game
+    cls = type(game)
+    if "__dataclass_fields__" not in vars(cls) or server.roi_config.warm_start:
+        return None
+    encoder = server.encoder
+    return (
+        cls,
+        tuple(
+            value if isinstance(value, _VALUE_TYPES) else _Identity(value)
+            for value in (getattr(game, f.name) for f in dataclasses.fields(game))
+        ),
+        server.geometry,
+        server.fps,
+        server.roi_side,
+        server.roi_config,
+        encoder.gop_size,
+        encoder.quality,
+        encoder.motion_method,
+        encoder.block,
+        encoder.search_radius,
+    )
+
+
+def _replayable_span(span: StageSpan) -> StageSpan:
+    """A copy of ``span`` that owns its containers and reports no wall time."""
+    return StageSpan(
+        name=span.name,
+        modeled_ms=span.modeled_ms,
+        mtp=span.mtp,
+        energy=list(span.energy),
+        metadata=dict(span.metadata),
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class _MemoFrame:
+    """One produced frame as the slot keeps it."""
+
+    encoded: EncodedFrame
+    roi: Optional[RoIBox]
+    modeled_size_bytes: int
+    #: Never handed out: every replay copies them again.
+    spans: Tuple[StageSpan, ...]
+    #: The encoder's state right after this frame.
+    encoder_state: EncoderState
+
+
+class _StreamSlot:
+    """The last static stream produced: its key and its frames ``0..n-1``."""
+
+    def __init__(self) -> None:
+        self.key: Optional[tuple] = None
+        self.frames: List[_MemoFrame] = []
+
+    def lookup(self, key: tuple, index: int) -> Optional[_MemoFrame]:
+        if index < len(self.frames) and self.key == key:
+            return self.frames[index]
+        return None
+
+    def record(self, key: tuple, index: int, frame: _MemoFrame) -> None:
+        if index == 0:
+            self.key, self.frames = key, []
+        if index == len(self.frames) < MEMO_MAX_FRAMES and self.key == key:
+            self.frames.append(frame)
+
+
+_SLOT = _StreamSlot()
 
 
 class GameStreamServer:
@@ -67,6 +195,9 @@ class GameStreamServer:
         )
         self._index = 0
         self._hr_cache: tuple[int, RenderOutput] | None = None
+        #: The frame-0 stream key while this server still streams it;
+        #: None once it bypasses or has left the memo.
+        self._memo_key: Optional[tuple] = None
 
     @property
     def gop_size(self) -> int:
@@ -129,9 +260,60 @@ class GameStreamServer:
         Every stage records a span into the frame's trace; the returned
         ``server_timings_ms`` dict is the trace's MTP view and therefore
         numerically identical to the pre-refactor hand-assembled dict.
+        The frame comes from the server-stream memo when it holds it (see
+        the module docstring), byte-identical to producing it.
         """
         index = self._index
         self._index += 1
+        key = self._memo_key_for(index)
+        if key is not None:
+            memo = _SLOT.lookup(key, index)
+            if memo is not None:
+                self.encoder.restore(memo.encoder_state)
+                return self._replay(index, memo)
+        frame = self._produce(index)
+        if key is not None:
+            _SLOT.record(
+                key,
+                index,
+                _MemoFrame(
+                    encoded=frame.encoded,
+                    roi=frame.roi,
+                    modeled_size_bytes=frame.modeled_size_bytes,
+                    spans=tuple(_replayable_span(s) for s in frame.trace.spans),
+                    encoder_state=self.encoder.state(),
+                ),
+            )
+        return frame
+
+    def _memo_key_for(self, index: int) -> Optional[tuple]:
+        """This server's memo key for frame ``index`` (None: stream live)."""
+        if index == 0:
+            self._memo_key = _stream_key(self)
+        elif self._memo_key is not None and _stream_key(self) != self._memo_key:
+            self._memo_key = None
+        if self.encoder.state().frame_index != index:
+            self._memo_key = None
+        return self._memo_key
+
+    def _replay(self, index: int, memo: _MemoFrame) -> ServerFrame:
+        trace = FrameTrace(
+            index=index,
+            frame_type=memo.encoded.frame_type,
+            spans=[_replayable_span(s) for s in memo.spans],
+        )
+        return ServerFrame(
+            index=index,
+            encoded=memo.encoded,
+            roi=memo.roi,
+            geometry=self.geometry,
+            server_timings_ms=trace.timings_ms(SERVER_STAGES),
+            modeled_size_bytes=memo.modeled_size_bytes,
+            trace=trace,
+        )
+
+    def _produce(self, index: int) -> ServerFrame:
+        """Render, detect, encode and price frame ``index`` live."""
         trace = FrameTrace(index=index)
 
         with trace.stage("input") as st:

@@ -1,0 +1,325 @@
+"""The in-process server-stream memo (``repro.streaming.server``).
+
+The contract under test: a session is byte-identical (bitstreams, HR
+outputs, canonical trace) whether its server frames were replayed from
+the memo or produced live. A freshly built game is a new scene object,
+so streaming over one is a guaranteed miss and serves as the reference.
+Sessions over one shared game replay the stream the first one recorded.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+
+from repro.analysis.prerender import PrerenderedWorkload
+from repro.core.config import RoIConfig
+from repro.core.roi_sizing import plan_roi_window
+from repro.network import NetworkLink
+from repro.platform.calibration import REALTIME_DEADLINE_MS
+from repro.platform.device import get_device
+from repro.render.games import GameWorkload, build_game
+from repro.sr.backends import build_backend
+from repro.sr.dispatch import DifficultyDispatcher
+from repro.streaming import (
+    AdaptiveRoIController,
+    BilinearClient,
+    FullFrameSRClient,
+    GameStreamServer,
+    GameStreamSRClient,
+    NemoClient,
+    SRIntegratedDecoderClient,
+    StreamGeometry,
+    build_abr,
+    run_session,
+)
+from repro.streaming import server as server_module
+
+from ._replay import CapturingClient, canonical
+
+GEO = StreamGeometry(eval_lr_height=64, eval_lr_width=112, lr_source="native")
+DEVICE = get_device("samsung_tab_s8")
+PLAN = plan_roi_window(DEVICE)
+#: Every arm streams the same RoI-enabled stream, as in e2ebench.
+ROI_SIDE = PLAN.side_for_frame(GEO.eval_lr_height)
+N_FRAMES = 4
+GOP = 3  # frames 0..3 -> I P P I
+
+#: The e2ebench ``design_matrix`` arms: design, plus one SR knob.
+ARMS = (
+    "gamestreamsr",
+    "nemo",
+    "bilinear",
+    "fullframe_sr",
+    "sr_integrated_decoder",
+    "gamestreamsr+gop_reuse",
+    "gamestreamsr+dispatch",
+)
+
+LOSSY_LINK = dict(bandwidth_mbps=20.0, propagation_ms=8.0, loss_rate=0.3, seed=7)
+
+
+def _gsr(runner):
+    return GameStreamSRClient(DEVICE, runner, modeled_roi_side=PLAN.side)
+
+
+def _client(arm, runner):
+    """``(client, run_session knobs)`` for one arm."""
+    design, _, knob = arm.partition("+")
+    client = {
+        "gamestreamsr": lambda: _gsr(runner),
+        "nemo": lambda: NemoClient(DEVICE, runner),
+        "bilinear": lambda: BilinearClient(DEVICE),
+        "fullframe_sr": lambda: FullFrameSRClient(DEVICE, runner),
+        "sr_integrated_decoder": lambda: SRIntegratedDecoderClient(DEVICE, runner),
+    }[design]()
+    knobs = {}
+    if knob == "gop_reuse":
+        knobs["gop_reuse"] = True
+    elif knob == "dispatch":
+        knobs["dispatch"] = DifficultyDispatcher(
+            [build_backend("edsr", runner=runner), build_backend("bilinear_gpu")],
+            budget_ms=REALTIME_DEADLINE_MS / 2,
+        )
+    return client, knobs
+
+
+class Streamed:
+    """One session's observable outputs plus the server frames it saw."""
+
+    def __init__(self, result, digests, frames, server):
+        self.result = result
+        self.digests = digests
+        self.frames = frames
+        self.server = server
+        self.canonical = canonical(result)
+
+    @property
+    def replayed(self):
+        """Per frame: did the server serve it from the memo?"""
+        return [f.trace.span("render").wall_ms == 0.0 for f in self.frames]
+
+    def same_outputs(self, other):
+        return self.digests == other.digests and self.canonical == other.canonical
+
+
+def stream(game, client, n_frames=N_FRAMES, roi_side=ROI_SIDE, gop=GOP,
+           mid=None, roi_config=None, **knobs):
+    """Stream ``n_frames`` of ``game``; ``mid(server, index)`` runs before
+    each frame is produced (the hook for mid-session knob changes)."""
+    server = GameStreamServer(
+        game, GEO, roi_side=roi_side, gop_size=gop,
+        roi_config=roi_config or RoIConfig(),
+    )
+    frames, digests = [], []
+    produce = server.next_frame
+
+    def next_frame():
+        if mid is not None:
+            mid(server, len(frames))
+        frames.append(produce())
+        return frames[-1]
+
+    server.next_frame = next_frame
+    result = run_session(
+        server, CapturingClient(client, digests), n_frames=n_frames, **knobs
+    )
+    return Streamed(result, digests, frames, server)
+
+
+def stream_arm(game, arm, runner):
+    client, knobs = _client(arm, runner)
+    return stream(game, client, **knobs)
+
+
+class TestDesignMatrixReplay:
+    def test_every_arm_matches_a_fresh_stream(self, tiny_runner):
+        """The first arm records the stream; the other six replay it."""
+        shared = build_game("G3")
+        replayed = [stream_arm(shared, arm, tiny_runner) for arm in ARMS]
+        assert not any(replayed[0].replayed)
+        for arm, streamed in zip(ARMS[1:], replayed[1:]):
+            assert all(streamed.replayed), arm
+            assert all(
+                a.encoded is b.encoded
+                for a, b in zip(streamed.frames, replayed[0].frames)
+            ), arm
+        for arm, streamed in zip(ARMS, replayed):
+            live = stream_arm(build_game("G3"), arm, tiny_runner)
+            assert not any(live.replayed)
+            assert streamed.same_outputs(live), arm
+
+    def test_motion_vectors_are_read_only_in_every_arm(self, tiny_runner):
+        """Replayed frames share their arrays across sessions: no client
+        path may write into them (a write would raise here)."""
+        shared = build_game("G3")
+        for arm in ARMS:
+            streamed = stream_arm(shared, arm, tiny_runner)
+            p_frames = [f for f in streamed.frames if f.encoded.frame_type == "P"]
+            assert p_frames
+            for frame in p_frames:
+                assert not frame.encoded.motion_vectors.flags.writeable
+
+
+class TestSlotIsNotPolluted:
+    def test_amended_network_span_does_not_leak(self, tiny_runner):
+        shared = build_game("G3")
+        static = stream(shared, _gsr(tiny_runner))
+        lossy = stream(
+            shared,
+            _gsr(tiny_runner),
+            scenario=NetworkLink(**LOSSY_LINK),
+            link_deadline_ms=60.0,
+        )
+        again = stream(shared, _gsr(tiny_runner))
+        assert all(lossy.replayed) and all(again.replayed)
+        assert any(
+            r.trace.span("network").metadata.get("transport") == "lossy_link"
+            for r in lossy.result.records
+        )
+        assert again.same_outputs(static)
+        live_lossy = stream(
+            build_game("G3"),
+            _gsr(tiny_runner),
+            scenario=NetworkLink(**LOSSY_LINK),
+            link_deadline_ms=60.0,
+        )
+        assert lossy.same_outputs(live_lossy)
+
+    def test_replayed_timings_dict_is_fresh(self, tiny_runner):
+        shared = build_game("G3")
+        first = stream(shared, BilinearClient(DEVICE))
+        second = stream(shared, BilinearClient(DEVICE))
+        for a, b in zip(first.frames, second.frames):
+            assert a.server_timings_ms == b.server_timings_ms
+            assert a.server_timings_ms is not b.server_timings_ms
+            assert a.trace.spans[0] is not b.trace.spans[0]
+
+
+def _resize(server, index):
+    if index == 2:
+        server.set_roi_side(16)
+
+
+def _force_idr(server, index):
+    if index == 2:
+        server.encoder.reset()
+
+
+class TestLeavingTheMemo:
+    """A knob change or encoder reset mid-session: the server stops using
+    the memo for good and stays byte-identical to a live stream."""
+
+    @pytest.mark.parametrize("mid", [_resize, _force_idr], ids=["roi_side", "idr"])
+    def test_server_side_change(self, tiny_runner, mid):
+        shared = build_game("G3")
+        stream(shared, BilinearClient(DEVICE), n_frames=N_FRAMES + 2)
+        replayed = stream(shared, BilinearClient(DEVICE), n_frames=N_FRAMES + 2, mid=mid)
+        live = stream(build_game("G3"), BilinearClient(DEVICE), n_frames=N_FRAMES + 2, mid=mid)
+        assert replayed.same_outputs(live)
+        assert replayed.replayed == [True, True] + [False] * N_FRAMES
+        assert replayed.server._memo_key is None
+
+    def test_adaptive(self, tiny_runner):
+        def knobs():
+            return dict(
+                adaptive=AdaptiveRoIController(
+                    initial_side=PLAN.side, min_side=PLAN.min_side, max_side=720
+                )
+            )
+
+        shared = build_game("G3")
+        stream(shared, _gsr(tiny_runner))
+        replayed = stream(shared, _gsr(tiny_runner), **knobs())
+        live = stream(build_game("G3"), _gsr(tiny_runner), **knobs())
+        assert replayed.same_outputs(live)
+        assert replayed.server._memo_key is None
+        assert not all(replayed.replayed)
+
+    def test_abr(self, tiny_runner):
+        def knobs(bandwidth_mbps):
+            return dict(
+                scenario=NetworkLink(
+                    bandwidth_mbps=bandwidth_mbps, propagation_ms=8.0, seed=3
+                ),
+                link_deadline_ms=60.0,
+                skip_dropped=True,
+                abr=build_abr(
+                    PLAN.side, PLAN.min_side, 720, runner=tiny_runner,
+                    profile="tiny", net_budget_ms=60.0,
+                ),
+            )
+
+        # A link ABR never downshifts on records the stream; a slow one
+        # replays it until the first rung change.
+        shared = build_game("G3")
+        n = 8
+        stream(shared, _gsr(tiny_runner), n_frames=n, **knobs(1000.0))
+        slow = knobs(2.0)
+        replayed = stream(shared, _gsr(tiny_runner), n_frames=n, **slow)
+        live = stream(build_game("G3"), _gsr(tiny_runner), n_frames=n, **knobs(2.0))
+        assert slow["abr"].n_downshifts >= 1
+        assert replayed.same_outputs(live)
+        assert replayed.server._memo_key is None
+        assert replayed.replayed[0] and not replayed.replayed[-1]
+
+
+@dataclasses.dataclass
+class StartAt(GameWorkload):
+    """Frame 0 of this game is frame ``start`` of the original stream."""
+
+    start: int = 0
+
+    def render_frame(self, frame_index, width, height, fps=60.0):
+        return super().render_frame(frame_index + self.start, width, height, fps)
+
+
+class TestKey:
+    def test_subclass_field_is_part_of_the_key(self):
+        base = build_game("G3")
+        stream(StartAt(**vars(base), start=0), BilinearClient(DEVICE))
+        shifted = stream(StartAt(**vars(base), start=2), BilinearClient(DEVICE))
+        again = stream(StartAt(**vars(base), start=2), BilinearClient(DEVICE))
+        assert not any(shifted.replayed) and all(again.replayed)
+        live = stream(StartAt(**vars(build_game("G3")), start=2), BilinearClient(DEVICE))
+        assert shifted.same_outputs(live) and again.same_outputs(live)
+
+    def test_prerendered_workload_bypasses(self):
+        game = PrerenderedWorkload(build_game("G3"))
+        first = stream(game, BilinearClient(DEVICE))
+        second = stream(game, BilinearClient(DEVICE))
+        assert not any(first.replayed) and not any(second.replayed)
+        assert first.server._memo_key is None
+        assert second.same_outputs(first)
+
+    def test_warm_start_bypasses(self):
+        game = build_game("G3")
+        warm = RoIConfig(warm_start=True)
+        first = stream(game, BilinearClient(DEVICE), roi_config=warm)
+        second = stream(game, BilinearClient(DEVICE), roi_config=warm)
+        assert not any(first.replayed) and not any(second.replayed)
+        assert first.server._memo_key is None
+
+    def test_replayed_spans_report_no_wall_time(self):
+        game = build_game("G3")
+        live = stream(game, BilinearClient(DEVICE))
+        replayed = stream(game, BilinearClient(DEVICE))
+        for frame in live.frames:
+            assert frame.trace.span("encode").wall_ms > 0.0
+        for frame in replayed.frames:
+            assert all(span.wall_ms == 0.0 for span in frame.trace.spans)
+
+
+class TestFrameCap:
+    def test_cap_bounds_the_slot(self):
+        cap = server_module.MEMO_MAX_FRAMES
+        game = build_game("G9")
+        tiny = dict(roi_side=None, gop=16, n_frames=cap + 2)
+        first = stream(game, BilinearClient(DEVICE), **tiny)
+        assert len(server_module._SLOT.frames) == cap
+        second = stream(game, BilinearClient(DEVICE), **tiny)
+        assert second.replayed == [True] * cap + [False, False]
+        assert second.same_outputs(first)
+        assert len(server_module._SLOT.frames) == cap
+
