@@ -4,8 +4,9 @@ For every game workload (G1-G10, Table I) this streams one GOP through
 the GameStreamSR client twice — once with the paper's full per-frame
 RoI-SR path and once with ``gop_reuse=True`` (warp the previous SR
 output by the decoded motion field, re-run SR only on residual-dirty
-blocks) — sharing the same HR ground-truth renders, and writes
-``BENCH_gopsr.json`` at the repo root. Run::
+blocks) — over one game object, so the server-stream memo renders the
+stream and its HR ground truth once — and writes ``BENCH_gopsr.json`` at
+the repo root. Run::
 
     PYTHONPATH=src python benchmarks/bench_gopsr.py          # full run
     PYTHONPATH=src python benchmarks/bench_gopsr.py --smoke  # seconds, CI
@@ -69,15 +70,6 @@ def _bench_scene(game_id, n_frames, gop_size, device, plan, runner):
     def make_server():
         return GameStreamServer(game, geometry, roi_side=roi_side, gop_size=gop_size)
 
-    # Both modes score against the same ground-truth renders.
-    ref_server = make_server()
-    hr_cache = {}
-
-    def hr_ref(index):
-        if index not in hr_cache:
-            hr_cache[index] = ref_server.render_hr_reference(index)
-        return hr_cache[index]
-
     results = {}
     for mode, reuse in (("full", False), ("reuse", True)):
         client = GameStreamSRClient(device, runner, modeled_roi_side=plan.side)
@@ -86,7 +78,6 @@ def _bench_scene(game_id, n_frames, gop_size, device, plan, runner):
             client,
             n_frames=n_frames,
             evaluate_quality=True,
-            hr_reference_fn=hr_ref,
             gop_reuse=reuse,
         )
 

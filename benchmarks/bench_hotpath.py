@@ -1,4 +1,4 @@
-"""Hot-path trajectory benchmark: conv2d, tiled SR, end-to-end session.
+"""Hot-path trajectory benchmark: conv2d, tiled SR, LPIPS, end-to-end session.
 
 Measures the fast inference path (float32, graph-free forwards, fused
 pad+im2col, batched tiles, tuned allocator) against the frozen pre-PR
@@ -15,6 +15,11 @@ frame and asserts the PR's acceptance criteria (fast ``upscale_tiled``
 float64). Smoke mode swaps in a tiny untrained model and a small frame to
 exercise every code path quickly (no speedup assertions — tiny shapes
 don't amortize anything) and writes ``BENCH_hotpath.smoke.json`` instead.
+
+The ``lpips`` row times the batched float64 LPIPS kernel against the
+frozen scipy implementation (``tests/metrics/_legacy_lpips.py``) on the
+same frame. Both modes fail if the two disagree by more than 1e-9; the
+full run also requires >= 1.5x.
 
 The legacy baseline is timed in a pristine subprocess with
 ``REPRO_NO_MALLOC_TUNING=1`` so it runs under glibc's untouched (dynamic)
@@ -37,16 +42,23 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.neural import EDSR, Tensor, no_grad  # noqa: E402
 from repro.neural.layers import Conv2d  # noqa: E402
 from repro.neural.tensor import set_inference_dtype  # noqa: E402
+from repro.metrics.lpips import lpips  # noqa: E402
 from repro.metrics.psnr import psnr  # noqa: E402
 from repro.sr.runner import SRRunner  # noqa: E402
 
 from _legacy_inference import legacy_upscale_tiled  # noqa: E402
 from conftest import write_bench_json  # noqa: E402
+from tests.metrics._legacy_lpips import lpips as legacy_lpips  # noqa: E402
+
+#: Largest |LPIPS difference| allowed between the batched kernel and the
+#: frozen scipy reference.
+LPIPS_MAX_ABS_DELTA = 1e-9
 
 
 def _time(fn, repeats: int = 3) -> float:
@@ -75,6 +87,32 @@ def _bench_conv2d(channels: int, height: int, width: int, repeats: int) -> dict:
         "f64_ms": round(f64 * 1e3, 3),
         "f32_ms": round(f32 * 1e3, 3),
         "f32_speedup": round(f64 / f32, 2),
+    }
+
+
+def _bench_lpips(image: np.ndarray, repeats: int) -> dict:
+    """Frozen scipy LPIPS vs the batched float64 kernel on ``image``.
+
+    Scores the frame against its 2x down-up blur (timed) and against
+    its vertical flip; ``max_abs_delta`` is over both pairs.
+    """
+    h, w = image.shape[:2]
+    h2, w2 = h - h % 2, w - w % 2
+    small = image[:h2, :w2].reshape(h2 // 2, 2, w2 // 2, 2, 3).mean(axis=(1, 3))
+    blurred = image.copy()
+    blurred[:h2, :w2] = small.repeat(2, axis=0).repeat(2, axis=1)
+    legacy_s = _time(lambda: legacy_lpips(image, blurred), repeats)
+    fast_s = _time(lambda: lpips(image, blurred), repeats)
+    delta = max(
+        abs(lpips(image, other) - legacy_lpips(image, other))
+        for other in (blurred, image[::-1])
+    )
+    return {
+        "frame_hw": [h, w],
+        "legacy_scipy_ms": round(legacy_s * 1e3, 2),
+        "batched_f64_ms": round(fast_s * 1e3, 2),
+        "speedup": round(legacy_s / fast_s, 2),
+        "max_abs_delta": delta,
     }
 
 
@@ -209,9 +247,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.smoke:
         conv = _bench_conv2d(channels=8, height=32, width=32, repeats=2)
         tiled = _bench_upscale_tiled(model, image, legacy_s, repeats=1)
+        lpips_row = _bench_lpips(image, repeats=1)
     else:
         conv = _bench_conv2d(channels=64, height=128, width=224, repeats=3)
         tiled = _bench_upscale_tiled(model, image, legacy_s, repeats=3)
+        lpips_row = _bench_lpips(image, repeats=3)
 
     session = _bench_session(smoke=args.smoke)
 
@@ -225,10 +265,15 @@ def main(argv: list[str] | None = None) -> int:
         },
         "conv2d_forward": conv,
         "upscale_tiled": tiled,
+        "lpips": lpips_row,
         "session": session,
     }
 
     failures = []
+    if lpips_row["max_abs_delta"] > LPIPS_MAX_ABS_DELTA:
+        failures.append(
+            f"LPIPS |delta| {lpips_row['max_abs_delta']} > {LPIPS_MAX_ABS_DELTA}"
+        )
     if not args.smoke:
         # PR acceptance criteria — keep asserting them so regressions in the
         # fast path show up as a failing bench, not a silently smaller number.
@@ -240,6 +285,8 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 f"f32 vs f64 PSNR {tiled['f32_vs_f64_psnr_db']} dB < 60 dB"
             )
+        if lpips_row["speedup"] < 1.5:
+            failures.append(f"batched LPIPS speedup {lpips_row['speedup']}x < 1.5x")
     report["criteria_failures"] = failures
 
     write_bench_json("hotpath", report, smoke=args.smoke)

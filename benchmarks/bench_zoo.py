@@ -4,8 +4,9 @@ For each scene this streams the same session through the GameStreamSR
 client once per zoo backend (EDSR reference, int8 EDSR, FSRCNN,
 QuickSRNet, GPU bilinear) and once with the difficulty-aware dispatcher
 (EDSR + QuickSRNet + GPU bilinear under half the 60 FPS frame budget),
-sharing the HR ground-truth renders, and writes ``BENCH_zoo.json`` at
-the repo root. Run::
+all over one game object, so the server-stream memo renders the stream
+and its HR ground truth once, and writes ``BENCH_zoo.json`` at the repo
+root. Run::
 
     PYTHONPATH=src python benchmarks/bench_zoo.py          # full run
     PYTHONPATH=src python benchmarks/bench_zoo.py --smoke  # seconds, CI
@@ -76,21 +77,13 @@ def _bench_scene(game_id, n_frames, gop_size, device, plan, zoo):
     def make_server():
         return GameStreamServer(game, geometry, roi_side=roi_side, gop_size=gop_size)
 
-    ref_server = make_server()
-    hr_cache = {}
-
-    def hr_ref(index):
-        if index not in hr_cache:
-            hr_cache[index] = ref_server.render_hr_reference(index)
-        return hr_cache[index]
-
     def session(**knobs):
         client = GameStreamSRClient(
             device, zoo["edsr"].runner, modeled_roi_side=plan.side
         )
         return run_session(
             make_server(), client, n_frames=n_frames,
-            evaluate_quality=True, hr_reference_fn=hr_ref, **knobs,
+            evaluate_quality=True, **knobs,
         )
 
     frontier = {}

@@ -55,6 +55,8 @@ REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py --scenario wifi_congested
 REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py --scenario lte_drive --abr
 
 echo "== hot-path bench (smoke) =="
+# Includes the lpips row: fails unless the batched float64 LPIPS kernel
+# matches the frozen scipy implementation to 1e-9.
 python benchmarks/bench_hotpath.py --smoke >/dev/null
 echo "ok: wrote BENCH_hotpath.smoke.json"
 

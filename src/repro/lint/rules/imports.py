@@ -36,8 +36,8 @@ LAYERS: Dict[str, int] = {
     "repro.network": 1,
     "repro.observability": 1,
     "repro.platform": 1,
-    "repro.metrics": 1,
     "repro.render": 1,
+    "repro.metrics": 2,
     "repro.sr": 2,
     "repro.sr.backends": 3,
     "repro.sr.dispatch": 4,

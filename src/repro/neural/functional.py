@@ -14,7 +14,14 @@ import numpy as np
 
 from .tensor import Tensor, as_tensor, is_grad_enabled
 
-__all__ = ["conv2d", "pixel_shuffle", "avg_pool2d", "im2col", "col2im"]
+__all__ = [
+    "conv2d",
+    "conv2d_forward",
+    "pixel_shuffle",
+    "avg_pool2d",
+    "im2col",
+    "col2im",
+]
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -108,7 +115,7 @@ def _im2col_padded(
 _CONV_CHUNK_BYTES = 1 << 20
 
 
-def _conv2d_forward(
+def conv2d_forward(
     x: np.ndarray,
     weight: np.ndarray,
     bias: np.ndarray | None,
@@ -240,7 +247,7 @@ def conv2d(
     if not needs_tape:
         # Graph-free fast path: fused pad+im2col, no Tensor intermediates.
         return Tensor(
-            _conv2d_forward(
+            conv2d_forward(
                 x.data, weight.data, None if bias is None else bias.data, stride, padding
             )
         )

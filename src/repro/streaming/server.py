@@ -45,6 +45,16 @@ restores the encoder's reconstruction state after frame *i*, so a later
 live frame continues the same chain. A miss runs the pipeline and
 records frame *i* only while the slot holds exactly this key's frames
 ``0..i-1`` (frame 0 claims the slot), up to :data:`MEMO_MAX_FRAMES`.
+
+The slot also keeps the HR reference color (the quality ground truth)
+of the frames it holds, up to :data:`MEMO_MAX_HR_BYTES` in total.
+:meth:`GameStreamServer.render_hr_reference` on a server still on the
+memo returns the slot's read-only copy when it has one; otherwise it
+renders as before and offers the result, which the slot copies only
+while it still holds this key's frame *i* and the cap allows (the
+server then hands out that copy too). Frame 0 of a new key drops the
+stored references with the frames.
+
 Outputs are byte-identical either way, which also makes the slot safe
 to inherit across a fork: a child's copy holds valid frames.
 """
@@ -52,7 +62,7 @@ to inherit across a fork: a child's copy holds valid frames.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,12 +76,17 @@ from ..render.rasterizer import RenderOutput
 from .frames import ROI_METADATA_BYTES, ServerFrame, StreamGeometry
 from .pipeline import SERVER_STAGES, FrameTrace, StageSpan, split_transmission
 
-__all__ = ["GameStreamServer", "MEMO_MAX_FRAMES"]
+__all__ = ["GameStreamServer", "MEMO_MAX_FRAMES", "MEMO_MAX_HR_BYTES"]
 
 #: Most frames the memoized stream keeps; later frames of a longer
 #: session are produced live. About 90 KB per frame at the 64x112 perf
 #: geometry (three reconstruction planes) and 350 KB at 128x224.
 MEMO_MAX_FRAMES = 64
+
+#: Most bytes of HR reference color the slot keeps beside its frames;
+#: later references are rendered live. A float64 reference is 2.75 MB at
+#: 256x448 (12 fit) and 0.69 MB at 128x224 (48 fit).
+MEMO_MAX_HR_BYTES = 32 << 20
 
 #: Field types a memo key compares by value; any other field compares by
 #: identity.
@@ -145,6 +160,8 @@ class _StreamSlot:
     def __init__(self) -> None:
         self.key: Optional[tuple] = None
         self.frames: List[_MemoFrame] = []
+        #: Read-only HR reference colors of held frames, by frame index.
+        self.hr: Dict[int, np.ndarray] = {}
 
     def lookup(self, key: tuple, index: int) -> Optional[_MemoFrame]:
         if index < len(self.frames) and self.key == key:
@@ -153,9 +170,25 @@ class _StreamSlot:
 
     def record(self, key: tuple, index: int, frame: _MemoFrame) -> None:
         if index == 0:
-            self.key, self.frames = key, []
+            self.key, self.frames, self.hr = key, [], {}
         if index == len(self.frames) < MEMO_MAX_FRAMES and self.key == key:
             self.frames.append(frame)
+
+    def lookup_hr(self, key: tuple, index: int) -> Optional[np.ndarray]:
+        return self.hr.get(index) if self.key == key else None
+
+    def offer_hr(self, key: tuple, index: int, color: np.ndarray) -> np.ndarray:
+        """Keep a read-only copy of frame ``index``'s HR reference if the
+        slot still holds this key's frame and the byte cap allows; returns
+        the copy, or ``color`` itself when the slot declines."""
+        if index >= len(self.frames) or index in self.hr or self.key != key:
+            return color
+        if sum(c.nbytes for c in self.hr.values()) + color.nbytes > MEMO_MAX_HR_BYTES:
+            return color
+        kept = color.copy()
+        kept.flags.writeable = False
+        self.hr[index] = kept
+        return kept
 
 
 _SLOT = _StreamSlot()
@@ -251,8 +284,18 @@ class GameStreamServer:
         return RenderOutput(color=color, depth=depth)
 
     def render_hr_reference(self, index: int) -> np.ndarray:
-        """Native HR render of frame ``index`` (the quality ground truth)."""
-        return self._render_hr(index).color
+        """Native HR render of frame ``index`` (the quality ground truth).
+
+        On the server-stream memo this is the slot's read-only copy
+        whenever the slot holds or takes one (see the module docstring).
+        """
+        key = self._memo_key
+        if key is None:
+            return self._render_hr(index).color
+        color = _SLOT.lookup_hr(key, index)
+        if color is None:
+            color = _SLOT.offer_hr(key, index, self._render_hr(index).color)
+        return color
 
     def next_frame(self) -> ServerFrame:
         """Advance one frame through the staged server pipeline.

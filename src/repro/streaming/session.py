@@ -291,9 +291,6 @@ class SessionConfig:
     #: Score LPIPS on every k-th frame only (it is the most expensive
     #: metric).
     lpips_stride: int = 1
-    #: Overrides the ground-truth source (used to share renders across
-    #: designs); the server's native HR render by default.
-    hr_reference_fn: Optional[Callable[[int], np.ndarray]] = None
     #: Frames the transport delivers later than this are flagged dropped.
     link_deadline_ms: float = float("inf")
     #: Closes the RoI-sizing loop from measured upscale spans.
@@ -626,9 +623,6 @@ def run_session(
         gop_size=server.gop_size,
         metrics=metrics,
     )
-    hr_fn = config.hr_reference_fn
-    if hr_fn is None:
-        hr_fn = server.render_hr_reference
     abr, adaptive = config.abr, config.adaptive
     reference_broken = False
     period_ms = 1000.0 / server.fps
@@ -646,7 +640,7 @@ def run_session(
             metrics,
             config,
             link=link,
-            hr_fn=hr_fn,
+            hr_fn=server.render_hr_reference,
             reference_broken=reference_broken,
             at_ms=index * period_ms,
         )

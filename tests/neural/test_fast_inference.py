@@ -126,7 +126,7 @@ class TestFusedConvForward:
         x = rng.uniform(size=(2, 3, 11, 13))
         weight = rng.normal(size=(4, 3, kernel, kernel))
         bias = rng.normal(size=(4,))
-        out = F._conv2d_forward(x, weight, bias, stride, padding)
+        out = F.conv2d_forward(x, weight, bias, stride, padding)
         ref = _reference_conv(x, weight, bias, stride, padding)
         np.testing.assert_array_equal(out, ref)
 
@@ -136,9 +136,9 @@ class TestFusedConvForward:
         # float64 noise but nothing more.
         x = rng.uniform(size=(1, 4, 24, 20))
         weight = rng.normal(size=(6, 4, 3, 3))
-        full = F._conv2d_forward(x, weight, None, 1, 1)
+        full = F.conv2d_forward(x, weight, None, 1, 1)
         monkeypatch.setattr(F, "_CONV_CHUNK_BYTES", 256)
-        chunked = F._conv2d_forward(x, weight, None, 1, 1)
+        chunked = F.conv2d_forward(x, weight, None, 1, 1)
         np.testing.assert_allclose(chunked, full, rtol=1e-12, atol=1e-12)
 
     def test_fused_im2col_matches_np_pad(self, rng):
@@ -153,7 +153,7 @@ class TestFusedConvForward:
         x = rng.uniform(size=(1, 1, 2, 2))
         weight = rng.normal(size=(1, 1, 5, 5))
         with pytest.raises(ValueError, match="larger than"):
-            F._conv2d_forward(x, weight, None, 1, 0)
+            F.conv2d_forward(x, weight, None, 1, 0)
 
 
 class TestBilinearSkip:

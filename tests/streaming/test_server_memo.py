@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.analysis.prerender import PrerenderedWorkload
@@ -323,3 +324,117 @@ class TestFrameCap:
         assert second.same_outputs(first)
         assert len(server_module._SLOT.frames) == cap
 
+
+
+HR_SHAPE = (GEO.eval_lr_height * GEO.scale, GEO.eval_lr_width * GEO.scale, 3)
+QUALITY = dict(evaluate_quality=True, with_lpips=True)
+
+
+def _quality(streamed):
+    """Per frame (PSNR, LPIPS) of a quality-scored session."""
+    return [(r.psnr_db, r.lpips) for r in streamed.result.records]
+
+
+@pytest.fixture
+def render_calls(monkeypatch):
+    """Counts every ``GameWorkload.render_frame`` call (LR and HR)."""
+    calls = []
+    render = GameWorkload.render_frame
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return render(self, *args, **kwargs)
+
+    monkeypatch.setattr(GameWorkload, "render_frame", counting)
+    return calls
+
+
+class TestHRReferences:
+    """The slot also keeps each held frame's HR reference color."""
+
+    def test_replayed_arm_renders_nothing(self, tiny_runner, render_calls):
+        shared = build_game("G3")
+        stream(shared, _gsr(tiny_runner), **QUALITY)
+        assert len(server_module._SLOT.hr) == N_FRAMES
+        del render_calls[:]
+        replayed = stream(shared, BilinearClient(DEVICE), **QUALITY)
+        assert all(replayed.replayed)
+        assert render_calls == []
+        live = stream(build_game("G3"), BilinearClient(DEVICE), **QUALITY)
+        assert len(render_calls) > 0
+        assert _quality(replayed) == _quality(live)
+        assert replayed.same_outputs(live)
+
+    def test_handed_out_references_are_read_only(self):
+        shared = build_game("G3")
+        recorded = stream(shared, BilinearClient(DEVICE), **QUALITY)
+        replayed = stream(shared, BilinearClient(DEVICE))
+        for server in (recorded.server, replayed.server):
+            reference = server.render_hr_reference(1)
+            assert reference is server_module._SLOT.hr[1]
+            assert reference.shape == HR_SHAPE
+            assert not reference.flags.writeable
+            with pytest.raises(ValueError):
+                reference[0, 0, 0] = 1.0
+
+    def test_byte_cap_renders_later_references_live(self, monkeypatch, render_calls):
+        kept = 2
+        monkeypatch.setattr(
+            server_module, "MEMO_MAX_HR_BYTES", kept * int(np.prod(HR_SHAPE)) * 8
+        )
+        shared = build_game("G3")
+        stream(shared, BilinearClient(DEVICE), **QUALITY)
+        assert sorted(server_module._SLOT.hr) == list(range(kept))
+        del render_calls[:]
+        replayed = stream(shared, BilinearClient(DEVICE), **QUALITY)
+        assert len(render_calls) == N_FRAMES - kept
+        fresh = stream(build_game("G3"), BilinearClient(DEVICE))
+        for index in range(N_FRAMES):
+            ours = replayed.server.render_hr_reference(index)
+            assert ours.tobytes() == fresh.server.render_hr_reference(index).tobytes()
+        assert _quality(replayed) == _quality(
+            stream(build_game("G3"), BilinearClient(DEVICE), **QUALITY)
+        )
+
+    def test_frame_zero_of_another_key_drops_references(self):
+        stream(build_game("G3"), BilinearClient(DEVICE), **QUALITY)
+        assert server_module._SLOT.hr
+        stream(build_game("G9"), BilinearClient(DEVICE), n_frames=1)
+        assert server_module._SLOT.hr == {}
+
+    def test_server_that_left_the_memo_gets_correct_references(self):
+        shared = build_game("G3")
+        stream(shared, BilinearClient(DEVICE), **QUALITY)
+        left = stream(shared, BilinearClient(DEVICE), mid=_resize, **QUALITY)
+        live = stream(build_game("G3"), BilinearClient(DEVICE), mid=_resize, **QUALITY)
+        assert left.server._memo_key is None
+        assert _quality(left) == _quality(live)
+        _assert_references_are_renders(left.server, "G3")
+
+    @pytest.mark.parametrize(
+        "wrap, kwargs",
+        [
+            (PrerenderedWorkload, {}),
+            (lambda g: g, dict(roi_config=RoIConfig(warm_start=True))),
+        ],
+        ids=["prerendered", "warm_start"],
+    )
+    def test_bypassing_server_gets_correct_references(self, wrap, kwargs):
+        """The slot holds another game's stream; a bypassing server must
+        neither read its references nor offer its own."""
+        stream(build_game("G9"), BilinearClient(DEVICE), **QUALITY)
+        held = dict(server_module._SLOT.hr)
+        off = stream(wrap(build_game("G3")), BilinearClient(DEVICE), **kwargs, **QUALITY)
+        assert server_module._SLOT.hr.keys() == held.keys()
+        assert all(server_module._SLOT.hr[i] is held[i] for i in held)
+        live = stream(build_game("G3"), BilinearClient(DEVICE), **kwargs, **QUALITY)
+        assert _quality(off) == _quality(live)
+        _assert_references_are_renders(off.server, "G3")
+
+
+def _assert_references_are_renders(server, game_id):
+    """Every reference ``server`` hands out is a fresh native HR render."""
+    game = build_game(game_id)
+    for index in range(N_FRAMES):
+        render = game.render_frame(index, HR_SHAPE[1], HR_SHAPE[0], server.fps)
+        assert server.render_hr_reference(index).tobytes() == render.color.tobytes()

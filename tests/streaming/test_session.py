@@ -84,21 +84,6 @@ class TestQualityPath:
         assert len(result.psnr_series()) == 3
         assert result.mean_psnr() > 20
 
-    def test_custom_reference_fn(self, tiny_runner):
-        import numpy as np
-
-        geo = StreamGeometry(eval_lr_height=48, eval_lr_width=80, lr_source="native")
-        server = GameStreamServer(build_game("G9"), geo, roi_side=None, gop_size=3)
-        constant = np.full((96, 160, 3), 0.5)
-        result = run_session(
-            server,
-            BilinearClient(samsung_tab_s8()),
-            n_frames=2,
-            evaluate_quality=True,
-            hr_reference_fn=lambda i: constant,
-        )
-        assert all(p < 30 for p in result.psnr_series())
-
     def test_n_frames_validation(self, tiny_runner):
         server = GameStreamServer(build_game("G9"), GEO, roi_side=None, gop_size=3)
         with pytest.raises(ValueError):
