@@ -20,7 +20,8 @@ echo "ok: all sources byte-compile"
 echo "== static analysis (reprolint) =="
 # Per-file rules (import cycles, layering, dtype discipline, epsilon
 # comparisons, nondeterminism, public-API drift) plus the whole-program
-# passes (contract-consistency, fork-safety, metric-schema) in one run.
+# fork-safety pass in one run. Metric names and @shaped specs are checked
+# by the program itself, on creation and at import, in the legs below.
 # Fails on any finding not in reprolint-baseline.json
 # (grandfathered legacy benchmarks only) and on baseline entries that no
 # longer match any source line.

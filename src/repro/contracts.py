@@ -13,10 +13,13 @@ Usage::
     @shaped(frame="H W 3:f32", depth="H W:f32")
     def preprocess(frame, depth): ...
 
-Checks run only when ``REPRO_CONTRACTS=1`` is set in the environment
-(CI and the test suite turn it on). When disabled — the default —
-``shaped`` returns the decorated function **unchanged**: no wrapper, no
-per-call overhead, byte-identical behavior.
+Every spec is parsed, and its names are checked against the function's
+parameters, when the decorator runs — at import, whatever the
+environment — so a malformed spec fails the import of its module.
+Value checks run only when ``REPRO_CONTRACTS=1`` is set in the
+environment (CI and the test suite turn it on). When disabled — the
+default — ``shaped`` returns the decorated function **unchanged**: no
+wrapper, no per-call overhead, byte-identical behavior.
 
 Spec mini-grammar
 -----------------
@@ -30,7 +33,9 @@ A spec is ``DIMS[:DTYPE]`` with alternatives separated by ``|``::
 * ``DIMS`` is a space-separated list; each token is an integer literal
   (exact size), an uppercase identifier (a dimension variable bound on
   first use and required to match on every later use — across arguments
-  of the same call), or ``*`` (any size).
+  of the same call), or ``*`` (any size). A lowercase identifier is an
+  error, and so is a dtype or kind code in ``DIMS`` (``"H W f32"``: the
+  ``:`` is missing).
 * ``DTYPE`` is one of the exact codes ``f16 f32 f64 u8 i8 i16 i32 i64
   b`` or a kind code: ``f`` (any float), ``i`` (any signed int), ``u``
   (any unsigned int), ``n`` (any numeric). Omitted means any dtype.
@@ -142,7 +147,17 @@ def _parse_alternative(text: str) -> ArraySpec:
             dims.append("*")
         elif token.isdigit():
             dims.append(int(token))
+        elif token in DTYPE_CODES or token in KIND_CODES:
+            raise ValueError(
+                f"dimension token {token!r} in spec {text!r} is a dtype code; "
+                "missing the ':' separator?"
+            )
         elif token.isidentifier():
+            if not token[0].isupper():
+                raise ValueError(
+                    f"lowercase dimension {token!r} in spec {text!r}; dimension "
+                    "variables are UPPERCASE"
+                )
             dims.append(token)
         else:
             raise ValueError(f"bad dimension token {token!r} in spec {text!r}")
@@ -242,10 +257,10 @@ def expect(value: Any, spec: str, name: str = "value", where: str = "expect") ->
     return value
 
 
-def checked(func: Callable, specs: Dict[str, str]) -> Callable:
-    """Always-on wrapper around ``func`` (what :func:`shaped` applies when
-    contracts are enabled; exposed separately so tests can exercise the
-    checking logic without touching the environment)."""
+def _parse_specs(
+    func: Callable, specs: Dict[str, str]
+) -> Tuple[inspect.Signature, Dict[str, Tuple[ArraySpec, ...]]]:
+    """Parse ``specs`` and check that they name parameters of ``func``."""
     signature = inspect.signature(func)
     unknown = set(specs) - set(signature.parameters)
     if unknown:
@@ -253,7 +268,14 @@ def checked(func: Callable, specs: Dict[str, str]) -> Callable:
             f"@shaped on {func.__qualname__}: spec names {sorted(unknown)} "
             "are not parameters of the function"
         )
-    parsed = {name: parse_spec(text) for name, text in specs.items()}
+    return signature, {name: parse_spec(text) for name, text in specs.items()}
+
+
+def checked(func: Callable, specs: Dict[str, str]) -> Callable:
+    """Always-on wrapper around ``func`` (what :func:`shaped` applies when
+    contracts are enabled; exposed separately so tests can exercise the
+    checking logic without touching the environment)."""
+    signature, parsed = _parse_specs(func, specs)
     where = func.__qualname__
 
     @wraps(func)
@@ -272,20 +294,19 @@ def checked(func: Callable, specs: Dict[str, str]) -> Callable:
 def shaped(**specs: str) -> Callable[[Callable], Callable]:
     """Declare per-argument ndarray contracts on a function.
 
-    With ``REPRO_CONTRACTS`` unset (the default) the decorator is an
-    identity: it returns the function object it was given, so disabled
-    mode adds literally zero call overhead. With contracts enabled it
-    validates every spec'd argument on every call, binding dimension
-    variables across arguments (``psnr(reference="H W", test="H W")``
-    requires both frames to agree).
+    The specs are parsed and their names checked at decoration in every
+    mode. With ``REPRO_CONTRACTS`` unset (the default) the decorator then
+    returns the function object it was given, so disabled mode adds
+    literally zero call overhead. With contracts enabled it validates
+    every spec'd argument on every call, binding dimension variables
+    across arguments (``psnr(reference="H W", test="H W")`` requires both
+    frames to agree).
     """
-    if not contracts_enabled():
-        def passthrough(func: Callable) -> Callable:
-            return func
-
-        return passthrough
 
     def decorate(func: Callable) -> Callable:
-        return checked(func, specs)
+        if contracts_enabled():
+            return checked(func, specs)
+        _parse_specs(func, specs)
+        return func
 
     return decorate

@@ -225,14 +225,8 @@ class Project:
 
     def __init__(self, modules: Sequence[ModuleInfo]) -> None:
         self.modules = list(modules)
-        self.by_name: Dict[str, ModuleInfo] = {
-            m.name: m for m in self.modules if m.name is not None
-        }
         self._symbols = None
         self._call_graph = None
-
-    def named_modules(self, prefix: str) -> List[ModuleInfo]:
-        return [m for m in self.modules if m.name and m.in_package([prefix])]
 
     @property
     def symbols(self):

@@ -166,9 +166,6 @@ class SymbolTable:
 
     # -- lookup ---------------------------------------------------------
 
-    def module(self, name: str) -> Optional[ModuleInfo]:
-        return self._modules.get(name)
-
     def functions(self) -> Iterator[Symbol]:
         for sym in self.defs.values():
             if sym.kind in ("function", "method"):
@@ -224,8 +221,6 @@ class CallGraph:
         self.table = table if table is not None else project.symbols
         #: caller qualname -> set of callee qualnames.
         self.edges: Dict[str, Set[str]] = {}
-        #: (caller, callee) -> call nodes, for diagnostics.
-        self.sites: Dict[Tuple[str, str], List[ast.Call]] = {}
         for sym in self.table.functions():
             self._index(sym)
 
@@ -238,7 +233,6 @@ class CallGraph:
             if callee is None:
                 continue
             callees.add(callee.qualname)
-            self.sites.setdefault((sym.qualname, callee.qualname), []).append(node)
 
     def resolve_call(self, sym: Symbol, call: ast.Call) -> Optional[Symbol]:
         """The function/method symbol a call inside ``sym`` dispatches to."""
@@ -259,9 +253,6 @@ class CallGraph:
         if target is not None and target.kind in ("function", "method"):
             return target
         return None
-
-    def callers_of(self, qualname: str) -> Set[str]:
-        return {src for src, dsts in self.edges.items() if qualname in dsts}
 
     def reachable(self, roots: Iterable[str]) -> Dict[str, str]:
         """BFS closure over call edges: reached qualname -> its root."""

@@ -7,43 +7,32 @@ passes follow the same pattern: subclass ``LintPass`` (or
 module before calling :func:`repro.lint.framework.run_lint`.
 
 The per-file passes (dtype, epsilon, nondeterminism, imports,
-public-api) inspect one module at a time; the whole-program passes
-(contract-consistency, fork-safety, metric-schema) resolve
-names and calls across modules through ``project.symbols`` /
-``project.call_graph`` (:mod:`repro.lint.graph`).
+public-api) inspect one module at a time; the one whole-program pass,
+fork-safety, resolves names and calls across modules through
+``project.symbols`` / ``project.call_graph`` (:mod:`repro.lint.graph`).
+Metric names and ``@shaped`` specs are not linted: the program checks
+them itself where they are created (``MetricsRegistry`` on a metric's
+first emission, ``repro.contracts.shaped`` at import).
 """
 
 from __future__ import annotations
 
-from . import (
-    contracts_check,
-    dtype,
-    epsilon,
-    fork_safety,
-    imports,
-    metric_schema,
-    nondeterminism,
-    public_api,
-)
+from . import dtype, epsilon, fork_safety, imports, nondeterminism, public_api
 from .common import HOT_PACKAGES
-from .contracts_check import ContractConsistencyPass
 from .dtype import DtypeDisciplinePass
 from .epsilon import EpsilonComparisonPass
 from .fork_safety import ForkSafetyPass
 from .imports import LAYERS, ImportHygienePass
-from .metric_schema import MetricSchemaPass
 from .nondeterminism import NondeterminismPass
 from .public_api import PublicApiPass
 
 __all__ = [
     "HOT_PACKAGES",
     "LAYERS",
-    "ContractConsistencyPass",
     "DtypeDisciplinePass",
     "EpsilonComparisonPass",
     "ForkSafetyPass",
     "ImportHygienePass",
-    "MetricSchemaPass",
     "NondeterminismPass",
     "PublicApiPass",
 ]

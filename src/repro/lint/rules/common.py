@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
+from typing import Iterator, Optional, Set, Tuple
 
 from ..framework import ModuleInfo
 
@@ -11,7 +11,6 @@ __all__ = [
     "HOT_PACKAGES",
     "numpy_aliases",
     "module_aliases",
-    "from_imported_names",
     "np_call_name",
     "attr_chain",
     "walk_calls",
@@ -36,17 +35,6 @@ def module_aliases(mod: ModuleInfo, module: str) -> Set[str]:
 
 def numpy_aliases(mod: ModuleInfo) -> Set[str]:
     return module_aliases(mod, "numpy")
-
-
-def from_imported_names(mod: ModuleInfo, module: str) -> Dict[str, str]:
-    """local name -> original name for ``from module import x [as y]``."""
-    names: Dict[str, str] = {}
-    assert mod.tree is not None
-    for node in ast.walk(mod.tree):
-        if isinstance(node, ast.ImportFrom) and node.module == module:
-            for alias in node.names:
-                names[alias.asname or alias.name] = alias.name
-    return names
 
 
 def attr_chain(node: ast.AST) -> Optional[Tuple[str, ...]]:

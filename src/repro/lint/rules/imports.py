@@ -48,8 +48,8 @@ LAYERS: Dict[str, int] = {
     "repro.streaming": 7,
     "repro.baselines": 8,
     "repro.analysis": 9,
-    # The lint rules read the contracts grammar and the pinned metric
-    # schema, so the linter sits high in the stack — nothing imports it.
+    # A tool over the source, not part of the pipeline: it sits high in
+    # the stack so that nothing imports it.
     "repro.lint": 10,
     "repro.cli": 10,
     "repro": 11,

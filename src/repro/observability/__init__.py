@@ -77,8 +77,8 @@ def observe_frame_trace(registry: MetricsRegistry, trace) -> None:
 def _observe_reuse(registry: MetricsRegistry, reuse: dict) -> None:
     """Record one frame's GOP-reuse decision (``reuse`` span metadata)."""
     registry.counter("sr.reuse/frames").inc()
-    # Names spelled out (not interpolated from the dict keys) so the
-    # metric-schema lint pass can pin each one against METRIC_FAMILIES.
+    # Names spelled out (not interpolated from the dict keys) so each one
+    # reads as its METRIC_FAMILIES entry.
     count = int(reuse.get("tiles_reused", 0))
     if count:
         registry.counter("sr.reuse/tiles_reused").inc(count)
@@ -112,7 +112,7 @@ def _observe_dispatch(registry: MetricsRegistry, dispatch: dict) -> None:
     # Dynamic per-backend family lives under its own namespace: the old
     # f"sr.dispatch/tiles_{name}" spelling could collide with the static
     # "sr.dispatch/tiles_total" aggregate (a backend named "total" would
-    # silently merge counts) — the metric-schema lint pass pins this.
+    # silently merge counts) — a METRIC_FAMILIES unit test pins this.
     for name, count in (dispatch.get("backend_tiles") or {}).items():
         if count:
             registry.counter(f"sr.dispatch/backend_tiles/{name}").inc(int(count))

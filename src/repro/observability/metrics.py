@@ -10,6 +10,11 @@ Histograms are *streaming*: they keep count/sum/min/max plus fixed bucket
 counts (log-spaced by default, which suits latencies spanning 0.01 ms
 display waits to 300 ms full-frame SR), so memory stays O(buckets) no
 matter how many frames a session streams.
+
+Every metric name is pinned: :class:`MetricsRegistry` creates a counter
+or histogram only for a name that
+:func:`~repro.observability.schema.match_metric_family` resolves to a
+family of the same kind, and raises ``ValueError`` otherwise.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from .schema import METRIC_FAMILIES, match_metric_family
 
 __all__ = ["Counter", "Histogram", "MetricsRegistry", "default_latency_buckets"]
 
@@ -118,26 +125,47 @@ class Histogram:
         }
 
 
+def _check_family(name: str, kind: str) -> None:
+    """Raise unless ``name`` belongs to a METRIC_FAMILIES entry of ``kind``."""
+    family = match_metric_family(name)
+    if family is None:
+        raise ValueError(
+            f"metric {name!r} is not a registered family; add it to "
+            "METRIC_FAMILIES in repro/observability/schema.py (or fix the name)"
+        )
+    if METRIC_FAMILIES[family] != kind:
+        raise ValueError(
+            f"metric {name!r} (family {family!r}) is registered as a "
+            f"{METRIC_FAMILIES[family]}, not a {kind}"
+        )
+
+
 class MetricsRegistry:
-    """Get-or-create registry of named counters and histograms."""
+    """Get-or-create registry of named counters and histograms.
+
+    Only the create branch checks the name against ``METRIC_FAMILIES``;
+    a lookup of an existing metric is a plain dict hit.
+    """
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
-        if name in self._histograms:
-            raise ValueError(f"{name!r} is already registered as a histogram")
-        return self._counters.setdefault(name, Counter(name))
+        metric = self._counters.get(name)
+        if metric is None:
+            _check_family(name, "counter")
+            metric = self._counters[name] = Counter(name)
+        return metric
 
     def histogram(self, name: str, bounds: Optional[Sequence[float]] = None) -> Histogram:
-        if name in self._counters:
-            raise ValueError(f"{name!r} is already registered as a counter")
-        if name not in self._histograms:
-            self._histograms[name] = (
+        metric = self._histograms.get(name)
+        if metric is None:
+            _check_family(name, "histogram")
+            metric = self._histograms[name] = (
                 Histogram(name, bounds) if bounds is not None else Histogram(name)
             )
-        return self._histograms[name]
+        return metric
 
     def names(self) -> List[str]:
         return sorted(list(self._counters) + list(self._histograms))

@@ -35,11 +35,12 @@ VOLATILE_METRIC_PREFIXES = ("stage_wall_ms/",)
 #: The pinned metric-name registry: every counter/histogram the
 #: observability layer may emit, mapped to its kind. Families ending in
 #: ``*`` are dynamic: the suffix is interpolated per span/backend/rung
-#: at the call site. The ``metric-schema`` lint pass statically collects
-#: every registry call site and checks it against this table (unknown
-#: family, kind mismatch, or a concrete name a dynamic family can also
-#: generate are all lint errors), so the trace export's metric namespace
-#: cannot drift or collide without a deliberate edit here.
+#: at the call site. :class:`~repro.observability.metrics.MetricsRegistry`
+#: checks each name against this table when it creates the metric (an
+#: unknown family or a kind mismatch raises), and unit tests keep the
+#: table itself unambiguous (no two dynamic families overlap, no exact
+#: name is also generable by a dynamic one), so the trace export's metric
+#: namespace cannot drift or collide without a deliberate edit here.
 METRIC_FAMILIES: Dict[str, str] = {
     "frames_total": "counter",
     "frames_dropped": "counter",

@@ -56,46 +56,37 @@ class TestSuppression:
         assert not result.ok
 
     def test_def_line_comment_covers_decorator_findings(self, lint):
-        # contract-consistency anchors bad-spec findings on the decorator
+        # A finding inside a decorator argument anchors on the decorator
         # line; the conventional place for the suppression is the def.
         src = (
-            'from repro.contracts import shaped\n\n\n'
-            '@shaped(missing="H W")\n'
-            "def f(frame):  # reprolint: disable=contract-consistency -- fixture\n"
+            "import numpy as np\n\n\n"
+            "@register(np.zeros(4))\n"
+            "def f(frame):  # reprolint: disable=dtype-discipline -- fixture\n"
             "    return frame\n"
         )
-        result = lint(
-            make_module(src, name="repro.fixt.decorated"),
-            ("contract-consistency",),
-        )
+        result = lint(make_module(src, name="repro.codec.decorated"), RULE)
         assert result.ok and len(result.suppressed) == 1
 
     def test_decorator_line_comment_still_works(self, lint):
         src = (
-            'from repro.contracts import shaped\n\n\n'
-            '@shaped(missing="H W")  # reprolint: disable=contract-consistency -- fixture\n'
+            "import numpy as np\n\n\n"
+            "@register(np.zeros(4))  # reprolint: disable=dtype-discipline -- fixture\n"
             "def f(frame):\n"
             "    return frame\n"
         )
-        result = lint(
-            make_module(src, name="repro.fixt.decorated"),
-            ("contract-consistency",),
-        )
+        result = lint(make_module(src, name="repro.codec.decorated"), RULE)
         assert result.ok and len(result.suppressed) == 1
 
     def test_neighbouring_def_comment_does_not_leak(self, lint):
         src = (
-            'from repro.contracts import shaped\n\n\n'
-            "def g():  # reprolint: disable=contract-consistency -- elsewhere\n"
+            "import numpy as np\n\n\n"
+            "def g():  # reprolint: disable=dtype-discipline -- elsewhere\n"
             "    return 0\n\n\n"
-            '@shaped(missing="H W")\n'
+            "@register(np.zeros(4))\n"
             "def f(frame):\n"
             "    return frame\n"
         )
-        result = lint(
-            make_module(src, name="repro.fixt.decorated"),
-            ("contract-consistency",),
-        )
+        result = lint(make_module(src, name="repro.codec.decorated"), RULE)
         assert not result.ok
 
 
@@ -274,9 +265,7 @@ class TestCli:
             "nondeterminism",
             "import-hygiene",
             "public-api",
-            "contract-consistency",
             "fork-safety",
-            "metric-schema",
         ):
             assert rule in out
 
@@ -301,11 +290,7 @@ class TestShippedTree:
         }
 
     def test_whole_program_passes_registered(self):
-        assert set(registered_passes()) >= {
-            "contract-consistency",
-            "fork-safety",
-            "metric-schema",
-        }
+        assert set(registered_passes()) >= {"fork-safety"}
 
     def test_src_and_tests_lint_clean_without_baseline(self):
         result = run_lint([str(self.REPO / "src"), str(self.REPO / "tests")])

@@ -172,11 +172,6 @@ class TestCallGraph:
         # entry() calls the package-level ``helper`` re-export.
         assert "repro.fixt.alpha.helper" in graph.edges["repro.fixt.spawn.entry"]
 
-    def test_callers_of(self, graph):
-        callers = graph.callers_of("repro.fixt.alpha.helper")
-        assert "repro.fixt.alpha.top" in callers
-        assert "repro.fixt.spawn.entry" in callers
-
     def test_reachable_closure_with_provenance(self, graph):
         origin = graph.reachable(["repro.fixt.spawn.entry"])
         # entry -> top -> helper -> leaf, every hop attributed to the root.

@@ -8,6 +8,7 @@ import pytest
 
 from repro.observability import (
     METRIC_FAMILIES,
+    VOLATILE_METRIC_PREFIXES,
     Counter,
     Histogram,
     MetricsRegistry,
@@ -67,17 +68,33 @@ class TestHistogram:
 class TestRegistry:
     def test_get_or_create_is_stable(self):
         reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-        assert reg.histogram("b") is reg.histogram("b")
+        assert reg.counter("frames_total") is reg.counter("frames_total")
+        assert reg.histogram("frame_total_ms") is reg.histogram("frame_total_ms")
 
     def test_cross_type_collision_rejected(self):
         reg = MetricsRegistry()
-        reg.counter("x")
+        reg.counter("frames_total")
         with pytest.raises(ValueError):
-            reg.histogram("x")
-        reg.histogram("y")
+            reg.histogram("frames_total")
+        reg.histogram("frame_total_ms")
         with pytest.raises(ValueError):
-            reg.counter("y")
+            reg.counter("frame_total_ms")
+
+    def test_unregistered_name_raises(self):
+        reg = MetricsRegistry()
+        with pytest.raises(ValueError, match="'bogus/name' is not a registered"):
+            reg.counter("bogus/name")
+        with pytest.raises(ValueError, match="not a registered"):
+            reg.histogram("stage_msx/decode")
+        assert reg.names() == []
+
+    def test_kind_clash_raises_on_first_emission(self):
+        reg = MetricsRegistry()
+        with pytest.raises(ValueError, match="registered as a counter"):
+            reg.histogram("frames_total")
+        with pytest.raises(ValueError, match="registered as a histogram"):
+            reg.counter("stage_ms/decode")  # dynamic family, wrong kind
+        assert reg.names() == []
 
     def test_export_json_roundtrip(self, tmp_path):
         reg = MetricsRegistry()
@@ -114,6 +131,12 @@ class TestObserveFrameTrace:
 
 
 class TestMetricFamilies:
+    # match_metric_family resolves a name by exact hit, then by the first
+    # dynamic ``prefix*`` family it starts with; the table tests below
+    # keep that resolution unambiguous.
+    DYNAMIC = [f for f in METRIC_FAMILIES if f.endswith("*")]
+    EXACT = [f for f in METRIC_FAMILIES if not f.endswith("*")]
+
     def test_backend_named_total_cannot_merge_into_aggregate(self):
         # Regression: per-backend counts used to live at
         # f"sr.dispatch/tiles_{name}", so a backend literally named
@@ -123,10 +146,15 @@ class TestMetricFamilies:
         trace.add_span(
             "client",
             1.0,
-            dispatch={"tiles_total": 6, "backend_tiles": {"total": 4, "edsr": 2}},
+            dispatch={
+                "tiles_total": 6,
+                "overflow_tiles": 1,
+                "backend_tiles": {"total": 4, "edsr": 2},
+            },
         )
         observe_frame_trace(reg, trace)
         assert reg.counter("sr.dispatch/tiles_total").value == 6
+        assert reg.counter("sr.dispatch/overflow_tiles").value == 1
         assert reg.counter("sr.dispatch/backend_tiles/total").value == 4
         assert reg.counter("sr.dispatch/backend_tiles/edsr").value == 2
 
@@ -145,3 +173,22 @@ class TestMetricFamilies:
 
     def test_registered_kinds_are_well_formed(self):
         assert set(METRIC_FAMILIES.values()) <= {"counter", "histogram"}
+
+    def test_no_two_dynamic_families_overlap(self):
+        for i, a in enumerate(self.DYNAMIC):
+            for b in self.DYNAMIC[i + 1 :]:
+                assert not (a[:-1].startswith(b[:-1]) or b[:-1].startswith(a[:-1])), (
+                    f"dynamic families {a!r} and {b!r} can generate a common name"
+                )
+
+    def test_no_exact_family_is_generable_by_a_dynamic_one(self):
+        # The sr.dispatch/tiles_total vs sr.dispatch/tiles_* shape.
+        for exact in self.EXACT:
+            for dynamic in self.DYNAMIC:
+                assert not exact.startswith(dynamic[:-1]), (
+                    f"{exact!r} can also be generated by {dynamic!r}"
+                )
+
+    def test_every_volatile_prefix_covers_a_family(self):
+        for prefix in VOLATILE_METRIC_PREFIXES:
+            assert any(f.startswith(prefix) for f in METRIC_FAMILIES), prefix

@@ -33,7 +33,9 @@ class TestParseSpec:
         assert spec.allow_none
         assert spec.describe() == "?H W:f32"
 
-    @pytest.mark.parametrize("bad", ["H W:q99", "", "a-b:f32", ":f32"])
+    @pytest.mark.parametrize(
+        "bad", ["H W:q99", "", "a-b:f32", ":f32", "h W", "H W f32", "H W n"]
+    )
     def test_rejects_malformed_specs(self, bad):
         with pytest.raises((ValueError, TypeError)):
             parse_spec(bad)
@@ -147,6 +149,28 @@ class TestShapedToggle:
         assert expect(ok, "H W 3:f", name="hr", where="test") is ok
         with pytest.raises(ContractViolation, match="'hr'"):
             expect(np.zeros((2, 2)), "H W 3:f", name="hr", where="test")
+
+    @pytest.mark.parametrize(
+        "specs, match",
+        [
+            (dict(frame="H W 3:zz"), "unknown dtype code 'zz'"),
+            (dict(ghost="H W"), "not parameters"),
+            (dict(frame="h W 3:f32"), "lowercase dimension"),
+            (dict(frame="H W f32"), "missing the ':' separator"),
+        ],
+    )
+    def test_disabled_still_rejects_bad_specs_at_decoration(
+        self, monkeypatch, specs, match
+    ):
+        monkeypatch.delenv("REPRO_CONTRACTS", raising=False)
+        assert not contracts_enabled()
+
+        def f(frame):
+            return frame
+
+        with pytest.raises(ValueError, match=match):
+            shaped(**specs)(f)
+        assert shaped(frame="H W 3:f32")(f) is f
 
     def test_module_flag_matches_environment(self):
         # Whatever mode the suite runs in, the flag must be consistent

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import pkgutil
 
 import numpy as np
 import pytest
@@ -26,9 +27,23 @@ SUBPACKAGES = (
     "repro.streaming",
 )
 
+#: Every ``repro.*`` module: importing one runs its ``@shaped`` decorators,
+#: which parse their specs, so a malformed spec fails here even in a
+#: module no other test imports.
+ALL_MODULES = tuple(
+    sorted(
+        {
+            info.name
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if not info.name.endswith(".__main__")
+        }
+        | set(SUBPACKAGES)
+    )
+)
+
 
 class TestImports:
-    @pytest.mark.parametrize("module_name", SUBPACKAGES)
+    @pytest.mark.parametrize("module_name", ALL_MODULES)
     def test_subpackage_imports(self, module_name):
         module = importlib.import_module(module_name)
         assert module.__doc__, f"{module_name} has no module docstring"
