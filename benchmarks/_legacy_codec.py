@@ -3,7 +3,10 @@
 This is a faithful copy of the repo's codec hot loops *before* the fast
 codec path (PR 2): per-offset full-frame SAD passes in motion estimation,
 a per-block Python loop in motion compensation, and bit-at-a-time
-Exp-Golomb entropy coding.  ``bench_codec.py`` keeps measuring the live
+Exp-Golomb entropy coding.  It also keeps the later pruned full search
+(``legacy_pruned_estimate_motion``: a Python loop over offsets with a
+successive-elimination bound), the reference for the batched search's
+workload-geometry row.  ``bench_codec.py`` keeps measuring the live
 path against this fixed reference as the codebase evolves — do not
 "optimize" this file.
 
@@ -165,8 +168,14 @@ def legacy_decode_blocks(reader, n_blocks: int, n: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Motion (per-offset full-frame passes; per-block compensation loop)
+# Motion (per-offset full-frame passes; the pruned per-offset loop;
+# per-block compensation loop)
 # ----------------------------------------------------------------------
+#: Guard band of the pruned loop's elimination bound (integral-image
+#: rounding stays far below it).
+_PRUNE_SLACK = 1e-3
+
+
 def _shift_frame(frame: np.ndarray, dy: int, dx: int) -> np.ndarray:
     h, w = frame.shape
     ys = np.clip(np.arange(h) + dy, 0, h - 1)
@@ -208,6 +217,75 @@ def legacy_estimate_motion(
         better = sad < best_sad
         best_sad = np.where(better, sad, best_sad)
         best_mv[better] = (dy, dx)
+    return best_mv
+
+
+def legacy_pruned_estimate_motion(
+    current: np.ndarray,
+    reference: np.ndarray,
+    block: int = 8,
+    search_radius: int = 7,
+) -> np.ndarray:
+    """The pruned full search before it was batched over offsets.
+
+    A Python loop over the nearest-first offsets; at each, a
+    successive-elimination bound from half-block integral-image sub-sums
+    masks out the blocks whose best SAD so far cannot be beaten, and the
+    exact SAD is gathered for the rest.  Frozen as the reference the
+    batched search is timed against (same motion vectors, exactly).
+    """
+    current = np.asarray(current, dtype=np.float64)
+    reference = np.asarray(reference, dtype=np.float64)
+    cur = pad_to_blocks(current, block)
+    ref = pad_to_blocks(reference, block)
+    radius = search_radius
+    ph, pw = cur.shape
+    nby, nbx = ph // block, pw // block
+    rp = np.pad(ref, radius, mode="edge") if radius else ref
+
+    sub = block // 2 if block % 2 == 0 and block >= 4 else block
+    spb = block // sub
+    ii = np.zeros((rp.shape[0] + 1, rp.shape[1] + 1), dtype=np.float64)
+    np.cumsum(rp, axis=0, out=ii[1:, 1:])
+    np.cumsum(ii[1:, 1:], axis=1, out=ii[1:, 1:])
+    ref_sub_all = ii[sub:, sub:] - ii[:-sub, sub:] - ii[sub:, :-sub] + ii[:-sub, :-sub]
+    nsy, nsx = ph // sub, pw // sub
+    cur_sub = cur.reshape(nsy, sub, nsx, sub).sum(axis=(1, 3))
+
+    cur_blocks = cur.reshape(nby, block, nbx, block).transpose(0, 2, 1, 3).copy()
+    best_sad = np.full((nby, nbx), np.inf, dtype=np.float64)
+    best_mv = np.zeros((nby, nbx, 2), dtype=np.int64)
+    taps = np.arange(block, dtype=np.int64)
+    lb_buf = np.empty((nsy, nsx), dtype=np.float64)
+
+    offsets = [
+        (dy, dx)
+        for dy in range(-radius, radius + 1)
+        for dx in range(-radius, radius + 1)
+    ]
+    offsets.sort(key=lambda o: (abs(o[0]) + abs(o[1]), o))
+    for dy, dx in offsets:
+        y0 = radius + dy
+        x0 = radius + dx
+        np.subtract(
+            cur_sub,
+            ref_sub_all[y0 : y0 + nsy * sub : sub, x0 : x0 + nsx * sub : sub],
+            out=lb_buf,
+        )
+        np.abs(lb_buf, out=lb_buf)
+        lb = lb_buf.reshape(nby, spb, nbx, spb).sum(axis=(1, 3))
+        bys, bxs = np.nonzero(lb - _PRUNE_SLACK < best_sad)
+        if bys.size == 0:
+            continue
+        iy = (bys * block + y0)[:, None] + taps
+        ix = (bxs * block + x0)[:, None] + taps
+        ref_win = rp[iy[:, :, None], ix[:, None, :]]
+        sad = np.abs(cur_blocks[bys, bxs] - ref_win).sum(axis=(1, 2))
+        sel = sad < best_sad[bys, bxs]
+        if sel.any():
+            bys, bxs = bys[sel], bxs[sel]
+            best_sad[bys, bxs] = sad[sel]
+            best_mv[bys, bxs] = (dy, dx)
     return best_mv
 
 

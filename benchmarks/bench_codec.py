@@ -13,9 +13,13 @@ The full run uses the default 256x448 G3 rendered sequence and asserts the
 PR's acceptance criteria: >= 4x ``encode_frame``, >= 3x motion estimation,
 full-search motion vectors exactly equal to legacy, bitstreams
 byte-identical to legacy, and a diamond-mode PSNR delta <= 0.3 dB vs full
-search.  Smoke mode swaps in a small frame to exercise every path and
-exactness assertion quickly (no speedup floors — tiny shapes don't
-amortize anything) and writes ``BENCH_codec.smoke.json`` instead.
+search.  A second motion row runs at the end-to-end server geometry
+(64x112 G3 planes) against the frozen per-offset pruned loop: motion
+vectors exactly equal, and >= 1.5x faster in the full run.  Smoke mode
+swaps in a small frame (the 64x112 row keeps its geometry, with fewer
+planes) to exercise every path and exactness assertion quickly (no
+speedup floors — tiny shapes don't amortize anything) and writes
+``BENCH_codec.smoke.json`` instead.
 
 Both paths run in the same process: the codec allocates little, so no
 allocator isolation is needed (unlike ``bench_hotpath.py``).
@@ -57,6 +61,7 @@ from _legacy_codec import (  # noqa: E402
     legacy_decode_blocks,
     legacy_encode_blocks,
     legacy_estimate_motion,
+    legacy_pruned_estimate_motion,
 )
 
 QUALITY = 60
@@ -117,6 +122,43 @@ def _bench_motion(frames, repeats: int) -> dict:
         "compensate_legacy_s": round(comp_legacy_s, 5),
         "compensate_fast_s": round(comp_fast_s, 5),
         "compensate_speedup": round(comp_legacy_s / comp_fast_s, 2),
+    }
+
+
+def _bench_motion_workload(smoke: bool, repeats: int) -> dict:
+    """Full search at the e2ebench server geometry (64x112 luma planes).
+
+    Times the batched search against the frozen per-offset pruned loop it
+    replaced, per plane, over consecutive G3 frames; both must return the
+    exhaustive search's motion vectors exactly.
+    """
+    from repro.analysis.prerender import rendered_sequence
+
+    n_frames = 3 if smoke else 8
+    seq = rendered_sequence("G3", width=112, height=64, n_frames=n_frames)
+    lumas = [_luma(seq.frame(i).color) for i in range(n_frames)]
+    pairs = list(zip(lumas[1:], lumas[:-1]))
+    for cur, ref in pairs:
+        mv = estimate_motion(cur, ref)
+        if not np.array_equal(mv, legacy_pruned_estimate_motion(cur, ref)):
+            raise AssertionError("batched full search diverged from the pruned loop")
+        if not np.array_equal(mv, legacy_estimate_motion(cur, ref)):
+            raise AssertionError("batched full search diverged from legacy full search")
+
+    def run(search):
+        return lambda: [search(cur, ref) for cur, ref in pairs]
+
+    loop_s = _time(run(legacy_pruned_estimate_motion), repeats)
+    batched_s = _time(run(estimate_motion), repeats)
+    return {
+        "sequence": "G3",
+        "frame_hw": list(lumas[0].shape),
+        "planes": len(pairs),
+        "pruned_loop_ms_per_plane": round(1e3 * loop_s / len(pairs), 3),
+        "batched_ms_per_plane": round(1e3 * batched_s / len(pairs), 3),
+        "speedup_vs_pruned_loop": round(loop_s / batched_s, 2),
+        "mv_equal_vs_pruned_loop": True,
+        "mv_equal_vs_exhaustive": True,
     }
 
 
@@ -242,6 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     repeats = 1 if args.smoke else 3
 
     motion = _bench_motion(frames, repeats)
+    motion_workload = _bench_motion_workload(args.smoke, repeats)
     entropy = _bench_entropy(frames, repeats)
     frame_codec = _bench_frame_codec(frames, repeats)
     diamond = _bench_diamond_quality(frames)
@@ -255,6 +298,7 @@ def main(argv: list[str] | None = None) -> int:
             "python": platform.python_version(),
         },
         "motion": motion,
+        "motion_64x112": motion_workload,
         "entropy": entropy,
         "frame_codec": frame_codec,
         "diamond_quality": diamond,
@@ -271,6 +315,11 @@ def main(argv: list[str] | None = None) -> int:
         if motion["speedup_full_vs_legacy"] < 3.0:
             failures.append(
                 f"motion estimation speedup {motion['speedup_full_vs_legacy']}x < 3x"
+            )
+        if motion_workload["speedup_vs_pruned_loop"] < 1.5:
+            failures.append(
+                "64x112 full search speedup "
+                f"{motion_workload['speedup_vs_pruned_loop']}x < 1.5x vs the pruned loop"
             )
         if diamond["delta_db"] > 0.3:
             failures.append(

@@ -16,11 +16,14 @@ so the pool drains without a long straggler tail.
 Worker count resolution: an explicit ``workers=`` argument wins, then the
 ``REPRO_SESSION_WORKERS`` environment variable, then ``os.cpu_count()``
 capped at 8. ``workers <= 1`` (or a single pending task) runs serially
-in-process — the default on single-core machines.
+in-process — the default on single-core machines. Each pool worker caps
+its OpenBLAS thread pool at ``cpu_count // workers`` so the workers do
+not oversubscribe the CPUs between them.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, List, Sequence, Tuple
@@ -49,6 +52,15 @@ SessionTask = Tuple[str, Dict[str, Any]]
 SESSION_CACHE_SCHEMA = 3
 
 _MAX_DEFAULT_WORKERS = 8
+
+#: Thread-count setters an OpenBLAS build may export: numpy wheels bundle
+#: scipy-openblas, whose symbols carry a prefix and an ILP64 suffix.
+_OPENBLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
 
 
 def session_cache_key(kind: str, kwargs: Dict[str, Any]) -> Dict[str, Any]:
@@ -85,6 +97,37 @@ def _task_cost(task: SessionTask) -> Tuple[int, int]:
     """Sort key putting the most expensive sessions first."""
     kind, kwargs = task
     return (1 if kind == "quality" else 0, int(kwargs.get("n_frames", 0)))
+
+
+def _loaded_blas_libraries() -> List[str]:
+    """Paths of the shared objects mapped into this process that name BLAS."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            fields = [line.split(None, 5) for line in maps]
+    except OSError:
+        return []
+    paths = {f[5].strip() for f in fields if len(f) == 6}
+    return sorted(p for p in paths if "blas" in os.path.basename(p).lower())
+
+
+def _limit_blas_threads(threads: int) -> None:
+    """Pool initializer: cap this process's OpenBLAS threads at ``threads``.
+
+    ``OPENBLAS_NUM_THREADS`` and friends are read only when the library
+    loads, so a forked worker keeps the parent's thread count unless it
+    calls the loaded library's own setter. Does nothing when no loaded
+    library exports one.
+    """
+    for path in _loaded_blas_libraries():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter(ctypes.c_int(threads))
+                break
 
 
 def _build_session(task: SessionTask) -> None:
@@ -128,6 +171,12 @@ def run_session_matrix(
     from ..sr.pretrained import default_sr_model
 
     default_sr_model()
-    with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
+    workers = min(workers, len(pending))
+    blas_threads = max(1, (os.cpu_count() or 1) // workers)
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_limit_blas_threads,
+        initargs=(blas_threads,),
+    ) as pool:
         # list() propagates the first worker exception, if any.
         list(pool.map(_build_session, pending))

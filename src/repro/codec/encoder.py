@@ -20,7 +20,7 @@ import numpy as np
 
 from ..contracts import shaped
 from .bitstream import BitWriter
-from .blocks import block_grid_shape, split_blocks
+from .blocks import block_grid_shape, merge_blocks, split_blocks
 from .color import rgb_to_ycbcr, subsample_chroma, upsample_chroma, ycbcr_to_rgb
 from .entropy import encode_blocks
 from .motion import compensate, estimate_motion
@@ -76,8 +76,6 @@ def _encode_plane(
     levels = quantize(forward_dct(blocks), quality)
     encode_blocks(levels, writer)
     recon_blocks = inverse_dct(dequantize(levels, quality))
-    from .blocks import merge_blocks  # local to avoid a cycle at import time
-
     return merge_blocks(recon_blocks, plane.shape[0], plane.shape[1], block)
 
 

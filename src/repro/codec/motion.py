@@ -3,22 +3,28 @@
 Two search modes share one public entry point:
 
 - ``method="full"`` (default): exhaustive full search over the square
-  window, exact but pruned.  A multilevel successive-elimination bound
-  (|sum(cur) - sum(ref)| <= SAD, evaluated on half-block sub-sums pulled
-  from one integral image of the padded reference) masks out blocks whose
-  best-so-far SAD provably cannot be beaten at an offset, so the expensive
-  per-block SAD is gathered only for the still-contested blocks.  The
-  result is *exactly* the exhaustive-search motion field: a block is
-  skipped only when the lower bound shows ``sad < best_sad`` is impossible.
+  window, exact but pruned by successive elimination (Li & Salari, IEEE
+  TIP 1995), batched over every offset at once with no per-offset Python
+  loop.  (1) A lower bound |sum(cur) - sum(ref)| <= SAD, summed over
+  half-block sub-sums read from one integral image of the padded
+  reference, is taken for every (offset, block) pair through a strided
+  view.  (2) Each block's exact SAD at its smallest-bound offset is its
+  upper bound.  (3) Only the (offset, block) pairs whose bound is below
+  that upper bound get an exact SAD, gathered in fixed-size chunks from
+  a sliding-window view of the reference; the rest stay +inf.  (4) An
+  arg-min over the nearest-first offset axis picks each block's vector.
+  The result is *exactly* the exhaustive-search motion field: a pair is
+  pruned only when ``lb >= ub + slack``, so its SAD is strictly greater
+  than one that was computed and it cannot be the minimum.
 - ``method="diamond"``: the classic large/small diamond search (LDSP +
   SDSP refinement), vectorized across all blocks at once.  Much cheaper,
   approximate — experiment drivers keep full search for reproducibility
   and opt into diamond explicitly (see DESIGN.md).
 
-Comparisons use exact ``sad < best_sad`` (no float epsilon): SADs of
-uint8-range planes are sums of at most a few thousand exactly-representable
-values, and candidate offsets are visited nearest-first, so exact ties keep
-the smallest displacement.  The estimated per-block motion vectors and the
+Comparisons are exact (no float epsilon): SADs of uint8-range planes are
+sums of at most a few thousand exactly-representable values, and the
+first minimum in nearest-first offset order wins, so exact ties keep the
+smallest displacement.  The estimated per-block motion vectors and the
 prediction residual are the codec internals NEMO's non-reference
 reconstruction consumes (Sec. II-A of the paper).
 """
@@ -28,6 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .blocks import block_grid_shape, pad_to_blocks
 
@@ -35,10 +42,14 @@ __all__ = ["estimate_motion", "compensate", "upscale_motion_vectors"]
 
 #: Guard band for the successive-elimination bound: sub-block sums come
 #: from an integral image whose cumulative float64 rounding error is far
-#: below this, so ``lb - _SEA_SLACK >= best_sad`` provably implies the
-#: exact SAD cannot win.  Pruning efficiency is unaffected (real SAD gaps
+#: below this, so ``lb - _SEA_SLACK >= ub`` provably implies the exact
+#: SAD cannot win.  Pruning efficiency is unaffected (real SAD gaps
 #: are orders of magnitude larger).
 _SEA_SLACK = 1e-3
+
+#: Candidate windows whose exact SAD is evaluated per batch: 4096 windows
+#: of 8x8 float64 are 2 MiB, so the gather never grows with the plane.
+_SAD_CHUNK = 4096
 
 
 def _shift_frame(frame: np.ndarray, dy: int, dx: int) -> np.ndarray:
@@ -50,11 +61,13 @@ def _shift_frame(frame: np.ndarray, dy: int, dx: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _search_offsets(search_radius: int) -> tuple[tuple[int, int], ...]:
+def _search_offsets(search_radius: int) -> tuple[np.ndarray, np.ndarray]:
     """All (dy, dx) in the window, nearest-first (zero motion leads).
 
-    Hoisted out of :func:`estimate_motion` and cached per radius — the
-    list is identical for every frame of a session.
+    Returns the offsets as a (K, 2) array, and the permutation taking
+    raster order (row-major over ``(dy + r, dx + r)``) to nearest-first
+    order.  Cached per radius — identical for every frame of a session —
+    and read-only, since every call with this radius shares them.
     """
     offsets = [
         (dy, dx)
@@ -62,7 +75,12 @@ def _search_offsets(search_radius: int) -> tuple[tuple[int, int], ...]:
         for dx in range(-search_radius, search_radius + 1)
     ]
     offsets.sort(key=lambda o: (abs(o[0]) + abs(o[1]), o))
-    return tuple(offsets)
+    nearest = np.array(offsets, dtype=np.int64)
+    rows, cols = (nearest + search_radius).T
+    raster_to_nearest = rows * (2 * search_radius + 1) + cols
+    nearest.flags.writeable = False
+    raster_to_nearest.flags.writeable = False
+    return nearest, raster_to_nearest
 
 
 def _integral_image(plane: np.ndarray) -> np.ndarray:
@@ -76,10 +94,12 @@ def _integral_image(plane: np.ndarray) -> np.ndarray:
 def _estimate_full(
     cur: np.ndarray, ref: np.ndarray, block: int, radius: int
 ) -> np.ndarray:
-    """Exhaustive search with multilevel successive-elimination pruning."""
+    """Exhaustive search with successive-elimination pruning, batched over offsets."""
     ph, pw = cur.shape
     nby, nbx = ph // block, pw // block
     rp = np.pad(ref, radius, mode="edge") if radius else ref
+    offsets, raster_to_nearest = _search_offsets(radius)
+    side = 2 * radius + 1
 
     # Sliding sub-block sums of the padded reference at every position,
     # from one integral image; sub-block sums of the current frame on its
@@ -91,39 +111,56 @@ def _estimate_full(
     nsy, nsx = ph // sub, pw // sub
     cur_sub = cur.reshape(nsy, sub, nsx, sub).sum(axis=(1, 3))
 
-    cur_blocks = cur.reshape(nby, block, nbx, block).transpose(0, 2, 1, 3).copy()
-    best_sad = np.full((nby, nbx), np.inf, dtype=np.float64)
-    best_mv = np.zeros((nby, nbx, 2), dtype=np.int64)
-    taps = np.arange(block, dtype=np.int64)
-    lb_buf = np.empty((nsy, nsx), dtype=np.float64)
+    # Lower bound at every (offset, block): the sum of |cur sub-sum - ref
+    # sub-sum| over the block's sub-blocks (triangle inequality: <= true
+    # SAD).  ref_sub[i, j, sy, sx] = ref_sub_all[i + sy*sub, j + sx*sub]
+    # is a strided view, so the reference sums are never copied per offset.
+    s0, s1 = ref_sub_all.strides
+    ref_sub = as_strided(
+        ref_sub_all,
+        shape=(side, side, nsy, nsx),
+        strides=(s0, s1, s0 * sub, s1 * sub),
+        writeable=False,
+    )
+    diff = np.subtract(cur_sub, ref_sub)
+    np.abs(diff, out=diff)
+    if spb == 2:
+        # Strided adds: a numpy reduction over two length-2 axes is ~10x slower.
+        diff = diff[:, :, 0::2] + diff[:, :, 1::2]
+        diff = diff[..., 0::2] + diff[..., 1::2]
+    lb = diff.reshape(side * side, nby, nbx)[raster_to_nearest]
 
-    for dy, dx in _search_offsets(radius):
-        y0 = radius + dy
-        x0 = radius + dx
-        # Lower bound per block: sum of |cur sub-sum - ref sub-sum| over
-        # the block's sub-blocks (triangle inequality: <= true SAD).
-        np.subtract(
-            cur_sub,
-            ref_sub_all[y0 : y0 + nsy * sub : sub, x0 : x0 + nsx * sub : sub],
-            out=lb_buf,
-        )
-        np.abs(lb_buf, out=lb_buf)
-        lb = lb_buf.reshape(nby, spb, nbx, spb).sum(axis=(1, 3))
-        bys, bxs = np.nonzero(lb - _SEA_SLACK < best_sad)
-        if bys.size == 0:
-            continue
-        # Gather the contested reference windows in one fancy index and
-        # evaluate their true SADs.
-        iy = (bys * block + y0)[:, None] + taps
-        ix = (bxs * block + x0)[:, None] + taps
-        ref_win = rp[iy[:, :, None], ix[:, None, :]]
-        sad = np.abs(cur_blocks[bys, bxs] - ref_win).sum(axis=(1, 2))
-        sel = sad < best_sad[bys, bxs]
-        if sel.any():
-            bys, bxs = bys[sel], bxs[sel]
-            best_sad[bys, bxs] = sad[sel]
-            best_mv[bys, bxs] = (dy, dx)
-    return best_mv
+    windows = sliding_window_view(rp, (block, block))
+    cur_blocks = cur.reshape(nby, block, nbx, block).transpose(0, 2, 1, 3).copy()
+
+    def exact_sads(ks: np.ndarray, bys: np.ndarray, bxs: np.ndarray) -> np.ndarray:
+        # |cur - ref| summed over contiguous (n, block, block) chunks: each
+        # SAD has the same bits whatever else is in its batch.
+        out = np.empty(ks.size, dtype=np.float64)
+        for lo in range(0, ks.size, _SAD_CHUNK):
+            k = ks[lo : lo + _SAD_CHUNK]
+            by = bys[lo : lo + _SAD_CHUNK]
+            bx = bxs[lo : lo + _SAD_CHUNK]
+            win = windows[
+                by * block + radius + offsets[k, 0], bx * block + radius + offsets[k, 1]
+            ]
+            d = cur_blocks[by, bx]
+            np.subtract(d, win, out=d)
+            np.abs(d, out=d)
+            out[lo : lo + _SAD_CHUNK] = d.sum(axis=(1, 2))
+        return out
+
+    # Upper bound per block: the exact SAD at its smallest-bound offset.
+    bys, bxs = np.divmod(np.arange(nby * nbx, dtype=np.int64), nbx)
+    ub = exact_sads(lb.argmin(axis=0).ravel(), bys, bxs).reshape(nby, nbx)
+
+    # Only offsets whose bound does not rule them out get an exact SAD;
+    # the rest stay +inf.  Offsets run nearest-first along axis 0, so
+    # argmin's first-minimum rule keeps the smallest displacement on ties.
+    ks, bys, bxs = np.nonzero(lb - _SEA_SLACK < ub)
+    sad = np.full(lb.shape, np.inf, dtype=np.float64)
+    sad[ks, bys, bxs] = exact_sads(ks, bys, bxs)
+    return offsets[sad.argmin(axis=0)]
 
 
 #: Large/small diamond search patterns, nearest-first so exact ties keep

@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Set, Tuple
+from typing import Iterator, Optional, Set
 
 from ..framework import ModuleInfo
+from ..graph import dotted_parts
 
 __all__ = [
     "HOT_PACKAGES",
     "numpy_aliases",
     "module_aliases",
     "np_call_name",
-    "attr_chain",
     "walk_calls",
 ]
 
@@ -37,21 +37,9 @@ def numpy_aliases(mod: ModuleInfo) -> Set[str]:
     return module_aliases(mod, "numpy")
 
 
-def attr_chain(node: ast.AST) -> Optional[Tuple[str, ...]]:
-    """``np.random.default_rng`` -> ("np", "random", "default_rng")."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return None
-
-
 def np_call_name(node: ast.Call, aliases: Set[str]) -> Optional[str]:
     """``"zeros"`` when ``node`` calls ``np.zeros`` for any numpy alias."""
-    chain = attr_chain(node.func)
+    chain = dotted_parts(node.func)
     if chain and len(chain) == 2 and chain[0] in aliases:
         return chain[1]
     return None

@@ -32,7 +32,8 @@ import ast
 from typing import Iterator, Optional, Set
 
 from ..framework import FileLintPass, Finding, ModuleInfo, Project, register_pass
-from .common import HOT_PACKAGES, attr_chain, module_aliases, walk_calls
+from ..graph import dotted_parts
+from .common import HOT_PACKAGES, module_aliases, walk_calls
 
 __all__ = ["NondeterminismPass"]
 
@@ -64,7 +65,7 @@ def _ref_name(node: ast.AST) -> Optional[str]:
     local definition only when the function lives in this module.
     """
     if isinstance(node, ast.Call):
-        chain = attr_chain(node.func)
+        chain = dotted_parts(node.func)
         if chain and chain[-1] == "partial" and node.args:
             return _ref_name(node.args[0])
         return None
@@ -81,7 +82,7 @@ def _worker_entry_names(tree: ast.Module) -> Set[str]:
     spawns = False
     partial_refs: Set[str] = set()
     for call in walk_calls(tree):
-        chain = attr_chain(call.func)
+        chain = dotted_parts(call.func)
         callee = chain[-1] if chain else None
         if callee in _SPAWNERS:
             spawns = True
@@ -151,7 +152,7 @@ class NondeterminismPass(FileLintPass):
         time_aliases: Set[str],
         where: str,
     ) -> Iterator[Finding]:
-        chain = attr_chain(call.func)
+        chain = dotted_parts(call.func)
         if chain is None:
             return
         if len(chain) == 3 and chain[0] in np_aliases and chain[1] == "random":

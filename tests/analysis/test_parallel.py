@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ctypes
+import ctypes.util
 import os
 
 import pytest
@@ -143,6 +145,46 @@ class TestRunSessionMatrix:
         parallel.run_session_matrix(TASKS, workers=4)
         assert len(built) == len(TASKS)
         assert not (tmp_path / "sessions").exists()
+
+
+def _blas_thread_getter():
+    """The first loaded OpenBLAS ``*get_num_threads*`` entry point, or None."""
+    for path in parallel._loaded_blas_libraries():
+        lib = ctypes.CDLL(path)
+        for name in parallel._OPENBLAS_THREAD_SETTERS:
+            getter = getattr(lib, name.replace("set_", "get_"), None)
+            if getter is not None:
+                return getter
+    return None
+
+
+class TestBlasThreadLimit:
+    def test_missing_setter_is_a_no_op(self, monkeypatch):
+        # libc loads but exports no OpenBLAS setter; a missing path fails
+        # to load. Neither may raise inside a pool worker's initializer.
+        libc = ctypes.util.find_library("c") or "libc.so.6"
+        monkeypatch.setattr(
+            parallel,
+            "_loaded_blas_libraries",
+            lambda: [libc, "/nonexistent/libopenblas.so"],
+        )
+        parallel._limit_blas_threads(1)
+
+    def test_no_blas_library_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_loaded_blas_libraries", lambda: [])
+        parallel._limit_blas_threads(1)
+
+    def test_sets_loaded_openblas_threads(self):
+        getter = _blas_thread_getter()
+        if getter is None:
+            pytest.skip("numpy is not linked against an OpenBLAS with a thread setter")
+        before = getter()
+        try:
+            parallel._limit_blas_threads(1)
+            assert getter() == 1
+        finally:
+            parallel._limit_blas_threads(before)
+        assert getter() == before
 
 
 @pytest.mark.skipif(os.cpu_count() == 1, reason="needs >1 core to be meaningful")

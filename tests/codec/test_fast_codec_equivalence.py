@@ -33,7 +33,9 @@ from repro.codec.color import rgb_to_ycbcr  # noqa: E402
 from repro.codec.decoder import VideoDecoder  # noqa: E402
 from repro.codec.encoder import VideoEncoder  # noqa: E402
 from repro.codec.entropy import encode_blocks  # noqa: E402
+from repro.codec import motion  # noqa: E402
 from repro.codec.motion import compensate, estimate_motion  # noqa: E402
+from repro.render.games import build_game  # noqa: E402
 
 
 def _luma(rgb: np.ndarray) -> np.ndarray:
@@ -70,13 +72,53 @@ class TestMotionEquivalence:
             estimate_motion(cur, ref), legacy_estimate_motion(cur, ref)
         )
 
-    @pytest.mark.parametrize("block", [4, 8])
+    # block=2 and block=3 bound with whole-block sums (sub == block).
+    @pytest.mark.parametrize("block", [2, 3, 4, 8])
     def test_non_multiple_dims(self, rng, block):
         cur = rng.integers(0, 256, size=(30, 43)).astype(np.float64)
         ref = rng.integers(0, 256, size=(30, 43)).astype(np.float64)
         np.testing.assert_array_equal(
             estimate_motion(cur, ref, block=block, search_radius=3),
             legacy_estimate_motion(cur, ref, block=block, search_radius=3),
+        )
+
+    def test_rendered_float_planes_128x224(self):
+        game = build_game("G3")
+        cur = _luma(game.render_frame(2, 224, 128).color)
+        ref = _luma(game.render_frame(1, 224, 128).color)
+        np.testing.assert_array_equal(
+            estimate_motion(cur, ref), legacy_estimate_motion(cur, ref)
+        )
+
+    def test_constant_plane_ties_keep_zero_motion(self):
+        # Every offset ties at SAD 0; nearest-first order must keep (0, 0).
+        plane = np.full((32, 40), 77.0)
+        mv = estimate_motion(plane, plane)
+        np.testing.assert_array_equal(mv, legacy_estimate_motion(plane, plane))
+        assert not mv.any()
+
+    @pytest.mark.parametrize("phase", [0, 1])
+    def test_period_two_stripes_ties_go_nearest(self, phase):
+        # Columns alternate 0/255. In phase, every even dx ties at SAD 0
+        # and (0, 0) must win; out of phase, the odd dx tie and the
+        # interior blocks must take the nearest one, (0, -1).
+        ref = np.tile(np.array([0.0, 255.0]), (32, 24))
+        cur = np.roll(ref, -phase, axis=1)
+        mv = estimate_motion(cur, ref)
+        np.testing.assert_array_equal(mv, legacy_estimate_motion(cur, ref))
+        interior = mv[:, 1:-1].reshape(-1, 2)
+        expected = (0, 0) if phase == 0 else (0, -1)
+        assert (interior == expected).all()
+
+    def test_survivors_span_many_chunks(self, rng, monkeypatch):
+        # Random content leaves ~10k (offset, block) pairs the bound
+        # cannot rule out; a 64-window chunk makes the gather loop run
+        # over a hundred times.
+        monkeypatch.setattr(motion, "_SAD_CHUNK", 64)
+        cur = rng.integers(0, 256, size=(48, 64)).astype(np.float64)
+        ref = rng.integers(0, 256, size=(48, 64)).astype(np.float64)
+        np.testing.assert_array_equal(
+            estimate_motion(cur, ref), legacy_estimate_motion(cur, ref)
         )
 
 
