@@ -10,7 +10,6 @@ buy quality until the 16.66 ms wall.
 from __future__ import annotations
 
 from repro.analysis.experiments import default_runner
-from repro.analysis.prerender import rendered_sequence
 from repro.analysis.tables import format_table
 from repro.codec.decoder import VideoDecoder
 from repro.codec.encoder import VideoEncoder
@@ -20,6 +19,7 @@ from repro.metrics.psnr import psnr
 from repro.platform.calibration import REALTIME_DEADLINE_MS
 from repro.platform.device import samsung_tab_s8
 from repro.platform.latency import npu_sr_latency_ms
+from repro.render.games import build_game
 
 from conftest import emit_report
 
@@ -29,7 +29,9 @@ MODELED_SIDES = (100, 172, 240, 300, 400, 560)
 
 def test_ablation_roi_size_sweep(benchmark):
     device = samsung_tab_s8()
-    hr = rendered_sequence("G3", 448, 256, 6).frame(5).color
+    game = build_game("G3")
+    hr = game.render_frame(5, 448, 256).color
+    depth = game.render_frame(5, 224, 128).depth
     lr = hr.reshape(128, 2, 224, 2, 3).mean(axis=(1, 3))
     decoded = VideoDecoder().decode_frame(
         VideoEncoder(gop_size=1, quality=70).encode_frame(lr)
@@ -40,9 +42,7 @@ def test_ablation_roi_size_sweep(benchmark):
     psnrs = []
     for modeled_side in MODELED_SIDES:
         eval_side = max(8, round(modeled_side * 128 / 720))
-        roi = RoIDetector(eval_side).detect(
-            rendered_sequence("G3", 224, 128, 6).frame(5).depth
-        ).box
+        roi = RoIDetector(eval_side).detect(depth).box
         result = upscaler.upscale(decoded, roi)
         quality = psnr(hr, result.frame)
         latency = npu_sr_latency_ms(modeled_side**2, device)
@@ -71,5 +71,5 @@ def test_ablation_roi_size_sweep(benchmark):
     assert realtime[:4] == [True, True, True, True]
     assert realtime[-1] is False
 
-    roi = RoIDetector(54).detect(rendered_sequence("G3", 224, 128, 6).frame(5).depth).box
+    roi = RoIDetector(54).detect(depth).box
     benchmark(lambda: upscaler.upscale(decoded, roi))

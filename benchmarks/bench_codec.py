@@ -11,9 +11,8 @@ repo root so the speedup trajectory survives across PRs.  Run::
 
 The full run uses the default 256x448 G3 rendered sequence and asserts the
 PR's acceptance criteria: >= 4x ``encode_frame``, >= 3x motion estimation,
-full-search motion vectors exactly equal to legacy, bitstreams
-byte-identical to legacy, and a diamond-mode PSNR delta <= 0.3 dB vs full
-search.  A second motion row runs at the end-to-end server geometry
+full-search motion vectors exactly equal to legacy, and bitstreams
+byte-identical to legacy.  A second motion row runs at the end-to-end server geometry
 (64x112 G3 planes) against the frozen per-offset pruned loop: motion
 vectors exactly equal, and >= 1.5x faster in the full run.  Smoke mode
 swaps in a small frame (the 64x112 row keeps its geometry, with fewer
@@ -49,7 +48,6 @@ from repro.codec.encoder import VideoEncoder  # noqa: E402
 from repro.codec.entropy import decode_blocks, encode_blocks  # noqa: E402
 from repro.codec.motion import compensate, estimate_motion  # noqa: E402
 from repro.codec.transform import forward_dct, quantize  # noqa: E402
-from repro.metrics.psnr import psnr  # noqa: E402
 
 from conftest import write_bench_json  # noqa: E402
 from _legacy_codec import (  # noqa: E402
@@ -80,13 +78,12 @@ def _time(fn, repeats: int = 3) -> float:
 
 
 def _frames(smoke: bool) -> list[np.ndarray]:
-    from repro.analysis.prerender import rendered_sequence
+    from repro.render.games import build_game
 
+    game = build_game("G3")
     if smoke:
-        seq = rendered_sequence("G3", width=96, height=64, n_frames=2)
-        return [seq.frame(i).color for i in range(2)]
-    seq = rendered_sequence("G3", width=448, height=256, n_frames=4)
-    return [seq.frame(i).color for i in range(4)]
+        return [game.render_frame(i, 96, 64).color for i in range(2)]
+    return [game.render_frame(i, 448, 256).color for i in range(4)]
 
 
 def _luma(frame: np.ndarray) -> np.ndarray:
@@ -98,7 +95,6 @@ def _bench_motion(frames, repeats: int) -> dict:
     cur, ref = _luma(frames[1]), _luma(frames[0])
     legacy_s = _time(lambda: legacy_estimate_motion(cur, ref), repeats)
     fast_s = _time(lambda: estimate_motion(cur, ref), repeats)
-    diamond_s = _time(lambda: estimate_motion(cur, ref, method="diamond"), repeats)
 
     mv_legacy = legacy_estimate_motion(cur, ref)
     mv_fast = estimate_motion(cur, ref)
@@ -115,9 +111,7 @@ def _bench_motion(frames, repeats: int) -> dict:
         "frame_hw": list(cur.shape),
         "legacy_full_s": round(legacy_s, 4),
         "fast_full_s": round(fast_s, 4),
-        "diamond_s": round(diamond_s, 4),
         "speedup_full_vs_legacy": round(legacy_s / fast_s, 2),
-        "speedup_diamond_vs_legacy": round(legacy_s / diamond_s, 2),
         "mv_equal_full_vs_legacy": True,
         "compensate_legacy_s": round(comp_legacy_s, 5),
         "compensate_fast_s": round(comp_fast_s, 5),
@@ -132,11 +126,11 @@ def _bench_motion_workload(smoke: bool, repeats: int) -> dict:
     replaced, per plane, over consecutive G3 frames; both must return the
     exhaustive search's motion vectors exactly.
     """
-    from repro.analysis.prerender import rendered_sequence
+    from repro.render.games import build_game
 
     n_frames = 3 if smoke else 8
-    seq = rendered_sequence("G3", width=112, height=64, n_frames=n_frames)
-    lumas = [_luma(seq.frame(i).color) for i in range(n_frames)]
+    game = build_game("G3")
+    lumas = [_luma(game.render_frame(i, 112, 64).color) for i in range(n_frames)]
     pairs = list(zip(lumas[1:], lumas[:-1]))
     for cur, ref in pairs:
         mv = estimate_motion(cur, ref)
@@ -252,25 +246,6 @@ def _bench_frame_codec(frames, repeats: int) -> dict:
     }
 
 
-def _bench_diamond_quality(frames) -> dict:
-    """PSNR cost of diamond vs full search through real reconstruction."""
-    results = {}
-    for method in ("full", "diamond"):
-        enc = VideoEncoder(gop_size=GOP, quality=QUALITY, motion_method=method)
-        encoded = _encode_all(enc, frames)
-        decoded = VideoDecoder().decode_sequence(encoded)
-        results[method] = float(
-            np.mean([psnr(f, d.rgb) for f, d in zip(frames, decoded)])
-        )
-    delta = results["full"] - results["diamond"]
-    return {
-        "sequence": "G3",
-        "full_psnr_db": round(results["full"], 3),
-        "diamond_psnr_db": round(results["diamond"], 3),
-        "delta_db": round(delta, 3),
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -287,7 +262,6 @@ def main(argv: list[str] | None = None) -> int:
     motion_workload = _bench_motion_workload(args.smoke, repeats)
     entropy = _bench_entropy(frames, repeats)
     frame_codec = _bench_frame_codec(frames, repeats)
-    diamond = _bench_diamond_quality(frames)
 
     report = {
         "mode": "smoke" if args.smoke else "full",
@@ -301,7 +275,6 @@ def main(argv: list[str] | None = None) -> int:
         "motion_64x112": motion_workload,
         "entropy": entropy,
         "frame_codec": frame_codec,
-        "diamond_quality": diamond,
     }
 
     failures = []
@@ -320,10 +293,6 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 "64x112 full search speedup "
                 f"{motion_workload['speedup_vs_pruned_loop']}x < 1.5x vs the pruned loop"
-            )
-        if diamond["delta_db"] > 0.3:
-            failures.append(
-                f"diamond PSNR delta {diamond['delta_db']} dB > 0.3 dB"
             )
     report["criteria_failures"] = failures
 

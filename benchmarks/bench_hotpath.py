@@ -210,11 +210,11 @@ def _bench_subject(smoke: bool):
         model = EDSR(scale=2, n_resblocks=2, n_feats=8, seed=0)
         image = np.random.default_rng(0).uniform(size=(64, 96, 3))
     else:
-        from repro.analysis.prerender import rendered_sequence
+        from repro.render.games import build_game
         from repro.sr.pretrained import default_sr_model
 
         model = default_sr_model()
-        image = rendered_sequence("G3", width=448, height=256, n_frames=2).frame(0).color
+        image = build_game("G3").render_frame(0, 448, 256).color
     return model, image
 
 

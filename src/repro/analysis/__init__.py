@@ -1,4 +1,4 @@
-"""Experiment drivers, render caching, and report formatting."""
+"""Experiment drivers, session-matrix fan-out, and report formatting."""
 
 from .experiments import (
     ALL_GAME_IDS,
@@ -15,7 +15,6 @@ from .experiments import (
     upscale_factor_tradeoff,
 )
 from .parallel import default_worker_count, run_session_matrix
-from .prerender import FrameBundle, PrerenderedWorkload, rendered_sequence
 from .tables import fmt, format_paper_vs_measured, format_table
 from .traces import (
     network_health,
@@ -27,8 +26,6 @@ from .traces import (
 __all__ = [
     "ALL_GAME_IDS",
     "DEVICE_NAMES",
-    "FrameBundle",
-    "PrerenderedWorkload",
     "bandwidth_comparison",
     "default_runner",
     "default_worker_count",
@@ -41,7 +38,6 @@ __all__ = [
     "performance_sessions",
     "quality_geometry",
     "quality_sessions",
-    "rendered_sequence",
     "roi_sizing_table",
     "run_session_matrix",
     "sota_timeline",

@@ -36,7 +36,6 @@ from ..streaming.frames import StreamGeometry
 from ..streaming.server import GameStreamServer
 from ..streaming.session import SessionResult, run_session
 from .parallel import run_session_matrix, session_cache_key
-from .prerender import PrerenderedWorkload, rendered_sequence
 
 __all__ = [
     "ALL_GAME_IDS",
@@ -123,18 +122,9 @@ def _run_one_session(
 ) -> SessionResult:
     device = get_device(device_name)
     plan = plan_roi_window(device)
-    game = PrerenderedWorkload(build_game(game_id))
-    if geometry.lr_source == "native":
-        game.preload(geometry.eval_lr_width, geometry.eval_lr_height, n_frames)
-    else:
-        game.preload(
-            geometry.eval_lr_width * geometry.scale,
-            geometry.eval_lr_height * geometry.scale,
-            n_frames,
-        )
     needs_roi = design in ("gamestreamsr", "sr_integrated_decoder")
     server = GameStreamServer(
-        game,
+        build_game(game_id),
         geometry,
         roi_side=plan.side_for_frame(geometry.eval_lr_height) if needs_roi else None,
         gop_size=gop_size,
@@ -315,7 +305,7 @@ def upscale_factor_tradeoff(
 
     def build() -> List[FactorPoint]:
         device = get_device(device_name)
-        hr = rendered_sequence("G3", target[1], target[0], 1).frame(0).color
+        hr = build_game("G3").render_frame(0, target[1], target[0]).color
         points = []
         for factor in factors:
             in_h, in_w = target[0] // factor, target[1] // factor
@@ -328,10 +318,11 @@ def upscale_factor_tradeoff(
             )
         return points
 
-    return load_or_build(
-        "fig3a", {"device": device_name, "factors": list(factors), "target": target},
-        build, subdir="experiments",
-    )
+    # "v" changes whenever the frames do (v2: live renders, not uint8 replays).
+    config = {
+        "device": device_name, "factors": list(factors), "target": target, "v": 2
+    }
+    return load_or_build("fig3a", config, build, subdir="experiments")
 
 
 def input_resolution_sweep(
@@ -394,11 +385,11 @@ def bandwidth_comparison(game_id: str = "G3", n_frames: int = 12) -> dict:
         from ..codec.encoder import VideoEncoder
         from ..streaming.frames import ROI_METADATA_BYTES
 
-        hr_bundle = rendered_sequence(game_id, 448, 256, n_frames)
+        game = build_game(game_id)
         lr_frames = []
         hr_frames = []
         for i in range(n_frames):
-            hr = hr_bundle.frame(i).color
+            hr = game.render_frame(i, 448, 256).color
             hr_frames.append(hr)
             lr_frames.append(hr.reshape(128, 2, 224, 2, 3).mean(axis=(1, 3)))
         enc_lr = VideoEncoder(gop_size=n_frames, quality=STREAM_QUALITY)
@@ -411,7 +402,6 @@ def bandwidth_comparison(game_id: str = "G3", n_frames: int = 12) -> dict:
             "bandwidth_reduction_pct": 100.0 * (1.0 - lr_bytes / hr_bytes),
         }
 
-    return load_or_build(
-        "bandwidth", {"game": game_id, "n": n_frames, "q": STREAM_QUALITY},
-        build, subdir="experiments",
-    )
+    # "v" changes whenever the frames do (v2: live renders, not uint8 replays).
+    config = {"game": game_id, "n": n_frames, "q": STREAM_QUALITY, "v": 2}
+    return load_or_build("bandwidth", config, build, subdir="experiments")

@@ -47,9 +47,11 @@ SessionTask = Tuple[str, Dict[str, Any]]
 #: pickled ``SessionResult`` schema changes shape in ways old readers
 #: would mis-handle (v2: staged pipeline — per-frame traces + metrics
 #: registry attached; v3: slotted ``StageSpan``/``EnergyAttribution``,
-#: which dict-state pickles cannot be restored into). Part of the cache
-#: key, so stale pickles are never loaded into the new code.
-SESSION_CACHE_SCHEMA = 3
+#: which dict-state pickles cannot be restored into; v4: sessions stream
+#: live float renders instead of replaying uint8-quantized ones, so every
+#: pixel-derived number moves). Part of the cache key, so stale pickles
+#: are never loaded into the new code.
+SESSION_CACHE_SCHEMA = 4
 
 _MAX_DEFAULT_WORKERS = 8
 
@@ -148,15 +150,14 @@ def run_session_matrix(
     Safe to call with an arbitrary mix of cached and uncached tasks; the
     function returns once all artifacts are on disk. Results are *not*
     returned — callers read them through ``_cached_session`` afterwards,
-    which is then a pure cache hit.
+    which is then a pure cache hit. With the cache disabled there is no
+    store to fill, so it does nothing and that read-back builds each
+    session, once.
     """
+    if cache_disabled():
+        return
     if workers is None:
         workers = default_worker_count()
-    if cache_disabled():
-        # No artifact store to fan out over: build everything in-process.
-        for task in tasks:
-            _build_session(task)
-        return
     pending = [t for t in tasks if not _task_cached(t)]
     if not pending:
         return

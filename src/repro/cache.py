@@ -1,6 +1,6 @@
 """Content-addressed artifact cache for experiments and trained weights.
 
-Rendered sequences, trained SR weights, and session results are expensive
+Trained SR weights, session results and experiment tables are expensive
 to rebuild in pure numpy, so they are cached under ``.cache/`` at the
 repository root (override with ``REPRO_CACHE_DIR``), keyed by a hash of
 the generating configuration. Deleting the directory is always safe.

@@ -97,12 +97,7 @@ class VideoEncoder:
     quality:
         Quantizer quality in [1, 100].
     search_radius:
-        Motion search window half-width in pixels.
-    motion_method:
-        ``"full"`` (exhaustive, exact — the default, used by every
-        experiment driver for reproducibility) or ``"diamond"`` (the fast
-        approximate diamond search; see DESIGN.md for the measured quality
-        delta).
+        Motion search window half-width in pixels (exact full search).
     """
 
     def __init__(
@@ -111,19 +106,15 @@ class VideoEncoder:
         quality: int = 60,
         block: int = DEFAULT_BLOCK,
         search_radius: int = 7,
-        motion_method: str = "full",
     ) -> None:
         if gop_size < 1:
             raise ValueError(f"gop_size must be >= 1, got {gop_size}")
         if block < 2:
             raise ValueError(f"block must be >= 2, got {block}")
-        if motion_method not in ("full", "diamond"):
-            raise ValueError(f"unknown motion search method {motion_method!r}")
         self.gop_size = gop_size
         self.quality = quality
         self.block = block
         self.search_radius = search_radius
-        self.motion_method = motion_method
         self._frame_index = 0
         self._recon_y: Optional[np.ndarray] = None
         self._recon_cb: Optional[np.ndarray] = None
@@ -183,7 +174,6 @@ class VideoEncoder:
                 self._recon_y,
                 block=self.block,
                 search_radius=self.search_radius,
-                method=self.motion_method,
             )
             mv.flags.writeable = False
             _encode_motion(mv, writer)

@@ -1,25 +1,19 @@
 """Block-matching motion estimation and compensation.
 
-Two search modes share one public entry point:
-
-- ``method="full"`` (default): exhaustive full search over the square
-  window, exact but pruned by successive elimination (Li & Salari, IEEE
-  TIP 1995), batched over every offset at once with no per-offset Python
-  loop.  (1) A lower bound |sum(cur) - sum(ref)| <= SAD, summed over
-  half-block sub-sums read from one integral image of the padded
-  reference, is taken for every (offset, block) pair through a strided
-  view.  (2) Each block's exact SAD at its smallest-bound offset is its
-  upper bound.  (3) Only the (offset, block) pairs whose bound is below
-  that upper bound get an exact SAD, gathered in fixed-size chunks from
-  a sliding-window view of the reference; the rest stay +inf.  (4) An
-  arg-min over the nearest-first offset axis picks each block's vector.
-  The result is *exactly* the exhaustive-search motion field: a pair is
-  pruned only when ``lb >= ub + slack``, so its SAD is strictly greater
-  than one that was computed and it cannot be the minimum.
-- ``method="diamond"``: the classic large/small diamond search (LDSP +
-  SDSP refinement), vectorized across all blocks at once.  Much cheaper,
-  approximate — experiment drivers keep full search for reproducibility
-  and opt into diamond explicitly (see DESIGN.md).
+Motion search is an exhaustive full search over the square window,
+exact but pruned by successive elimination (Li & Salari, IEEE TIP 1995),
+batched over every offset at once with no per-offset Python loop.
+(1) A lower bound |sum(cur) - sum(ref)| <= SAD, summed over half-block
+sub-sums read from one integral image of the padded reference, is taken
+for every (offset, block) pair through a strided view.  (2) Each block's
+exact SAD at its smallest-bound offset is its upper bound.  (3) Only the
+(offset, block) pairs whose bound is below that upper bound get an exact
+SAD, gathered in fixed-size chunks from a sliding-window view of the
+reference; the rest stay +inf.  (4) An arg-min over the nearest-first
+offset axis picks each block's vector.  The result is *exactly* the
+exhaustive-search motion field: a pair is pruned only when
+``lb >= ub + slack``, so its SAD is strictly greater than one that was
+computed and it cannot be the minimum.
 
 Comparisons are exact (no float epsilon): SADs of uint8-range planes are
 sums of at most a few thousand exactly-representable values, and the
@@ -163,88 +157,17 @@ def _estimate_full(
     return offsets[sad.argmin(axis=0)]
 
 
-#: Large/small diamond search patterns, nearest-first so exact ties keep
-#: the smaller displacement (matching full search's preference).
-_LDSP = ((0, 0), (-1, -1), (-1, 1), (1, -1), (1, 1), (-2, 0), (0, -2), (0, 2), (2, 0))
-_SDSP = ((0, 0), (-1, 0), (0, -1), (0, 1), (1, 0))
-
-
-def _estimate_diamond(
-    cur: np.ndarray, ref: np.ndarray, block: int, radius: int
-) -> np.ndarray:
-    """Diamond search (LDSP until the centre wins, then one SDSP pass)."""
-    ph, pw = cur.shape
-    nby, nbx = ph // block, pw // block
-    rp = np.pad(ref, radius, mode="edge") if radius else ref
-    cur_blocks = cur.reshape(nby, block, nbx, block).transpose(0, 2, 1, 3).copy()
-    taps = np.arange(block, dtype=np.int64)
-
-    def sad_at(my: np.ndarray, mx: np.ndarray, rows, cols) -> np.ndarray:
-        iy = (rows * block + my + radius)[:, None] + taps
-        ix = (cols * block + mx + radius)[:, None] + taps
-        win = rp[iy[:, :, None], ix[:, None, :]]
-        return np.abs(cur_blocks[rows, cols] - win).sum(axis=(1, 2))
-
-    center = np.zeros((nby, nbx, 2), dtype=np.int64)
-    rows, cols = np.divmod(np.arange(nby * nbx, dtype=np.int64), nbx)
-    best = sad_at(center[rows, cols, 0], center[rows, cols, 1], rows, cols)
-    best = best.reshape(nby, nbx)
-
-    def refine(pattern, rows, cols) -> np.ndarray:
-        """Move each (row, col) block to its best pattern point; return moved mask.
-
-        All pattern points are evaluated around the *same* (frozen) centre
-        and the argmin taken — nearest-first pattern order plus strict
-        comparison keeps the smaller displacement on exact ties.
-        """
-        cur_best = best[rows, cols].copy()
-        base_y = center[rows, cols, 0]
-        base_x = center[rows, cols, 1]
-        new_y = base_y.copy()
-        new_x = base_x.copy()
-        moved = np.zeros(rows.size, dtype=bool)
-        for dy, dx in pattern:
-            if dy == 0 and dx == 0:
-                continue
-            cy = np.clip(base_y + dy, -radius, radius)
-            cx = np.clip(base_x + dx, -radius, radius)
-            sad = sad_at(cy, cx, rows, cols)
-            sel = sad < cur_best
-            if sel.any():
-                cur_best[sel] = sad[sel]
-                new_y[sel] = cy[sel]
-                new_x[sel] = cx[sel]
-                moved |= sel
-        best[rows, cols] = cur_best
-        center[rows, cols, 0] = new_y
-        center[rows, cols, 1] = new_x
-        return moved
-
-    if radius > 0:
-        active_rows, active_cols = rows, cols
-        for _ in range(2 * radius + 2):
-            moved = refine(_LDSP, active_rows, active_cols)
-            if not moved.any():
-                break
-            active_rows = active_rows[moved]
-            active_cols = active_cols[moved]
-        refine(_SDSP, rows, cols)
-    return center
-
-
 def estimate_motion(
     current: np.ndarray,
     reference: np.ndarray,
     block: int = 8,
     search_radius: int = 7,
-    method: str = "full",
 ) -> np.ndarray:
     """Per-block motion vectors (nby, nbx, 2) as (dy, dx) into ``reference``.
 
     A block at grid position (by, bx) is predicted from the reference
-    region starting at ``(by*block + dy, bx*block + dx)``.  ``method`` is
-    ``"full"`` (exhaustive, exact, pruned) or ``"diamond"`` (fast,
-    approximate).
+    region starting at ``(by*block + dy, bx*block + dx)``; each vector
+    is the exact minimum-SAD offset within ``search_radius``.
     """
     current = np.asarray(current, dtype=np.float64)  # reprolint: disable=dtype-discipline -- frozen f64 codec arithmetic
     reference = np.asarray(reference, dtype=np.float64)  # reprolint: disable=dtype-discipline -- frozen f64 codec arithmetic
@@ -256,13 +179,9 @@ def estimate_motion(
         raise ValueError(f"expected 2-D planes, got {current.shape}")
     if search_radius < 0:
         raise ValueError(f"search_radius must be >= 0, got {search_radius}")
-    if method not in ("full", "diamond"):
-        raise ValueError(f"unknown motion search method {method!r}")
 
     cur = pad_to_blocks(current, block)
     ref = pad_to_blocks(reference, block)
-    if method == "diamond":
-        return _estimate_diamond(cur, ref, block, search_radius)
     return _estimate_full(cur, ref, block, search_radius)
 
 

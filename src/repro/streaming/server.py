@@ -25,18 +25,19 @@ it instead of rendering, detecting and encoding again.
 game's class and its dataclass field values (fields of a plain value
 type compare by value, any other field, such as the ``scene``, by
 identity, and the slot holds it strongly), the geometry, fps, RoI side
-and :class:`RoIConfig`, and the encoder's GOP size, quality, motion
-method, block and search radius. A scene must not be edited while it is
-being streamed, and a game class must keep all the state its frames
-depend on in its fields.
+and :class:`RoIConfig`, and the encoder's GOP size, quality, block and
+search radius. A scene must not be edited while it is being streamed,
+and a game class must keep all the state its frames depend on in its
+fields.
 
-*Bypass rules.* A game whose own class is not a dataclass (such as
-:class:`~repro.analysis.prerender.PrerenderedWorkload`) and an RoI
-config with ``warm_start`` (a stateful detector) never use the slot. A
-server leaves the memo for good, replaying and recording nothing more,
-once a live knob no longer matches its frame-0 key or its encoder's
-frame counter no longer equals the frame index: an ABR rung change,
-adaptive RoI resizing, ``set_roi_side`` or a forced IDR.
+*Bypass rules.* A game whose own class is not a dataclass (such as a
+plain subclass of :class:`~repro.render.games.GameWorkload` that
+declares no fields of its own) and an RoI config with ``warm_start`` (a
+stateful detector) never use the slot. A server leaves the memo for
+good, replaying and recording nothing more, once a live knob no longer
+matches its frame-0 key or its encoder's frame counter no longer equals
+the frame index: an ABR rung change, adaptive RoI resizing,
+``set_roi_side`` or a forced IDR.
 
 A hit returns a fresh :class:`FrameTrace` (copied spans with
 ``wall_ms=0.0``, since no stage work ran), a fresh ``server_timings_ms``
@@ -124,7 +125,6 @@ def _stream_key(server: "GameStreamServer") -> Optional[tuple]:
         server.roi_config,
         encoder.gop_size,
         encoder.quality,
-        encoder.motion_method,
         encoder.block,
         encoder.search_radius,
     )
@@ -206,23 +206,18 @@ class GameStreamServer:
         quality: int = 60,
         fps: float = 60.0,
         roi_config: RoIConfig = DEFAULT_ROI_CONFIG,
-        motion_method: str = "full",
     ) -> None:
         """``roi_side`` is the client's negotiated window on the *eval*
-        geometry; pass None to disable RoI detection (SOTA mode).
-        ``motion_method`` selects the encoder's block-matching search
-        (``"full"`` exact search by default; ``"diamond"`` for the fast
-        approximate mode). Pass ``roi_config`` with ``warm_start=True``
-        to enable the detector's temporal warm start; each ``roi_detect``
-        span then records which path ran (``search_mode``) and the
-        winning window sum (``score``)."""
+        geometry; pass None to disable RoI detection (SOTA mode). Pass
+        ``roi_config`` with ``warm_start=True`` to enable the detector's
+        temporal warm start; each ``roi_detect`` span then records which
+        path ran (``search_mode``) and the winning window sum
+        (``score``)."""
         self.game = game
         self.geometry = geometry
         self.fps = fps
         self.roi_config = roi_config
-        self.encoder = VideoEncoder(
-            gop_size=gop_size, quality=quality, motion_method=motion_method
-        )
+        self.encoder = VideoEncoder(gop_size=gop_size, quality=quality)
         self.detector = (
             RoIDetector(roi_side, roi_config) if roi_side is not None else None
         )

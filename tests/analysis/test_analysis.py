@@ -1,8 +1,7 @@
-"""Tables, render caching, and light experiment drivers."""
+"""Tables and light experiment drivers."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.analysis.experiments import (
@@ -10,9 +9,7 @@ from repro.analysis.experiments import (
     roi_sizing_table,
     sota_timeline,
 )
-from repro.analysis.prerender import PrerenderedWorkload, rendered_sequence
 from repro.analysis.tables import fmt, format_paper_vs_measured, format_table
-from repro.render.games import build_game
 
 
 class TestTables:
@@ -39,36 +36,6 @@ class TestTables:
         assert fmt(0.1234) == "0.12"
         assert fmt(float("nan")) == "-"
         assert fmt("word") == "word"
-
-
-class TestPrerender:
-    def test_bundle_roundtrip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        bundle = rendered_sequence("G9", 64, 48, 2)
-        assert len(bundle) == 2
-        frame = bundle.frame(0)
-        live = build_game("G9").render_frame(0, 64, 48)
-        # uint8/float16 quantization bounds the error.
-        assert np.abs(frame.color - live.color).max() < 0.01
-        assert np.abs(frame.depth - live.depth).max() < 0.01
-        with pytest.raises(IndexError):
-            bundle.frame(5)
-
-    def test_cache_hit_identical(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        a = rendered_sequence("G9", 64, 48, 2)
-        b = rendered_sequence("G9", 64, 48, 2)
-        np.testing.assert_array_equal(a.color_u8, b.color_u8)
-
-    def test_prerendered_workload_falls_back(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        game = PrerenderedWorkload(build_game("G9"))
-        game.preload(64, 48, 2)
-        cached = game.render_frame(0, 64, 48)
-        live = game.render_frame(0, 32, 24)  # resolution miss -> live render
-        assert cached.color.shape == (48, 64, 3)
-        assert live.color.shape == (24, 32, 3)
-        assert game.game_id == "G9" and "Farming" in game.title
 
 
 class TestLightExperiments:

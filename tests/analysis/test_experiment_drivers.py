@@ -8,12 +8,15 @@ from repro.analysis.experiments import (
     ALL_GAME_IDS,
     DEVICE_NAMES,
     _make_client,
+    _run_one_session,
     perf_geometry,
     quality_geometry,
     upscale_factor_tradeoff,
 )
 from repro.core.roi_sizing import plan_roi_window
 from repro.platform.device import get_device
+from repro.render.games import GameWorkload
+from repro.streaming import server as server_module
 from repro.streaming.client import GameStreamSRClient, NemoClient
 
 
@@ -69,3 +72,23 @@ class TestTradeoffDriver:
         # second call hits the cache (same object content)
         again = upscale_factor_tradeoff(factors=(2, 4), target=(64, 112))
         assert [p.bilinear_psnr_db for p in again] == [p.bilinear_psnr_db for p in points]
+
+
+class TestSessionDriver:
+    def test_sessions_stream_a_live_game_on_the_memo(self, tiny_runner, monkeypatch):
+        import repro.analysis.experiments as exp
+
+        monkeypatch.setattr(exp, "default_runner", lambda: tiny_runner)
+        servers = []
+        monkeypatch.setattr(
+            exp, "run_session", lambda server, client, **kw: servers.append(server)
+        )
+        _run_one_session(
+            "G3", "samsung_tab_s8", "gamestreamsr", perf_geometry(),
+            n_frames=2, gop_size=2, quality=70, evaluate_quality=False,
+        )
+        (server,) = servers
+        assert type(server.game) is GameWorkload
+        assert server.game.game_id == "G3"
+        assert server.roi_side is not None
+        assert server_module._stream_key(server) is not None

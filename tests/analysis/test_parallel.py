@@ -133,17 +133,27 @@ class TestRunSessionMatrix:
         parallel.run_session_matrix(TASKS, workers=2)
         assert built == []
 
-    def test_cache_disabled_builds_everything_in_process(
-        self, tmp_path, monkeypatch, stub_sessions
-    ):
+    def test_cache_disabled_builds_everything_in_process(self, tmp_path, monkeypatch):
+        """With no artifact store the driver's read-back builds every
+        (design, game) cell in-process, and each exactly once."""
+        from repro.analysis import experiments
+
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
         built = []
-        monkeypatch.setattr(
-            parallel, "_build_session", lambda task: built.append(task)
+
+        def run_one(game_id, device_name, design, **kwargs):
+            built.append((design, game_id))
+            return (design, game_id)
+
+        monkeypatch.setattr(experiments, "_run_one_session", run_one)
+        out = experiments.performance_sessions(
+            "samsung_tab_s8", game_ids=("G1", "G3"), designs=("gamestreamsr", "nemo"),
+            workers=4,
         )
-        parallel.run_session_matrix(TASKS, workers=4)
-        assert len(built) == len(TASKS)
+        cells = [(d, g) for d in ("gamestreamsr", "nemo") for g in ("G1", "G3")]
+        assert sorted(built) == sorted(cells)
+        assert all(out[d][g] == (d, g) for d, g in cells)
         assert not (tmp_path / "sessions").exists()
 
 

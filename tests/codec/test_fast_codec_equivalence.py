@@ -231,20 +231,3 @@ class TestGoldenDigest:
             "34e6217cdc18fdaa41009c25fdd0cbc163237e9f67e2ff95df39fc5008638de8"
         )
 
-
-class TestDiamondQuality:
-    def test_diamond_psnr_close_to_full(self, g3_sequence):
-        """Measured-quality gate for the documented DESIGN.md claim."""
-        from repro.metrics.psnr import psnr
-
-        frames = [f.color for f in g3_sequence[:3]]
-        scores = {}
-        for method in ("full", "diamond"):
-            enc = VideoEncoder(gop_size=3, quality=60, motion_method=method)
-            decoded = VideoDecoder().decode_sequence(
-                [enc.encode_frame(f) for f in frames]
-            )
-            scores[method] = np.mean(
-                [psnr(f, d.rgb) for f, d in zip(frames, decoded)]
-            )
-        assert scores["full"] - scores["diamond"] <= 0.3

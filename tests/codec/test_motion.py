@@ -42,53 +42,6 @@ class TestEstimation:
             estimate_motion(np.zeros((4, 4, 3)), np.zeros((4, 4, 3)))
         with pytest.raises(ValueError, match="radius"):
             estimate_motion(np.zeros((8, 8)), np.zeros((8, 8)), search_radius=-1)
-        with pytest.raises(ValueError, match="method"):
-            estimate_motion(np.zeros((8, 8)), np.zeros((8, 8)), method="spiral")
-
-
-class TestDiamondSearch:
-    @pytest.mark.parametrize("dy,dx", [(0, 0), (2, 0), (0, -2), (-1, 1)])
-    def test_recovers_one_step_shift(self, rng, dy, dx):
-        # Shifts within one LDSP step are found even on a noise surface.
-        cur, ref = shifted_pair(rng, dy, dx)
-        mv = estimate_motion(cur, ref, search_radius=7, method="diamond")
-        interior = mv[1:-1, 1:-1]
-        assert (interior == np.array([dy, dx])).all()
-
-    @pytest.mark.parametrize("dy,dx", [(0, -4), (5, 3), (-6, 0)])
-    def test_tracks_large_shift_on_smooth_content(self, dy, dx):
-        # Multi-step walks need a descending SAD surface (real imagery,
-        # not noise).  Diamond is greedy, so a minority of blocks may stop
-        # in a local minimum: require most blocks to recover the shift
-        # exactly and the prediction error to collapse vs zero motion.
-        yy, xx = np.mgrid[0:64, 0:80].astype(np.float64)
-        smooth = (
-            np.sin(yy / 9.0) + np.cos(xx / 11.0) + np.sin((yy + xx) / 13.0)
-        )
-        cur = smooth[8 + dy : 8 + dy + 48, 8 + dx : 8 + dx + 64]
-        ref = smooth[8 : 8 + 48, 8 : 8 + 64]
-        mv = estimate_motion(cur, ref, search_radius=7, method="diamond")
-        interior = mv[1:-1, 1:-1]
-        exact = (interior == np.array([dy, dx])).all(axis=-1).mean()
-        assert exact >= 0.7
-        pred_err = np.abs(cur - compensate(ref, mv))[8:-8, 8:-8].mean()
-        zero_err = np.abs(cur - ref)[8:-8, 8:-8].mean()
-        assert pred_err <= 0.1 * zero_err
-
-    def test_zero_motion_on_identical_frames(self, rng):
-        frame = rng.uniform(size=(24, 24))
-        mv = estimate_motion(frame, frame, search_radius=4, method="diamond")
-        assert (mv == 0).all()
-
-    def test_respects_search_radius(self, rng):
-        cur, ref = shifted_pair(rng, 7, 7)
-        mv = estimate_motion(cur, ref, search_radius=3, method="diamond")
-        assert np.abs(mv).max() <= 3
-
-    def test_radius_zero(self, rng):
-        frame = rng.uniform(size=(16, 16))
-        mv = estimate_motion(frame, frame, search_radius=0, method="diamond")
-        assert (mv == 0).all()
 
 
 class TestCompensation:
