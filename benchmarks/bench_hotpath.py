@@ -1,7 +1,7 @@
-"""Hot-path trajectory benchmark: conv2d, tiled SR, LPIPS, end-to-end session.
+"""Hot-path trajectory benchmark: conv2d, im2col, tiled SR, LPIPS, end-to-end session.
 
-Measures the fast inference path (float32, graph-free forwards, fused
-pad+im2col, batched tiles, tuned allocator) against the frozen pre-PR
+Measures the fast inference path (float32, graph-free forwards,
+strided-view im2col, batched tiles, tuned allocator) against the frozen pre-PR
 reference implementation in ``_legacy_inference.py`` and writes the
 numbers to ``BENCH_hotpath.json`` at the repo root so the speedup
 trajectory survives across PRs. Run::
@@ -19,7 +19,14 @@ don't amortize anything) and writes ``BENCH_hotpath.smoke.json`` instead.
 The ``lpips`` row times the batched float64 LPIPS kernel against the
 frozen scipy implementation (``tests/metrics/_legacy_lpips.py``) on the
 same frame. Both modes fail if the two disagree by more than 1e-9; the
-full run also requires >= 1.5x.
+full run also requires >= 3x.
+
+The ``im2col`` row times ``conv2d_forward`` (one strided-view copy per
+row chunk) against the frozen per-tap conv
+(``_legacy_inference.tap_loop_conv2d_forward``) at the LPIPS scale-0 shape
+and the EDSR 64-channel shape, in both modes (each call is tens of ms).
+Both modes fail unless the two outputs are ``np.array_equal``; the full
+run also requires >= 1.5x on the LPIPS shape.
 
 The legacy baseline is timed in a pristine subprocess with
 ``REPRO_NO_MALLOC_TUNING=1`` so it runs under glibc's untouched (dynamic)
@@ -46,13 +53,14 @@ sys.path.insert(0, str(REPO_ROOT))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.neural import EDSR, Tensor, no_grad  # noqa: E402
+from repro.neural.functional import conv2d_forward  # noqa: E402
 from repro.neural.layers import Conv2d  # noqa: E402
 from repro.neural.tensor import set_inference_dtype  # noqa: E402
 from repro.metrics.lpips import lpips  # noqa: E402
 from repro.metrics.psnr import psnr  # noqa: E402
 from repro.sr.runner import SRRunner  # noqa: E402
 
-from _legacy_inference import legacy_upscale_tiled  # noqa: E402
+from _legacy_inference import legacy_upscale_tiled, tap_loop_conv2d_forward  # noqa: E402
 from conftest import write_bench_json  # noqa: E402
 from tests.metrics._legacy_lpips import lpips as legacy_lpips  # noqa: E402
 
@@ -88,6 +96,41 @@ def _bench_conv2d(channels: int, height: int, width: int, repeats: int) -> dict:
         "f32_ms": round(f32 * 1e3, 3),
         "f32_speedup": round(f64 / f32, 2),
     }
+
+
+#: (name, input shape, weight shape, padding, dtype) of the im2col row.
+IM2COL_SHAPES = (
+    ("lpips_scale0", (6, 1, 262, 454), (10, 1, 7, 7), 0, np.float64),
+    ("edsr_64ch", (1, 64, 128, 224), (64, 64, 3, 3), 1, np.float32),
+)
+
+
+def _bench_im2col(repeats: int) -> dict:
+    """Frozen per-tap conv vs the strided-view ``conv2d_forward``."""
+    rng = np.random.default_rng(2)
+    row = {}
+    for name, x_shape, w_shape, pad, dtype in IM2COL_SHAPES:
+        x = rng.uniform(size=x_shape).astype(dtype)
+        weight = rng.normal(size=w_shape)
+        def legacy():
+            return tap_loop_conv2d_forward(x, weight, None, 1, pad)
+
+        def fast():
+            return conv2d_forward(x, weight, None, 1, pad)
+
+        legacy_s = _time(legacy, repeats)
+        fast_s = _time(fast, repeats)
+        row[name] = {
+            "x_shape": list(x_shape),
+            "w_shape": list(w_shape),
+            "padding": pad,
+            "dtype": np.dtype(dtype).name,
+            "tap_loop_ms": round(legacy_s * 1e3, 3),
+            "strided_view_ms": round(fast_s * 1e3, 3),
+            "speedup": round(legacy_s / fast_s, 2),
+            "array_equal": bool(np.array_equal(legacy(), fast())),
+        }
+    return row
 
 
 def _bench_lpips(image: np.ndarray, repeats: int) -> dict:
@@ -248,10 +291,12 @@ def main(argv: list[str] | None = None) -> int:
         conv = _bench_conv2d(channels=8, height=32, width=32, repeats=2)
         tiled = _bench_upscale_tiled(model, image, legacy_s, repeats=1)
         lpips_row = _bench_lpips(image, repeats=1)
+        im2col_row = _bench_im2col(repeats=1)
     else:
         conv = _bench_conv2d(channels=64, height=128, width=224, repeats=3)
         tiled = _bench_upscale_tiled(model, image, legacy_s, repeats=3)
         lpips_row = _bench_lpips(image, repeats=3)
+        im2col_row = _bench_im2col(repeats=5)
 
     session = _bench_session(smoke=args.smoke)
 
@@ -266,6 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         "conv2d_forward": conv,
         "upscale_tiled": tiled,
         "lpips": lpips_row,
+        "im2col": im2col_row,
         "session": session,
     }
 
@@ -274,6 +320,9 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             f"LPIPS |delta| {lpips_row['max_abs_delta']} > {LPIPS_MAX_ABS_DELTA}"
         )
+    for name, entry in im2col_row.items():
+        if not entry["array_equal"]:
+            failures.append(f"im2col {name}: conv2d_forward != per-tap conv")
     if not args.smoke:
         # PR acceptance criteria — keep asserting them so regressions in the
         # fast path show up as a failing bench, not a silently smaller number.
@@ -285,8 +334,12 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 f"f32 vs f64 PSNR {tiled['f32_vs_f64_psnr_db']} dB < 60 dB"
             )
-        if lpips_row["speedup"] < 1.5:
-            failures.append(f"batched LPIPS speedup {lpips_row['speedup']}x < 1.5x")
+        if lpips_row["speedup"] < 3.0:
+            failures.append(f"batched LPIPS speedup {lpips_row['speedup']}x < 3x")
+        if im2col_row["lpips_scale0"]["speedup"] < 1.5:
+            failures.append(
+                f"im2col LPIPS-shape speedup {im2col_row['lpips_scale0']['speedup']}x < 1.5x"
+            )
     report["criteria_failures"] = failures
 
     write_bench_json("hotpath", report, smoke=args.smoke)

@@ -56,8 +56,9 @@ REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py --scenario wifi_congested
 REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py --scenario lte_drive --abr
 
 echo "== hot-path bench (smoke) =="
-# Includes the lpips row: fails unless the batched float64 LPIPS kernel
-# matches the frozen scipy implementation to 1e-9.
+# Fails unless the batched float64 LPIPS kernel matches the frozen scipy
+# implementation to 1e-9 (lpips row) and conv2d_forward is array_equal to
+# the frozen per-tap conv at the LPIPS and EDSR shapes (im2col row).
 python benchmarks/bench_hotpath.py --smoke >/dev/null
 echo "ok: wrote BENCH_hotpath.smoke.json"
 

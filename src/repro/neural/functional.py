@@ -24,60 +24,6 @@ __all__ = [
 ]
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
-def _fill_cols(
-    x: np.ndarray,
-    kh: int,
-    kw: int,
-    stride: int,
-    pad: int,
-    oy0: int,
-    oy1: int,
-    buf: np.ndarray,
-) -> None:
-    """Fused zero-pad + im2col for output rows ``[oy0, oy1)``.
-
-    Writes the columns for ``np.pad(x, pad)`` into ``buf`` (shaped
-    (N, C, kh, kw, oy1-oy0, out_w)) without ever materializing the padded
-    array: each kernel tap copies only the slice of ``x`` it can actually
-    see and zero-fills the border strips of its destination directly.
-    """
-    n, c, h, w = x.shape
-    ow = buf.shape[-1]
-    for i in range(kh):
-        # Output rows oy read input row (i - pad + oy*stride); keep the
-        # range where that lands inside [0, h).
-        y0 = max(oy0, _ceil_div(pad - i, stride))
-        y1 = min(oy1 - 1, (h - 1 - i + pad) // stride)
-        for j in range(kw):
-            x0 = max(0, _ceil_div(pad - j, stride))
-            x1 = min(ow - 1, (w - 1 - j + pad) // stride)
-            dst = buf[:, :, i, j]
-            if y0 > y1 or x0 > x1:
-                dst[:] = 0
-                continue
-            d0, d1 = y0 - oy0, y1 - oy0
-            if d0 > 0:
-                dst[:, :, :d0] = 0
-            if d1 < dst.shape[2] - 1:
-                dst[:, :, d1 + 1 :] = 0
-            if x0 > 0:
-                dst[:, :, d0 : d1 + 1, :x0] = 0
-            if x1 < ow - 1:
-                dst[:, :, d0 : d1 + 1, x1 + 1 :] = 0
-            r0 = i - pad + y0 * stride
-            c0 = j - pad + x0 * stride
-            dst[:, :, d0 : d1 + 1, x0 : x1 + 1] = x[
-                :,
-                :,
-                r0 : r0 + (y1 - y0) * stride + 1 : stride,
-                c0 : c0 + (x1 - x0) * stride + 1 : stride,
-            ]
-
-
 def _out_hw(shape, kh: int, kw: int, stride: int, pad: int) -> tuple[int, int]:
     h, w = shape[2], shape[3]
     out_h = (h + 2 * pad - kh) // stride + 1
@@ -90,28 +36,38 @@ def _out_hw(shape, kh: int, kw: int, stride: int, pad: int) -> tuple[int, int]:
     return out_h, out_w
 
 
-def _im2col_padded(
-    x: np.ndarray, kh: int, kw: int, stride: int, pad: int
-) -> tuple[np.ndarray, int, int]:
-    """Fused zero-pad + im2col over the full output.
+def _patch_view(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """Read-only (N, C, kh, kw, out_h, out_w) strided view of every conv patch.
 
-    Returns ``(cols, out_h, out_w)`` with ``cols`` shaped (N, C*kh*kw, L).
+    Entry ``[n, c, i, j, oy, ox]`` is ``xp[n, c, oy*stride + i, ox*stride + j]``
+    where ``xp`` is ``x`` zero-padded by ``pad`` on each spatial side (one
+    ``np.zeros`` copy when ``pad > 0``, none otherwise). Copying a slice of
+    this view into a contiguous buffer is the whole of im2col.
     """
     n, c, h, w = x.shape
     out_h, out_w = _out_hw(x.shape, kh, kw, stride, pad)
-    if kh == 1 and kw == 1 and stride == 1 and pad == 0:
-        return x.reshape(n, c, h * w), out_h, out_w  # view, no copy
-    cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=x.dtype)
-    _fill_cols(x, kh, kw, stride, pad, 0, out_h, cols)
-    return cols.reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
+    if pad:
+        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        xp[:, :, pad : pad + h, pad : pad + w] = x
+        x = xp
+    sn, sc, sh, sw = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, kh, kw, out_h, out_w),
+        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
+        writeable=False,
+    )
 
 
 #: im2col working-set target per GEMM call on the inference path. Chunks
-#: of the column buffer this size stay cache-resident between the tap
-#: copies and the GEMM that consumes them, instead of round-tripping a
-#: buffer that for a 3x3 conv on an HR frame is hundreds of MB through
-#: DRAM. ~L2-sized is the measured sweet spot (5x on that HR conv; sizes
-#: from 256 KiB to 4 MiB are all within ~15% of it).
+#: of the column buffer this size stay cache-resident between the patch
+#: copy and the GEMM that consumes it, instead of round-tripping a buffer
+#: that for a 3x3 conv on an HR frame is hundreds of MB through DRAM.
+#: Measured with the strided copy (2-CPU x86_64, one BLAS thread), ms per
+#: call at 256K/512K/1M/2M/4M: LPIPS scale-0 (6,1,262,454)x(10,1,7,7) f64
+#: 17.0/17.0/17.0/17.0/26.1 (one-row chunks up to 2 MiB); EDSR
+#: (1,64,128,224)x(64,64,3,3) f32 15.3/15.3/16.2/18.3/18.2. No size wins
+#: on both, so 1 MiB stays.
 _CONV_CHUNK_BYTES = 1 << 20
 
 
@@ -129,30 +85,31 @@ def conv2d_forward(
     """
     n, c = x.shape[0], x.shape[1]
     c_out, _, kh, kw = weight.shape
-    out_h, out_w = _out_hw(x.shape, kh, kw, stride, padding)
+    patches = _patch_view(x, kh, kw, stride, padding)
+    out_h, out_w = patches.shape[4:]
     w2 = weight.reshape(c_out, -1)
     if w2.dtype != x.dtype:
         w2 = w2.astype(x.dtype)  # float32 inference path
     out = np.empty((n, c_out, out_h, out_w), dtype=x.dtype)
-    out3 = out.reshape(n, c_out, out_h * out_w)
 
-    if kh == 1 and kw == 1 and stride == 1 and padding == 0:
-        np.matmul(w2, x.reshape(n, c, -1), out=out3)
+    k = c * kh * kw
+    rows = max(1, _CONV_CHUNK_BYTES // (n * k * out_w * x.dtype.itemsize))
+    pointwise = kh == 1 and kw == 1 and stride == 1 and padding == 0
+    if pointwise or rows >= out_h:
+        # One GEMM; the reshape is the im2col copy (a view for a pointwise
+        # conv on a contiguous input).
+        np.matmul(w2, patches.reshape(n, k, -1), out=out.reshape(n, c_out, -1))
     else:
-        k = c * kh * kw
-        rows = max(1, _CONV_CHUNK_BYTES // (n * k * out_w * x.dtype.itemsize))
-        if rows >= out_h:
-            cols, _, _ = _im2col_padded(x, kh, kw, stride, padding)
-            np.matmul(w2, cols, out=out3)
-        else:
-            buf = np.empty((n, c, kh, kw, rows, out_w), dtype=x.dtype)
-            for oy0 in range(0, out_h, rows):
-                oy1 = min(out_h, oy0 + rows)
-                chunk = buf if oy1 - oy0 == rows else buf[:, :, :, :, : oy1 - oy0]
-                _fill_cols(x, kh, kw, stride, padding, oy0, oy1, chunk)
-                out[:, :, oy0:oy1] = np.matmul(
-                    w2, chunk.reshape(n, k, -1)
-                ).reshape(n, c_out, oy1 - oy0, out_w)
+        buf = np.empty(n * k * rows * out_w, dtype=x.dtype)
+        for oy0 in range(0, out_h, rows):
+            oy1 = min(out_h, oy0 + rows)
+            cols = buf[: n * k * (oy1 - oy0) * out_w].reshape(
+                n, c, kh, kw, oy1 - oy0, out_w
+            )
+            np.copyto(cols, patches[:, :, :, :, oy0:oy1])
+            out[:, :, oy0:oy1] = np.matmul(w2, cols.reshape(n, k, -1)).reshape(
+                n, c_out, oy1 - oy0, out_w
+            )
 
     if bias is not None:
         b = bias if bias.dtype == out.dtype else bias.astype(out.dtype)
@@ -168,27 +125,10 @@ def im2col(
     ``L = out_h * out_w`` for the given kernel/stride (no padding here —
     pad beforehand).
     """
-    n, c, h, w = x.shape
-    out_h = (h - kh) // stride + 1
-    out_w = (w - kw) // stride + 1
-    if out_h <= 0 or out_w <= 0:
-        raise ValueError(
-            f"kernel ({kh}x{kw}, stride {stride}) larger than input ({h}x{w})"
-        )
-    if kh == 1 and kw == 1 and stride == 1:
-        return x.reshape(n, c, h * w)  # pointwise conv: a view, no copy
-    # One slice-copy per kernel tap (kh*kw copies total), written straight
-    # into the 6-D view of the column buffer — a single strided pass per
-    # tap. (Reshaping the strided patch first would materialize it and
-    # double the memory traffic; this copy is what dominates conv2d's
-    # runtime, not the GEMM.)
-    cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = x[
-                :, :, i : i + out_h * stride : stride, j : j + out_w * stride : stride
-            ]
-    return cols.reshape(n, c * kh * kw, out_h * out_w)
+    n, c = x.shape[0], x.shape[1]
+    # One copy of the patch view (a view for a pointwise conv on a
+    # contiguous input).
+    return _patch_view(x, kh, kw, stride, 0).reshape(n, c * kh * kw, -1)
 
 
 def col2im(
@@ -245,7 +185,7 @@ def conv2d(
         or (bias is not None and bias.requires_grad)
     )
     if not needs_tape:
-        # Graph-free fast path: fused pad+im2col, no Tensor intermediates.
+        # Graph-free fast path: strided-view im2col, no Tensor intermediates.
         return Tensor(
             conv2d_forward(
                 x.data, weight.data, None if bias is None else bias.data, stride, padding

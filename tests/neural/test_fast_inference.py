@@ -1,4 +1,4 @@
-"""Fast inference path: dtype policy, graph-free forwards, fused conv."""
+"""Fast inference path: dtype policy, graph-free forwards, strided-view conv."""
 
 from __future__ import annotations
 
@@ -18,12 +18,9 @@ from repro.neural.tensor import (
 )
 
 
-def _reference_conv(x, weight, bias, stride, padding):
-    """Explicit np.pad + two-pass im2col, the pre-fast-path formulation."""
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+def _reference_im2col(x, kh, kw, stride):
+    """Two-pass im2col, one strided slice copy per kernel tap."""
     n, c, h, w = x.shape
-    c_out, _, kh, kw = weight.shape
     out_h = (h - kh) // stride + 1
     out_w = (w - kw) // stride + 1
     cols = np.empty((n, c, kh, kw, out_h * out_w), dtype=x.dtype)
@@ -31,9 +28,19 @@ def _reference_conv(x, weight, bias, stride, padding):
         for j in range(kw):
             patch = x[:, :, i : i + out_h * stride : stride, j : j + out_w * stride : stride]
             cols[:, :, i, j, :] = patch.reshape(n, c, out_h * out_w)
-    out = np.matmul(
-        weight.reshape(c_out, -1).astype(x.dtype), cols.reshape(n, c * kh * kw, -1)
-    ).reshape(n, c_out, out_h, out_w)
+    return cols.reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
+
+
+def _reference_conv(x, weight, bias, stride, padding):
+    """Explicit np.pad + two-pass im2col, the pre-fast-path formulation."""
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    n = x.shape[0]
+    c_out, _, kh, kw = weight.shape
+    cols, out_h, out_w = _reference_im2col(x, kh, kw, stride)
+    out = np.matmul(weight.reshape(c_out, -1).astype(x.dtype), cols).reshape(
+        n, c_out, out_h, out_w
+    )
     if bias is not None:
         out = out + bias.astype(x.dtype).reshape(1, c_out, 1, 1)
     return out
@@ -130,6 +137,17 @@ class TestFusedConvForward:
         ref = _reference_conv(x, weight, bias, stride, padding)
         np.testing.assert_array_equal(out, ref)
 
+    def test_lpips_shape_one_row_chunks_match_reference(self, rng):
+        # The LPIPS scale-0 correlation: six float64 planes against the
+        # 10-filter 7x7 bank, wide enough that the real 1 MiB budget holds
+        # a single output row per chunk.
+        x = rng.uniform(size=(6, 1, 12, 454))
+        weight = rng.normal(size=(10, 1, 7, 7))
+        out_w = 454 - 7 + 1
+        assert 6 * 49 * out_w * 8 > F._CONV_CHUNK_BYTES  # one row per chunk
+        out = F.conv2d_forward(x, weight, None, 1, 0)
+        np.testing.assert_array_equal(out, _reference_conv(x, weight, None, 1, 0))
+
     def test_chunked_path_matches_unchunked(self, rng, monkeypatch):
         # Force the cache-blocked row chunking even at test sizes. The GEMM
         # shape changes, so BLAS may re-order the reduction — allow last-ulp
@@ -141,19 +159,57 @@ class TestFusedConvForward:
         chunked = F.conv2d_forward(x, weight, None, 1, 1)
         np.testing.assert_allclose(chunked, full, rtol=1e-12, atol=1e-12)
 
-    def test_fused_im2col_matches_np_pad(self, rng):
-        x = rng.uniform(size=(2, 3, 9, 7))
-        for kernel, stride, pad in [(3, 1, 1), (3, 2, 2), (5, 1, 2)]:
-            cols, out_h, out_w = F._im2col_padded(x, kernel, kernel, stride, pad)
-            padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-            ref = F.im2col(padded, kernel, kernel, stride)
-            np.testing.assert_array_equal(cols, ref)
-
     def test_kernel_larger_than_input_rejected(self, rng):
         x = rng.uniform(size=(1, 1, 2, 2))
         weight = rng.normal(size=(1, 1, 5, 5))
         with pytest.raises(ValueError, match="larger than"):
             F.conv2d_forward(x, weight, None, 1, 0)
+
+
+class TestPatchView:
+    """``F._patch_view``: the strided view every im2col copy reads from."""
+
+    @staticmethod
+    def _cases(rng):
+        # Odd sizes chosen so the last window lies exactly on the padded
+        # edge: (size + 2*pad - kernel) is a multiple of the stride.
+        for stride in (2, 3):
+            for pad in range(4):
+                for kernel in (3, 5):
+                    h = next(
+                        v for v in range(9, 40, 2) if (v + 2 * pad - kernel) % stride == 0
+                    )
+                    w = next(
+                        v
+                        for v in range(h + 2, 40, 2)
+                        if (v + 2 * pad - kernel) % stride == 0
+                    )
+                    base = rng.uniform(size=(3, 2, w, h + 2))
+                    # Transposed then sliced: non-C-contiguous, N > 1.
+                    yield base.transpose(0, 1, 3, 2)[:, :, 1:-1], kernel, stride, pad
+
+    def test_matches_np_pad_im2col(self, rng):
+        for x, kernel, stride, pad in self._cases(rng):
+            assert not x.flags.c_contiguous and x.shape[0] > 1
+            n, c, h, w = x.shape
+            view = F._patch_view(x, kernel, kernel, stride, pad)
+            out_h, out_w = view.shape[4:]
+            assert (out_h - 1) * stride + kernel == h + 2 * pad
+            assert (out_w - 1) * stride + kernel == w + 2 * pad
+            padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+            ref, _, _ = _reference_im2col(padded, kernel, kernel, stride)
+            np.testing.assert_array_equal(view.reshape(n, c * kernel * kernel, -1), ref)
+
+    @pytest.mark.parametrize("pad", [0, 2])
+    def test_view_is_read_only_and_input_unchanged(self, rng, pad):
+        x = rng.uniform(size=(2, 3, 9, 7))
+        before = x.copy()
+        view = F._patch_view(x, 3, 3, 2, pad)
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0, 0, 0, 0, 0] = 1.0
+        F.conv2d_forward(x, rng.normal(size=(4, 3, 3, 3)), None, 2, pad)
+        np.testing.assert_array_equal(x, before)
+        assert x.flags.writeable
 
 
 class TestBilinearSkip:
