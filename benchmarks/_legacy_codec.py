@@ -6,7 +6,12 @@ a per-block Python loop in motion compensation, and bit-at-a-time
 Exp-Golomb entropy coding.  It also keeps the later pruned full search
 (``legacy_pruned_estimate_motion``: a Python loop over offsets with a
 successive-elimination bound), the reference for the batched search's
-workload-geometry row.  ``bench_codec.py`` keeps measuring the live
+workload-geometry row, and the later buffered per-symbol reader
+(``LegacyBufferedBitReader`` with ``buffered_decode_blocks``), the
+reference for the one-pass payload parse.  The four-tap ``bilinear``
+(``legacy_bilinear``) is copied too, because the legacy decoder's chroma
+upsample must not move with the live separable one.
+``bench_codec.py`` keeps measuring the live
 path against this fixed reference as the codebase evolves — do not
 "optimize" this file.
 
@@ -18,8 +23,8 @@ smaller SADs to ties on real frames), and the baseline adopts the same
 comparison so the bench's bitstream byte-identity assertion is
 meaningful.  The performance profile is untouched.
 
-Unchanged codec stages (DCT/quantization, color, block reshaping) are
-imported from the live modules — they are shared by both paths and not
+Unchanged codec stages (DCT/quantization, color conversion, block
+reshaping) are imported from the live modules — they are shared by both paths and not
 part of this baseline.
 """
 
@@ -31,12 +36,7 @@ from typing import Optional
 import numpy as np
 
 from repro.codec.blocks import block_grid_shape, merge_blocks, pad_to_blocks, split_blocks
-from repro.codec.color import (
-    rgb_to_ycbcr,
-    subsample_chroma,
-    upsample_chroma,
-    ycbcr_to_rgb,
-)
+from repro.codec.color import rgb_to_ycbcr, subsample_chroma, ycbcr_to_rgb
 from repro.codec.encoder import PIXEL_SCALE, EncodedFrame
 from repro.codec.entropy import zigzag_indices
 from repro.codec.transform import dequantize, forward_dct, inverse_dct, quantize
@@ -165,6 +165,164 @@ def legacy_decode_blocks(reader, n_blocks: int, n: int) -> np.ndarray:
             flat[pos] = _unsigned_to_signed(level_code)
         out[b][rows, cols] = flat
     return out
+
+
+# ----------------------------------------------------------------------
+# Buffered scalar reader: the per-symbol decode (a rolling integer bit
+# window, one Python step per code) that the one-pass payload parse
+# replaced.  The reference for bench_codec's P-frame decode row.
+# ----------------------------------------------------------------------
+class LegacyBufferedBitReader:
+    """MSB-first reader over a byte string, buffered for fast decode.
+
+    Upcoming bits live in an integer window (``_buf`` holding the low
+    ``_buf_bits`` bits), refilled up to eight bytes at a time, so unary
+    runs are counted with one ``bit_length`` call instead of a per-bit
+    loop.  The public API and EOF behaviour match the original unbuffered
+    reader.
+    """
+
+    def __init__(self, data: bytes) -> None:
+        self._data = data
+        self._total_bits = len(data) * 8
+        self._pos = 0  # bits consumed so far
+        self._buf = 0
+        self._buf_bits = 0
+        self._byte_pos = 0  # next byte to load into the buffer
+
+    def _fill(self) -> bool:
+        chunk = self._data[self._byte_pos : self._byte_pos + 8]
+        if not chunk:
+            return False
+        self._buf = (self._buf << (8 * len(chunk))) | int.from_bytes(chunk, "big")
+        self._buf_bits += 8 * len(chunk)
+        self._byte_pos += len(chunk)
+        return True
+
+    def read_bit(self) -> int:
+        if self._buf_bits == 0 and not self._fill():
+            raise EOFError("bitstream exhausted")
+        self._buf_bits -= 1
+        self._pos += 1
+        bit = (self._buf >> self._buf_bits) & 1
+        self._buf &= (1 << self._buf_bits) - 1
+        return bit
+
+    def read_bits(self, count: int) -> int:
+        while self._buf_bits < count:
+            if not self._fill():
+                raise EOFError("bitstream exhausted")
+        self._buf_bits -= count
+        self._pos += count
+        value = self._buf >> self._buf_bits
+        self._buf &= (1 << self._buf_bits) - 1
+        return value
+
+    def read_unary(self) -> int:
+        count = 0
+        while True:
+            if self._buf_bits == 0 and not self._fill():
+                raise EOFError("bitstream exhausted")
+            if self._buf == 0:
+                count += self._buf_bits
+                self._pos += self._buf_bits
+                self._buf_bits = 0
+                continue
+            top = self._buf.bit_length()
+            zeros = self._buf_bits - top
+            count += zeros
+            self._buf_bits = top - 1  # consume the zeros and the 1
+            self._buf &= (1 << self._buf_bits) - 1
+            self._pos += zeros + 1
+            return count
+
+    @property
+    def bits_remaining(self) -> int:
+        return self._total_bits - self._pos
+
+
+def buffered_read_exp_golomb_array(reader, count: int) -> np.ndarray:
+    """Read ``count`` unsigned Exp-Golomb values into an int64 array."""
+    out = np.empty(count, dtype=np.int64)
+    read_unary = reader.read_unary
+    read_bits = reader.read_bits
+    for i in range(count):
+        prefix = read_unary()
+        out[i] = (1 << prefix) + read_bits(prefix) - 1
+    return out
+
+
+def buffered_decode_blocks(reader, n_blocks: int, n: int) -> np.ndarray:
+    """The per-symbol block decode over a buffered reader."""
+    rows, cols = zigzag_indices(n)
+    out = np.zeros((n_blocks, n, n), dtype=np.int64)
+    nn = n * n
+    read_unary = reader.read_unary
+    read_bits = reader.read_bits
+    for b in range(n_blocks):
+        flat = np.zeros(nn, dtype=np.int64)
+        pos = -1
+        while True:
+            prefix = read_unary()
+            run = (1 << prefix) + read_bits(prefix) - 1
+            prefix = read_unary()
+            level_code = (1 << prefix) + read_bits(prefix) - 1
+            if level_code == 0:  # EOB
+                break
+            pos += run + 1
+            if pos >= nn:
+                raise ValueError("corrupt bitstream: coefficient index overflow")
+            flat[pos] = _unsigned_to_signed(level_code)
+        out[b][rows, cols] = flat
+    return out
+
+
+# ----------------------------------------------------------------------
+# Four-tap bilinear resampling, as it was before the separable form
+# (the decoder's chroma upsample and bench_hotpath's bilinear row).
+# ----------------------------------------------------------------------
+def _check_image(image: np.ndarray) -> np.ndarray:
+    image = np.asarray(image, dtype=np.float64)  # reprolint: disable=dtype-discipline -- documented f64-in/f64-out resampling
+    if image.ndim not in (2, 3):
+        raise ValueError(
+            f"expected (H, W) or (H, W, C) image, got shape {image.shape}"
+        )
+    if image.shape[0] < 1 or image.shape[1] < 1:
+        raise ValueError(f"image has empty spatial dims: {image.shape}")
+    return image
+
+
+def _source_coords(out_size: int, in_size: int) -> np.ndarray:
+    """Map output pixel centres into input coordinate space."""
+    scale = in_size / out_size
+    return (np.arange(out_size, dtype=np.float64) + 0.5) * scale - 0.5
+
+
+def legacy_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resampling (the paper's GPU ``GL_LINEAR`` path)."""
+    image = _check_image(image)
+    in_h, in_w = image.shape[:2]
+
+    ys = _source_coords(out_h, in_h)
+    xs = _source_coords(out_w, in_w)
+
+    y0 = np.clip(np.floor(ys), 0, in_h - 1).astype(np.intp)
+    x0 = np.clip(np.floor(xs), 0, in_w - 1).astype(np.intp)
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+
+    wy = np.clip(ys - y0, 0.0, 1.0)
+    wx = np.clip(xs - x0, 0.0, 1.0)
+    if image.ndim == 3:
+        wy = wy[:, None, None]
+        wx = wx[None, :, None]
+    else:
+        wy = wy[:, None]
+        wx = wx[None, :]
+
+    top = image[y0][:, x0] * (1 - wx) + image[y0][:, x1] * wx
+    bot = image[y1][:, x0] * (1 - wx) + image[y1][:, x1] * wx
+    return top * (1 - wy) + bot * wy
 
 
 # ----------------------------------------------------------------------
@@ -438,8 +596,8 @@ class LegacyVideoDecoder:
         h, w = y.shape
         return ycbcr_to_rgb(
             (y + 128.0) / PIXEL_SCALE,
-            upsample_chroma(cb / PIXEL_SCALE, h, w),
-            upsample_chroma(cr / PIXEL_SCALE, h, w),
+            legacy_bilinear(cb / PIXEL_SCALE, h, w),
+            legacy_bilinear(cr / PIXEL_SCALE, h, w),
         )
 
     def decode_frame(self, encoded: EncodedFrame) -> LegacyDecodedFrame:

@@ -1,8 +1,8 @@
 """Codec trajectory benchmark: motion search, compensation, entropy coding.
 
 Measures the fast codec path (successive-elimination pruned full search,
-vectorized compensation, batch bit-packed Exp-Golomb coding, buffered
-bitstream reads) against the frozen pre-PR reference implementation in
+vectorized compensation, batch bit-packed Exp-Golomb coding, one-pass
+payload parse) against the frozen pre-PR reference implementation in
 ``_legacy_codec.py`` and writes the numbers to ``BENCH_codec.json`` at the
 repo root so the speedup trajectory survives across PRs.  Run::
 
@@ -14,7 +14,13 @@ PR's acceptance criteria: >= 4x ``encode_frame``, >= 3x motion estimation,
 full-search motion vectors exactly equal to legacy, and bitstreams
 byte-identical to legacy.  A second motion row runs at the end-to-end server geometry
 (64x112 G3 planes) against the frozen per-offset pruned loop: motion
-vectors exactly equal, and >= 1.5x faster in the full run.  Smoke mode
+vectors exactly equal, and >= 1.5x faster in the full run.  A decode row
+at the same geometry splits whole P-frame payloads into motion vectors
+and plane levels with the one-pass ``decode_payload`` and with the frozen
+buffered per-symbol reader: both exactly equal to the bit-at-a-time
+``legacy_decode_blocks``, and the full run must be >= 1.5x faster than the
+buffered reader.  The frame-codec row requires every decoded frame's rgb
+and every P-frame's motion vectors to equal the legacy decoder's.  Smoke mode
 swaps in a small frame (the 64x112 row keeps its geometry, with fewer
 planes) to exercise every path and exactness assertion quickly (no
 speedup floors — tiny shapes don't amortize anything) and writes
@@ -40,19 +46,25 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from repro.codec.bitstream import BitReader, BitWriter  # noqa: E402
-from repro.codec.blocks import split_blocks  # noqa: E402
+from repro.codec.bitstream import BitWriter  # noqa: E402
+from repro.codec.blocks import block_grid_shape, split_blocks  # noqa: E402
 from repro.codec.color import rgb_to_ycbcr  # noqa: E402
 from repro.codec.decoder import VideoDecoder  # noqa: E402
 from repro.codec.encoder import VideoEncoder  # noqa: E402
-from repro.codec.entropy import decode_blocks, encode_blocks  # noqa: E402
+from repro.codec.entropy import (  # noqa: E402
+    decode_payload,
+    encode_blocks,
+    unsigned_to_signed_array,
+)
 from repro.codec.motion import compensate, estimate_motion  # noqa: E402
 from repro.codec.transform import forward_dct, quantize  # noqa: E402
 
 from conftest import write_bench_json  # noqa: E402
 from _legacy_codec import (  # noqa: E402
+    _legacy_decode_motion,
     LegacyBitReader,
     LegacyBitWriter,
+    LegacyBufferedBitReader,
     LegacyVideoDecoder,
     LegacyVideoEncoder,
     legacy_compensate,
@@ -60,6 +72,8 @@ from _legacy_codec import (  # noqa: E402
     legacy_encode_blocks,
     legacy_estimate_motion,
     legacy_pruned_estimate_motion,
+    buffered_decode_blocks,
+    buffered_read_exp_golomb_array,
 )
 
 QUALITY = 60
@@ -181,7 +195,7 @@ def _bench_entropy(frames, repeats: int) -> dict:
         repeats,
     )
     dec_fast_s = _time(
-        lambda: decode_blocks(BitReader(payload_fast), len(blocks), 8), repeats
+        lambda: decode_payload(payload_fast, 0, len(blocks), 8), repeats
     )
     return {
         "n_blocks": int(len(blocks)),
@@ -193,6 +207,86 @@ def _bench_entropy(frames, repeats: int) -> dict:
         "decode_legacy_s": round(dec_legacy_s, 5),
         "decode_fast_s": round(dec_fast_s, 5),
         "decode_speedup": round(dec_legacy_s / dec_fast_s, 2),
+    }
+
+
+def _payload_layout(encoded) -> tuple[int, int, list[int]]:
+    """(nby, nbx, blocks per plane) of one encoded frame's payload."""
+    h, w, block = encoded.height, encoded.width, encoded.block
+    nby, nbx = block_grid_shape(h, w, block)
+    n_chroma = int(np.prod(block_grid_shape(-(-h // 2), -(-w // 2), block)))
+    return nby, nbx, [nby * nbx, n_chroma, n_chroma]
+
+
+def _bench_decode_workload(smoke: bool, repeats: int) -> dict:
+    """Whole P-frame payload decode at the e2ebench server geometry.
+
+    Splits each 64x112 G3 P-frame payload into motion vectors and the
+    levels of its three planes, with the frozen buffered per-symbol reader
+    and with the one-pass ``decode_payload``; both must equal the
+    bit-at-a-time ``legacy_decode_blocks`` exactly.
+    """
+    from repro.render.games import build_game
+
+    n_frames = 3 if smoke else 9
+    game = build_game("G3")
+    encoder = VideoEncoder(gop_size=GOP, quality=QUALITY)
+    p_frames = [
+        encoder.encode_frame(game.render_frame(i, 112, 64).color) for i in range(n_frames)
+    ][1:]
+    nby, nbx, plane_blocks = _payload_layout(p_frames[0])
+    block = p_frames[0].block
+
+    def scalar(reader_cls, read_mv, read_blocks):
+        def run():
+            out = []
+            for e in p_frames:
+                reader = reader_cls(e.payload)
+                mv = read_mv(reader)
+                out.append((mv, [read_blocks(reader, k, block) for k in plane_blocks]))
+            return out
+        return run
+
+    def legacy_mv(reader):
+        return _legacy_decode_motion(reader, nby, nbx)
+
+    def buffered_mv(reader):
+        codes = buffered_read_exp_golomb_array(reader, 2 * nby * nbx)
+        return unsigned_to_signed_array(codes).reshape(nby, nbx, 2)
+
+    legacy = scalar(LegacyBitReader, legacy_mv, legacy_decode_blocks)
+    buffered = scalar(LegacyBufferedBitReader, buffered_mv, buffered_decode_blocks)
+
+    def fast():
+        return [
+            decode_payload(e.payload, 2 * nby * nbx, sum(plane_blocks), block)
+            for e in p_frames
+        ]
+
+    for (mv_l, planes_l), (mv_b, planes_b), (mv_f, levels_f) in zip(
+        legacy(), buffered(), fast()
+    ):
+        levels_l = np.concatenate(planes_l)
+        if not (
+            np.array_equal(mv_f.reshape(nby, nbx, 2), mv_l)
+            and np.array_equal(levels_f, levels_l)
+        ):
+            raise AssertionError("decode_payload diverged from legacy_decode_blocks")
+        if not (np.array_equal(mv_b, mv_l) and np.array_equal(np.concatenate(planes_b), levels_l)):
+            raise AssertionError("buffered reader diverged from legacy_decode_blocks")
+
+    buffered_s = _time(buffered, repeats)
+    fast_s = _time(fast, repeats)
+    n = len(p_frames)
+    return {
+        "sequence": "G3",
+        "frame_hw": [p_frames[0].height, p_frames[0].width],
+        "p_frames": n,
+        "payload_bytes": [e.size_bytes for e in p_frames],
+        "buffered_reader_ms_per_frame": round(1e3 * buffered_s / n, 3),
+        "one_pass_ms_per_frame": round(1e3 * fast_s / n, 3),
+        "speedup_vs_buffered_reader": round(buffered_s / fast_s, 2),
+        "equal_to_legacy_decode_blocks": True,
     }
 
 
@@ -223,10 +317,14 @@ def _bench_frame_codec(frames, repeats: int) -> dict:
         d = VideoDecoder()
         return d.decode_sequence(encoded_fast)
 
-    rgb_legacy = dec_legacy()[-1].rgb
-    rgb_fast = dec_fast()[-1].rgb
-    if not np.allclose(rgb_legacy, rgb_fast, atol=1e-9):
-        raise AssertionError("fast decoder reconstruction diverged from legacy")
+    for i, (e, a, b) in enumerate(zip(encoded_fast, dec_legacy(), dec_fast())):
+        if not np.array_equal(a.rgb, b.rgb):
+            raise AssertionError(f"frame {i}: fast decoder rgb differs from legacy")
+        if e.frame_type == "P":
+            nby, nbx, _ = _payload_layout(e)
+            mv = _legacy_decode_motion(LegacyBitReader(e.payload), nby, nbx)
+            if not np.array_equal(b.motion_vectors, mv):
+                raise AssertionError(f"frame {i}: decoded motion vectors differ from legacy")
     dec_legacy_s = _time(dec_legacy, repeats)
     dec_fast_s = _time(dec_fast, repeats)
 
@@ -237,6 +335,7 @@ def _bench_frame_codec(frames, repeats: int) -> dict:
         "quality": QUALITY,
         "payload_bytes": [e.size_bytes for e in encoded_fast],
         "bitstream_byte_identical": True,
+        "decode_array_equal": True,
         "encode_legacy_s_per_frame": round(enc_legacy_s / n, 4),
         "encode_fast_s_per_frame": round(enc_fast_s / n, 4),
         "encode_speedup": round(enc_legacy_s / enc_fast_s, 2),
@@ -261,6 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     motion = _bench_motion(frames, repeats)
     motion_workload = _bench_motion_workload(args.smoke, repeats)
     entropy = _bench_entropy(frames, repeats)
+    decode_workload = _bench_decode_workload(args.smoke, repeats)
     frame_codec = _bench_frame_codec(frames, repeats)
 
     report = {
@@ -274,6 +374,7 @@ def main(argv: list[str] | None = None) -> int:
         "motion": motion,
         "motion_64x112": motion_workload,
         "entropy": entropy,
+        "decode_64x112": decode_workload,
         "frame_codec": frame_codec,
     }
 
@@ -293,6 +394,11 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 "64x112 full search speedup "
                 f"{motion_workload['speedup_vs_pruned_loop']}x < 1.5x vs the pruned loop"
+            )
+        if decode_workload["speedup_vs_buffered_reader"] < 1.5:
+            failures.append(
+                "64x112 P-frame payload decode speedup "
+                f"{decode_workload['speedup_vs_buffered_reader']}x < 1.5x vs the buffered reader"
             )
     report["criteria_failures"] = failures
 

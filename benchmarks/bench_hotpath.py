@@ -1,4 +1,4 @@
-"""Hot-path trajectory benchmark: conv2d, im2col, tiled SR, LPIPS, end-to-end session.
+"""Hot-path trajectory benchmark: conv2d, im2col, tiled SR, LPIPS, bilinear, end-to-end session.
 
 Measures the fast inference path (float32, graph-free forwards,
 strided-view im2col, batched tiles, tuned allocator) against the frozen pre-PR
@@ -18,8 +18,16 @@ don't amortize anything) and writes ``BENCH_hotpath.smoke.json`` instead.
 
 The ``lpips`` row times the batched float64 LPIPS kernel against the
 frozen scipy implementation (``tests/metrics/_legacy_lpips.py``) on the
-same frame. Both modes fail if the two disagree by more than 1e-9; the
-full run also requires >= 3x.
+same frame. The full run also scores frame 0 of all ten games at the
+112x64 stream and 448x256 HR geometries and records each game's largest
+|delta| under ``games``. Both modes fail if the two disagree by more than
+1e-9 on any scored frame; the full run also requires >= 3x.
+
+The ``bilinear`` row times the separable ``bilinear`` against the frozen
+four-tap copy (``_legacy_codec.legacy_bilinear``) on 2x upscales of
+64x112x3 and 128x224x3 and on two odd 2-D shapes. Both modes fail unless
+the outputs are ``np.array_equal``; the full run also requires >= 1.5x
+at 64x112x3.
 
 The ``im2col`` row times ``conv2d_forward`` (one strided-view copy per
 row chunk) against the frozen per-tap conv
@@ -58,8 +66,10 @@ from repro.neural.layers import Conv2d  # noqa: E402
 from repro.neural.tensor import set_inference_dtype  # noqa: E402
 from repro.metrics.lpips import lpips  # noqa: E402
 from repro.metrics.psnr import psnr  # noqa: E402
+from repro.sr.interpolate import bilinear  # noqa: E402
 from repro.sr.runner import SRRunner  # noqa: E402
 
+from _legacy_codec import legacy_bilinear  # noqa: E402
 from _legacy_inference import legacy_upscale_tiled, tap_loop_conv2d_forward  # noqa: E402
 from conftest import write_bench_json  # noqa: E402
 from tests.metrics._legacy_lpips import lpips as legacy_lpips  # noqa: E402
@@ -140,23 +150,80 @@ def _bench_lpips(image: np.ndarray, repeats: int) -> dict:
     its vertical flip; ``max_abs_delta`` is over both pairs.
     """
     h, w = image.shape[:2]
-    h2, w2 = h - h % 2, w - w % 2
-    small = image[:h2, :w2].reshape(h2 // 2, 2, w2 // 2, 2, 3).mean(axis=(1, 3))
-    blurred = image.copy()
-    blurred[:h2, :w2] = small.repeat(2, axis=0).repeat(2, axis=1)
+    blurred = _blurred(image)
     legacy_s = _time(lambda: legacy_lpips(image, blurred), repeats)
     fast_s = _time(lambda: lpips(image, blurred), repeats)
-    delta = max(
-        abs(lpips(image, other) - legacy_lpips(image, other))
-        for other in (blurred, image[::-1])
-    )
     return {
         "frame_hw": [h, w],
         "legacy_scipy_ms": round(legacy_s * 1e3, 2),
         "batched_f64_ms": round(fast_s * 1e3, 2),
         "speedup": round(legacy_s / fast_s, 2),
-        "max_abs_delta": delta,
+        "max_abs_delta": _lpips_delta(image),
     }
+
+
+def _blurred(image: np.ndarray) -> np.ndarray:
+    """``image`` with its even-sized part replaced by a 2x down-up blur."""
+    h, w = image.shape[:2]
+    h2, w2 = h - h % 2, w - w % 2
+    small = image[:h2, :w2].reshape(h2 // 2, 2, w2 // 2, 2, 3).mean(axis=(1, 3))
+    blurred = image.copy()
+    blurred[:h2, :w2] = small.repeat(2, axis=0).repeat(2, axis=1)
+    return blurred
+
+
+def _lpips_delta(image: np.ndarray) -> float:
+    """Largest |batched - scipy| LPIPS of ``image`` against its blur and flip."""
+    return max(
+        abs(lpips(image, other) - legacy_lpips(image, other))
+        for other in (_blurred(image), image[::-1])
+    )
+
+
+#: (width, height) of the e2ebench stream and the HR quality renders.
+LPIPS_GEOMETRIES = ((112, 64), (448, 256))
+
+
+def _lpips_all_games() -> dict:
+    """``_lpips_delta`` of frame 0 of every game at both geometries."""
+    from repro.render.games import all_games
+
+    row = {}
+    for game in all_games():
+        deltas = {
+            f"{w}x{h}": _lpips_delta(game.render_frame(0, w, h).color)
+            for w, h in LPIPS_GEOMETRIES
+        }
+        row[game.game_id] = {**deltas, "max_abs_delta": max(deltas.values())}
+    return row
+
+
+#: (name, input shape, output (h, w)) of the bilinear row.
+BILINEAR_SHAPES = (
+    ("64x112x3_2x", (64, 112, 3), (128, 224)),
+    ("128x224x3_2x", (128, 224, 3), (256, 448)),
+    ("33x57_2x", (33, 57), (66, 114)),
+    ("31x45_to_47x100", (31, 45), (47, 100)),
+)
+
+
+def _bench_bilinear(repeats: int) -> dict:
+    """Frozen four-tap bilinear vs the separable ``bilinear``."""
+    rng = np.random.default_rng(3)
+    row = {}
+    for name, shape, (out_h, out_w) in BILINEAR_SHAPES:
+        image = rng.uniform(size=shape)
+        legacy_s = _time(lambda: legacy_bilinear(image, out_h, out_w), repeats)
+        fast_s = _time(lambda: bilinear(image, out_h, out_w), repeats)
+        row[name] = {
+            "four_tap_ms": round(legacy_s * 1e3, 3),
+            "separable_ms": round(fast_s * 1e3, 3),
+            "speedup": round(legacy_s / fast_s, 2),
+            "array_equal": bool(
+                np.array_equal(legacy_bilinear(image, out_h, out_w), bilinear(image, out_h, out_w))
+            ),
+        }
+    return row
 
 
 def _legacy_baseline_subprocess(smoke: bool, repeats: int) -> float:
@@ -292,11 +359,18 @@ def main(argv: list[str] | None = None) -> int:
         tiled = _bench_upscale_tiled(model, image, legacy_s, repeats=1)
         lpips_row = _bench_lpips(image, repeats=1)
         im2col_row = _bench_im2col(repeats=1)
+        bilinear_row = _bench_bilinear(repeats=1)
     else:
         conv = _bench_conv2d(channels=64, height=128, width=224, repeats=3)
         tiled = _bench_upscale_tiled(model, image, legacy_s, repeats=3)
         lpips_row = _bench_lpips(image, repeats=3)
+        lpips_row["games"] = _lpips_all_games()
+        lpips_row["max_abs_delta"] = max(
+            [lpips_row["max_abs_delta"]]
+            + [g["max_abs_delta"] for g in lpips_row["games"].values()]
+        )
         im2col_row = _bench_im2col(repeats=5)
+        bilinear_row = _bench_bilinear(repeats=10)
 
     session = _bench_session(smoke=args.smoke)
 
@@ -312,6 +386,7 @@ def main(argv: list[str] | None = None) -> int:
         "upscale_tiled": tiled,
         "lpips": lpips_row,
         "im2col": im2col_row,
+        "bilinear": bilinear_row,
         "session": session,
     }
 
@@ -323,6 +398,9 @@ def main(argv: list[str] | None = None) -> int:
     for name, entry in im2col_row.items():
         if not entry["array_equal"]:
             failures.append(f"im2col {name}: conv2d_forward != per-tap conv")
+    for name, entry in bilinear_row.items():
+        if not entry["array_equal"]:
+            failures.append(f"bilinear {name}: separable != four-tap bilinear")
     if not args.smoke:
         # PR acceptance criteria — keep asserting them so regressions in the
         # fast path show up as a failing bench, not a silently smaller number.
@@ -339,6 +417,10 @@ def main(argv: list[str] | None = None) -> int:
         if im2col_row["lpips_scale0"]["speedup"] < 1.5:
             failures.append(
                 f"im2col LPIPS-shape speedup {im2col_row['lpips_scale0']['speedup']}x < 1.5x"
+            )
+        if bilinear_row["64x112x3_2x"]["speedup"] < 1.5:
+            failures.append(
+                f"bilinear 64x112x3 speedup {bilinear_row['64x112x3_2x']['speedup']}x < 1.5x"
             )
     report["criteria_failures"] = failures
 

@@ -1,19 +1,18 @@
-"""Bit-level I/O for the codec's entropy-coded payloads.
+"""Bit-level output for the codec's entropy-coded payloads.
 
 :class:`BitWriter` keeps its original bit-at-a-time API but adds
 :meth:`BitWriter.write_codes`, a bulk append that assembles a whole batch
 of MSB-first codewords in one numpy pass (bit scatter + ``np.packbits``),
 producing byte-identical output to the equivalent ``write_bits`` loop.
-:class:`BitReader` buffers the byte string into a rolling integer window
-(refilled eight bytes at a time) so ``read_bits``/``read_unary`` cost one
-Python-level operation per *call* instead of one per *bit*.
+Payloads are read back by :func:`repro.codec.entropy.decode_payload`,
+which parses a whole payload at once and needs no bit reader.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BitWriter", "BitReader"]
+__all__ = ["BitWriter"]
 
 
 class BitWriter:
@@ -38,12 +37,6 @@ class BitWriter:
             raise ValueError(f"count must be >= 0, got {count}")
         for shift in range(count - 1, -1, -1):
             self.write_bit((value >> shift) & 1)
-
-    def write_unary(self, value: int) -> None:
-        """``value`` zeros followed by a one (prefix of Exp-Golomb)."""
-        for _ in range(value):
-            self.write_bit(0)
-        self.write_bit(1)
 
     def write_codes(self, values: np.ndarray, widths: np.ndarray) -> None:
         """Bulk-append codewords: the ``widths[i]`` low bits of ``values[i]``.
@@ -91,72 +84,3 @@ class BitWriter:
     def __len__(self) -> int:
         """Total number of bits written so far."""
         return len(self._bytes) * 8 + self._n_bits
-
-
-class BitReader:
-    """MSB-first reader over a byte string, buffered for fast decode.
-
-    Upcoming bits live in an integer window (``_buf`` holding the low
-    ``_buf_bits`` bits), refilled up to eight bytes at a time, so unary
-    runs are counted with one ``bit_length`` call instead of a per-bit
-    loop.  The public API and EOF behaviour match the original unbuffered
-    reader.
-    """
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._total_bits = len(data) * 8
-        self._pos = 0  # bits consumed so far
-        self._buf = 0
-        self._buf_bits = 0
-        self._byte_pos = 0  # next byte to load into the buffer
-
-    def _fill(self) -> bool:
-        chunk = self._data[self._byte_pos : self._byte_pos + 8]
-        if not chunk:
-            return False
-        self._buf = (self._buf << (8 * len(chunk))) | int.from_bytes(chunk, "big")
-        self._buf_bits += 8 * len(chunk)
-        self._byte_pos += len(chunk)
-        return True
-
-    def read_bit(self) -> int:
-        if self._buf_bits == 0 and not self._fill():
-            raise EOFError("bitstream exhausted")
-        self._buf_bits -= 1
-        self._pos += 1
-        bit = (self._buf >> self._buf_bits) & 1
-        self._buf &= (1 << self._buf_bits) - 1
-        return bit
-
-    def read_bits(self, count: int) -> int:
-        while self._buf_bits < count:
-            if not self._fill():
-                raise EOFError("bitstream exhausted")
-        self._buf_bits -= count
-        self._pos += count
-        value = self._buf >> self._buf_bits
-        self._buf &= (1 << self._buf_bits) - 1
-        return value
-
-    def read_unary(self) -> int:
-        count = 0
-        while True:
-            if self._buf_bits == 0 and not self._fill():
-                raise EOFError("bitstream exhausted")
-            if self._buf == 0:
-                count += self._buf_bits
-                self._pos += self._buf_bits
-                self._buf_bits = 0
-                continue
-            top = self._buf.bit_length()
-            zeros = self._buf_bits - top
-            count += zeros
-            self._buf_bits = top - 1  # consume the zeros and the 1
-            self._buf &= (1 << self._buf_bits) - 1
-            self._pos += zeros + 1
-            return count
-
-    @property
-    def bits_remaining(self) -> int:
-        return self._total_bits - self._pos

@@ -16,11 +16,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..contracts import shaped
-from .bitstream import BitReader
 from .blocks import block_grid_shape, merge_blocks
 from .color import upsample_chroma, ycbcr_to_rgb
 from .encoder import PIXEL_SCALE, EncodedFrame
-from .entropy import decode_blocks, read_exp_golomb_array, unsigned_to_signed_array
+from .entropy import decode_payload
 from .motion import compensate
 from .residual import block_energy
 from .transform import dequantize, inverse_dct
@@ -109,17 +108,10 @@ class DecodedFrame:
 
 
 def _decode_plane(
-    reader: BitReader, height: int, width: int, block: int, quality: int
+    levels: np.ndarray, height: int, width: int, block: int, quality: int
 ) -> np.ndarray:
-    nby, nbx = block_grid_shape(height, width, block)
-    levels = decode_blocks(reader, nby * nbx, block)
     recon = inverse_dct(dequantize(levels, quality))
     return merge_blocks(recon, height, width, block)
-
-
-def _decode_motion(reader: BitReader, nby: int, nbx: int) -> np.ndarray:
-    codes = read_exp_golomb_array(reader, nby * nbx * 2)
-    return unsigned_to_signed_array(codes).reshape(nby, nbx, 2)
 
 
 @shaped(y="H W:f64", cb="SH SW:f64", cr="SH SW:f64")
@@ -150,46 +142,41 @@ class VideoDecoder:
         ch = -(-h // 2)
         cw = -(-w // 2)
         chroma_block = max(block // 2, 2)
-        reader = BitReader(encoded.payload)
-
-        if encoded.frame_type == "I":
-            y = _decode_plane(reader, h, w, block, quality)
-            cb = _decode_plane(reader, ch, cw, block, quality)
-            cr = _decode_plane(reader, ch, cw, block, quality)
-            self._recon_y = np.clip(y, -128.0, 127.0)
-            self._recon_cb = np.clip(cb, -128.0, 127.0)
-            self._recon_cr = np.clip(cr, -128.0, 127.0)
-            return DecodedFrame(
-                rgb=_planes_to_rgb(self._recon_y, self._recon_cb, self._recon_cr),
-                frame_type="I",
-            )
-
-        if encoded.frame_type != "P":
+        is_p = encoded.frame_type == "P"
+        if not is_p and encoded.frame_type != "I":
             raise ValueError(f"unknown frame type {encoded.frame_type!r}")
-        if self._recon_y is None:
+        if is_p and self._recon_y is None:
             raise RuntimeError("P-frame received before any reference frame")
 
         nby, nbx = block_grid_shape(h, w, block)
-        mv = _decode_motion(reader, nby, nbx)
-        mv_c = np.round(mv / 2.0).astype(np.int64)
+        n_luma = nby * nbx
+        n_chroma = int(np.prod(block_grid_shape(ch, cw, block)))
+        mv, levels = decode_payload(
+            encoded.payload, 2 * n_luma if is_p else 0, n_luma + 2 * n_chroma, block
+        )
+        y = _decode_plane(levels[:n_luma], h, w, block, quality)
+        cb = _decode_plane(levels[n_luma : n_luma + n_chroma], ch, cw, block, quality)
+        cr = _decode_plane(levels[n_luma + n_chroma :], ch, cw, block, quality)
 
-        pred_y = compensate(self._recon_y, mv, block)
-        pred_cb = compensate(self._recon_cb, mv_c, chroma_block)
-        pred_cr = compensate(self._recon_cr, mv_c, chroma_block)
+        pred_planes = None
+        if is_p:
+            mv = mv.reshape(nby, nbx, 2)
+            mv_c = np.round(mv / 2.0).astype(np.int64)
+            pred_planes = (
+                compensate(self._recon_y, mv, block),
+                compensate(self._recon_cb, mv_c, chroma_block),
+                compensate(self._recon_cr, mv_c, chroma_block),
+            )
+            y, cb, cr = pred_planes[0] + y, pred_planes[1] + cb, pred_planes[2] + cr
 
-        res_y = _decode_plane(reader, h, w, block, quality)
-        res_cb = _decode_plane(reader, ch, cw, block, quality)
-        res_cr = _decode_plane(reader, ch, cw, block, quality)
-
-        self._recon_y = np.clip(pred_y + res_y, -128.0, 127.0)
-        self._recon_cb = np.clip(pred_cb + res_cb, -128.0, 127.0)
-        self._recon_cr = np.clip(pred_cr + res_cr, -128.0, 127.0)
-
+        self._recon_y = np.clip(y, -128.0, 127.0)
+        self._recon_cb = np.clip(cb, -128.0, 127.0)
+        self._recon_cr = np.clip(cr, -128.0, 127.0)
         return DecodedFrame(
             rgb=_planes_to_rgb(self._recon_y, self._recon_cb, self._recon_cr),
-            frame_type="P",
-            motion_vectors=mv,
-            pred_planes=(pred_y, pred_cb, pred_cr),
+            frame_type=encoded.frame_type,
+            motion_vectors=mv if is_p else None,
+            pred_planes=pred_planes,
         )
 
     def decode_sequence(self, encoded: Iterable[EncodedFrame]) -> List[DecodedFrame]:

@@ -11,7 +11,10 @@ diffs over all blocks at once, Exp-Golomb codeword bit-lengths from
 ``np.frexp``, and the whole token sequence is packed to bytes in one
 :meth:`~repro.codec.bitstream.BitWriter.write_codes` pass.  The bitstream
 is byte-identical to the original token-at-a-time writer (asserted by the
-tier-1 equivalence tests and ``benchmarks/bench_codec.py``).
+tier-1 equivalence tests and ``benchmarks/bench_codec.py``).  Decoding is
+vectorized the same way: every field of a payload is an unsigned
+Exp-Golomb code, so :func:`decode_payload` parses the whole payload as one
+chain of codes and places every level with one scatter.
 """
 
 from __future__ import annotations
@@ -20,14 +23,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitstream import BitReader, BitWriter
+from .bitstream import BitWriter
 
 __all__ = [
     "zigzag_indices",
     "zigzag",
     "inverse_zigzag",
     "encode_blocks",
-    "decode_blocks",
+    "decode_payload",
     "write_exp_golomb_array",
     "read_exp_golomb_array",
     "signed_to_unsigned_array",
@@ -61,28 +64,6 @@ def inverse_zigzag(flat: np.ndarray, n: int) -> np.ndarray:
     return block
 
 
-def _write_exp_golomb(writer: BitWriter, value: int) -> None:
-    """Unsigned Exp-Golomb code of ``value`` >= 0."""
-    code = value + 1
-    n_bits = code.bit_length()
-    writer.write_unary(n_bits - 1)
-    writer.write_bits(code, n_bits - 1)  # suffix without the leading 1
-
-
-def _read_exp_golomb(reader: BitReader) -> int:
-    prefix = reader.read_unary()
-    suffix = reader.read_bits(prefix)
-    return (1 << prefix) + suffix - 1
-
-
-def _signed_to_unsigned(value: int) -> int:
-    return 2 * value - 1 if value > 0 else -2 * value
-
-
-def _unsigned_to_signed(code: int) -> int:
-    return (code + 1) // 2 if code % 2 else -(code // 2)
-
-
 def _exp_golomb_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(codeword, bit width) arrays for unsigned Exp-Golomb values.
 
@@ -110,15 +91,52 @@ def write_exp_golomb_array(writer: BitWriter, values: np.ndarray) -> None:
     writer.write_codes(codes, widths)
 
 
-def read_exp_golomb_array(reader: BitReader, count: int) -> np.ndarray:
-    """Read ``count`` unsigned Exp-Golomb values into an int64 array."""
-    out = np.empty(count, dtype=np.int64)
-    read_unary = reader.read_unary
-    read_bits = reader.read_bits
-    for i in range(count):
-        prefix = read_unary()
-        out[i] = (1 << prefix) + read_bits(prefix) - 1
-    return out
+#: Byte offsets of the window each code's value is read from (9 bytes
+#: hold any 63-bit span that starts mid-byte).
+_WINDOW = np.arange(9, dtype=np.intp)
+
+
+def read_exp_golomb_array(data: bytes) -> tuple[np.ndarray, Exception]:
+    """Parse ``data`` as one chain of unsigned Exp-Golomb codes.
+
+    Returns every complete code from bit 0 on, as int64 values, and the
+    fault a reader hits right after the last one: ``EOFError`` at the end
+    of the data, or ``ValueError`` at a code wider than 63 bits (its value
+    would overflow int64).  The zero padding of the last byte never holds
+    a 1, so it ends the chain without adding a code.
+
+    A code that starts at bit ``p`` with its first 1 at bit ``q`` ends at
+    ``2q - p + 1``: a "next 1 at or after p" array makes each step of the
+    chain one lookup, and the values are then gathered from 9-byte windows
+    in one numpy pass.
+    """
+    bits = np.unpackbits(np.frombuffer(data + b"\x80", dtype=np.uint8))
+    n_bits = 8 * len(data)  # the sentinel 1 sits at bit n_bits
+    ones = np.where(bits, np.arange(bits.size, dtype=np.int32), np.int32(bits.size))
+    next_one = np.minimum.accumulate(ones[::-1])[::-1]
+    lookup = memoryview(next_one)
+    starts = []
+    append = starts.append
+    p = 0
+    while p < n_bits:
+        append(p)
+        p = 2 * lookup[p] - p + 1
+    starts = np.array(starts, dtype=np.intp)
+    ones_at = next_one[starts].astype(np.intp)
+    if starts.size and 2 * ones_at[-1] - starts[-1] + 1 > n_bits:
+        starts, ones_at = starts[:-1], ones_at[:-1]  # runs past the data
+    fault: Exception = EOFError("bitstream exhausted")
+    width = ones_at - starts + 1  # bit length of value + 1
+    wide = np.flatnonzero(width > 63)
+    if wide.size:
+        ones_at, width = ones_at[: wide[0]], width[: wide[0]]
+        fault = ValueError("corrupt bitstream: Exp-Golomb code wider than 63 bits")
+    padded = np.frombuffer(data + bytes(9), dtype=np.uint8)
+    window = padded[(ones_at >> 3)[:, None] + _WINDOW]
+    shift = (ones_at & 7).astype(np.uint64)
+    word = np.ascontiguousarray(window[:, :8]).view(">u8")[:, 0].astype(np.uint64)
+    word = (word << shift) | (window[:, 8].astype(np.uint64) >> (np.uint64(8) - shift))
+    return (word >> (np.uint64(64) - width.astype(np.uint64))).astype(np.int64) - 1, fault
 
 
 def signed_to_unsigned_array(values: np.ndarray) -> np.ndarray:
@@ -183,26 +201,49 @@ def encode_blocks(blocks: np.ndarray, writer: BitWriter) -> None:
     write_exp_golomb_array(writer, values)
 
 
-def decode_blocks(reader: BitReader, n_blocks: int, n: int) -> np.ndarray:
-    """Inverse of :func:`encode_blocks`; returns (n_blocks, n, n) ints."""
+def decode_payload(
+    data: bytes, n_values: int, n_blocks: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split one payload into ``n_values`` signed values and coded blocks.
+
+    The payload is ``n_values`` signed Exp-Golomb values (a P-frame's
+    motion vectors; none for an I-frame) followed by the
+    :func:`encode_blocks` tokens of ``n_blocks`` (n, n) blocks, which may
+    span several planes.  Returns the values and the (n_blocks, n, n)
+    int64 levels.  A block ends at its EOB (level code 0); a coefficient's
+    zigzag position is the running sum of ``run + 1`` within its block.
+    Faults are raised in stream order: a coefficient index past the block
+    end (``ValueError``) before running out of codes.
+    """
+    codes, fault = read_exp_golomb_array(data)
+    if codes.size < n_values:
+        raise fault
+    values = unsigned_to_signed_array(codes[:n_values])
+    tokens = codes[n_values : n_values + (codes.size - n_values) // 2 * 2]
+    runs, levels = tokens[0::2], tokens[1::2]
+    eob = levels == 0
+    ends = np.flatnonzero(eob)
+    if ends.size >= n_blocks:  # drop the tokens past the last block
+        used = ends[n_blocks - 1] + 1 if n_blocks else 0
+        runs, levels, eob, ends = runs[:used], levels[:used], eob[:used], ends[:n_blocks]
+    nn = n * n
+    # Runs are capped at nn so the running sums cannot overflow; any capped
+    # run still lands past the block end.
+    step = np.minimum(runs, nn) + 1
+    step[eob] = 0
+    pos = np.cumsum(step)
+    block_id = np.cumsum(eob) - eob
+    block_base = np.concatenate(([0], pos[ends]))
+    coeff = ~eob
+    block_id = block_id[coeff]
+    pos = pos[coeff] - block_base[block_id] - 1
+    if pos.size and int(pos.max()) >= nn:
+        raise ValueError("corrupt bitstream: coefficient index overflow")
+    if ends.size < n_blocks:
+        raise fault
     rows, cols = zigzag_indices(n)
     out = np.zeros((n_blocks, n, n), dtype=np.int64)
-    nn = n * n
-    read_unary = reader.read_unary
-    read_bits = reader.read_bits
-    for b in range(n_blocks):
-        flat = np.zeros(nn, dtype=np.int64)
-        pos = -1
-        while True:
-            prefix = read_unary()
-            run = (1 << prefix) + read_bits(prefix) - 1
-            prefix = read_unary()
-            level_code = (1 << prefix) + read_bits(prefix) - 1
-            if level_code == 0:  # EOB
-                break
-            pos += run + 1
-            if pos >= nn:
-                raise ValueError("corrupt bitstream: coefficient index overflow")
-            flat[pos] = _unsigned_to_signed(level_code)
-        out[b][rows, cols] = flat
-    return out
+    out.reshape(-1)[block_id * nn + (rows * n + cols)[pos]] = unsigned_to_signed_array(
+        levels[coeff]
+    )
+    return values, out

@@ -57,7 +57,13 @@ def nearest(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 @shaped(image="H W:n|H W C:n")
 def bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resampling (the paper's GPU ``GL_LINEAR`` path)."""
+    """Bilinear resampling (the paper's GPU ``GL_LINEAR`` path).
+
+    Separable: the input's columns are interpolated once into an
+    ``in_h x out_w`` array, whose ``y0``/``y1`` rows are then blended.
+    Each output element gets the same float operations as the direct
+    four-tap form ``(a(1-wx) + b wx)(1-wy) + (c(1-wx) + d wx) wy``.
+    """
     image = _check_image(image)
     in_h, in_w = image.shape[:2]
 
@@ -69,18 +75,22 @@ def bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     y1 = np.minimum(y0 + 1, in_h - 1)
     x1 = np.minimum(x0 + 1, in_w - 1)
 
-    wy = np.clip(ys - y0, 0.0, 1.0)
-    wx = np.clip(xs - x0, 0.0, 1.0)
-    if image.ndim == 3:
-        wy = wy[:, None, None]
-        wx = wx[None, :, None]
-    else:
-        wy = wy[:, None]
-        wx = wx[None, :]
+    # Weights broadcast over any trailing channel axis.
+    channel = (1,) * (image.ndim - 2)
+    wy = np.clip(ys - y0, 0.0, 1.0).reshape(-1, 1, *channel)
+    wx = np.clip(xs - x0, 0.0, 1.0).reshape(-1, *channel)
 
-    top = image[y0][:, x0] * (1 - wx) + image[y0][:, x1] * wx
-    bot = image[y1][:, x0] * (1 - wx) + image[y1][:, x1] * wx
-    return top * (1 - wy) + bot * wy
+    rows = np.take(image, x0, axis=1)
+    rows *= 1 - wx
+    right = np.take(image, x1, axis=1)
+    right *= wx
+    rows += right
+    out = np.take(rows, y0, axis=0)
+    out *= 1 - wy
+    below = np.take(rows, y1, axis=0)
+    below *= wy
+    out += below
+    return out
 
 
 def _cubic_kernel(x: np.ndarray, a: float = -0.5) -> np.ndarray:

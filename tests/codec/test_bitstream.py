@@ -1,4 +1,4 @@
-"""Bit-level I/O."""
+"""Bit-level output."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codec.bitstream import BitReader, BitWriter
+from repro.codec.bitstream import BitWriter
 
 
 class TestBitWriter:
@@ -27,11 +27,6 @@ class TestBitWriter:
         w = BitWriter()
         w.write_bits(0xAB, 8)
         assert w.getvalue() == bytes([0xAB])
-
-    def test_unary(self):
-        w = BitWriter()
-        w.write_unary(3)
-        assert w.getvalue() == bytes([0b00010000])
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
@@ -82,47 +77,8 @@ class TestWriteCodes:
             BitWriter().write_codes(np.array([1]), np.array([-1]))
 
 
-class TestBitReader:
-    def test_read_bits(self):
-        r = BitReader(bytes([0xAB, 0xCD]))
-        assert r.read_bits(8) == 0xAB
-        assert r.read_bits(4) == 0xC
-        assert r.bits_remaining == 4
-
-    def test_read_unary(self):
-        r = BitReader(bytes([0b00010000]))
-        assert r.read_unary() == 3
-
-    def test_eof(self):
-        r = BitReader(b"")
-        with pytest.raises(EOFError):
-            r.read_bit()
-
-    def test_eof_mid_read_bits(self):
-        r = BitReader(bytes([0xFF]))
-        with pytest.raises(EOFError):
-            r.read_bits(9)
-
-    def test_eof_mid_unary(self):
-        # All zeros, no terminating one: the buffered reader must still
-        # fault like the bit-at-a-time reader did.
-        r = BitReader(bytes([0x00, 0x00]))
-        with pytest.raises(EOFError):
-            r.read_unary()
-
-    def test_unary_spanning_buffer_refills(self):
-        # 70 zero bits then a one: the run crosses the 8-byte fill window.
-        data = bytes([0x00] * 8 + [0b00000010, 0x00])
-        r = BitReader(data)
-        assert r.read_unary() == 70
-        assert r.bits_remaining == 80 - 71
-
-    def test_interleaved_reads_track_position(self):
-        r = BitReader(bytes([0b10100001, 0b11000000]))
-        assert r.read_bit() == 1
-        assert r.read_unary() == 1
-        assert r.read_bits(4) == 0b0000
-        assert r.bits_remaining == 16 - 7
+def _bits(data: bytes) -> list[int]:
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tolist()
 
 
 class TestRoundTrip:
@@ -132,8 +88,9 @@ class TestRoundTrip:
         w = BitWriter()
         for bit in bits:
             w.write_bit(bit)
-        r = BitReader(w.getvalue())
-        assert [r.read_bit() for _ in bits] == bits
+        out = _bits(w.getvalue())
+        assert out[: len(bits)] == bits
+        assert not any(out[len(bits) :])  # zero padding
 
     @given(st.lists(st.tuples(st.integers(0, 2**20), st.integers(1, 21)), max_size=20))
     @settings(max_examples=50, deadline=None)
@@ -141,6 +98,8 @@ class TestRoundTrip:
         w = BitWriter()
         for value, width in pairs:
             w.write_bits(value & ((1 << width) - 1), width)
-        r = BitReader(w.getvalue())
+        out = "".join(map(str, _bits(w.getvalue())))
+        pos = 0
         for value, width in pairs:
-            assert r.read_bits(width) == value & ((1 << width) - 1)
+            assert int(out[pos : pos + width], 2) == value & ((1 << width) - 1)
+            pos += width

@@ -98,9 +98,7 @@ class TestRoundTrip:
         decoder = VideoDecoder()
         for frame in frames:
             decoded = decoder.decode_frame(encoder.encode_frame(frame))
-        np.testing.assert_allclose(
-            decoded.rgb, encoder.last_reconstruction(), atol=1e-9
-        )
+        np.testing.assert_array_equal(decoded.rgb, encoder.last_reconstruction())
 
     def test_p_frame_internals_consistent(self, frames):
         encoded = VideoEncoder(gop_size=6, quality=60).encode_sequence(frames[:2])

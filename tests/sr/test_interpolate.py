@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypothesis.extra.numpy import arrays
+
 from repro.sr.interpolate import FILTERS, bicubic, bilinear, lanczos, nearest, resize, upscale
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+
+from _legacy_codec import legacy_bilinear  # noqa: E402
 
 
 @pytest.fixture
@@ -79,6 +88,32 @@ class TestBilinear:
         img = rng.uniform(size=(6, 6))
         out = bilinear(img, 18, 18)
         assert out.min() >= img.min() - 1e-9 and out.max() <= img.max() + 1e-9
+
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 12), st.integers(1, 12))
+            | st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 3)),
+            elements=st.floats(-2.0, 2.0),
+        ),
+        st.integers(1, 25),
+        st.integers(1, 25),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_separable_equals_four_tap(self, image, out_h, out_w):
+        """Same float operations per element as the frozen four-tap form,
+        for up- and downscales and 1-pixel dimensions."""
+        np.testing.assert_array_equal(
+            bilinear(image, out_h, out_w), legacy_bilinear(image, out_h, out_w)
+        )
+
+    def test_separable_equals_four_tap_at_stream_sizes(self, rng):
+        for shape in ((64, 112, 3), (32, 56), (33, 57)):
+            image = rng.uniform(size=shape)
+            out_h, out_w = 2 * shape[0], 2 * shape[1]
+            np.testing.assert_array_equal(
+                bilinear(image, out_h, out_w), legacy_bilinear(image, out_h, out_w)
+            )
 
 
 class TestHigherOrder:
