@@ -16,12 +16,17 @@ float64). Smoke mode swaps in a tiny untrained model and a small frame to
 exercise every code path quickly (no speedup assertions — tiny shapes
 don't amortize anything) and writes ``BENCH_hotpath.smoke.json`` instead.
 
-The ``lpips`` row times the batched float64 LPIPS kernel against the
-frozen scipy implementation (``tests/metrics/_legacy_lpips.py``) on the
-same frame. The full run also scores frame 0 of all ten games at the
-112x64 stream and 448x256 HR geometries and records each game's largest
-|delta| under ``games``. Both modes fail if the two disagree by more than
-1e-9 on any scored frame; the full run also requires >= 3x.
+The ``lpips`` row times the banded float64 LPIPS kernel against the
+frozen scipy implementation and the frozen whole-map batched kernel
+(``lpips`` and ``batched_lpips`` in ``tests/metrics/_legacy_lpips.py``)
+on the same frame, and records each kernel's tracemalloc peak for one
+call. The full run also scores frame 0 of all ten games at the 112x64
+stream and 448x256 HR geometries and records each game's largest
+|delta| against scipy under ``games``. Both modes fail if the kernel
+disagrees with scipy by more than 1e-9 on any scored frame, or differs
+at all from the whole-map kernel; the full run also requires >= 3x over
+scipy, >= 1.15x over the whole-map kernel and at most a third of its
+peak memory.
 
 The ``bilinear`` row times the separable ``bilinear`` against the frozen
 four-tap copy (``_legacy_codec.legacy_bilinear``) on 2x upscales of
@@ -51,6 +56,7 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +78,7 @@ from repro.sr.runner import SRRunner  # noqa: E402
 from _legacy_codec import legacy_bilinear  # noqa: E402
 from _legacy_inference import legacy_upscale_tiled, tap_loop_conv2d_forward  # noqa: E402
 from conftest import write_bench_json  # noqa: E402
+from tests.metrics._legacy_lpips import batched_lpips  # noqa: E402
 from tests.metrics._legacy_lpips import lpips as legacy_lpips  # noqa: E402
 
 #: Largest |LPIPS difference| allowed between the batched kernel and the
@@ -87,6 +94,20 @@ def _time(fn, repeats: int = 3) -> float:
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def _time_alternating(fns, repeats: int) -> list:
+    """Best-of-N wall time in seconds of each of ``fns``, called in turn
+    so that a burst of load on the machine slows all of them alike."""
+    for fn in fns:
+        fn()
+    best = [float("inf")] * len(fns)
+    for _ in range(repeats):
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
     return best
 
 
@@ -143,21 +164,48 @@ def _bench_im2col(repeats: int) -> dict:
     return row
 
 
+def _peak_mib(fn) -> float:
+    """tracemalloc peak of one ``fn()`` call, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def _bench_lpips(image: np.ndarray, repeats: int) -> dict:
-    """Frozen scipy LPIPS vs the batched float64 kernel on ``image``.
+    """Frozen scipy and whole-map LPIPS vs the banded kernel on ``image``.
 
     Scores the frame against its 2x down-up blur (timed) and against
-    its vertical flip; ``max_abs_delta`` is over both pairs.
+    its vertical flip; ``max_abs_delta`` (vs scipy) and
+    ``equal_to_whole_map`` are over both pairs.
     """
     h, w = image.shape[:2]
     blurred = _blurred(image)
     legacy_s = _time(lambda: legacy_lpips(image, blurred), repeats)
-    fast_s = _time(lambda: lpips(image, blurred), repeats)
+    # The two float64 kernels are several times cheaper than scipy: take
+    # more repeats, alternated, so the gate on their ratio reads less of
+    # the machine's noise.
+    whole_s, fast_s = _time_alternating(
+        (lambda: batched_lpips(image, blurred), lambda: lpips(image, blurred)),
+        3 * repeats,
+    )
+    whole_peak = _peak_mib(lambda: batched_lpips(image, blurred))
+    fast_peak = _peak_mib(lambda: lpips(image, blurred))
     return {
         "frame_hw": [h, w],
         "legacy_scipy_ms": round(legacy_s * 1e3, 2),
-        "batched_f64_ms": round(fast_s * 1e3, 2),
+        "whole_map_ms": round(whole_s * 1e3, 2),
+        "banded_f64_ms": round(fast_s * 1e3, 2),
         "speedup": round(legacy_s / fast_s, 2),
+        "speedup_vs_whole_map": round(whole_s / fast_s, 2),
+        "whole_map_peak_mib": round(whole_peak, 2),
+        "banded_peak_mib": round(fast_peak, 2),
+        "equal_to_whole_map": all(
+            lpips(image, other) == batched_lpips(image, other)
+            for other in (blurred, image[::-1])
+        ),
         "max_abs_delta": _lpips_delta(image),
     }
 
@@ -395,6 +443,8 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             f"LPIPS |delta| {lpips_row['max_abs_delta']} > {LPIPS_MAX_ABS_DELTA}"
         )
+    if not lpips_row["equal_to_whole_map"]:
+        failures.append("banded LPIPS != whole-map batched LPIPS")
     for name, entry in im2col_row.items():
         if not entry["array_equal"]:
             failures.append(f"im2col {name}: conv2d_forward != per-tap conv")
@@ -413,7 +463,17 @@ def main(argv: list[str] | None = None) -> int:
                 f"f32 vs f64 PSNR {tiled['f32_vs_f64_psnr_db']} dB < 60 dB"
             )
         if lpips_row["speedup"] < 3.0:
-            failures.append(f"batched LPIPS speedup {lpips_row['speedup']}x < 3x")
+            failures.append(f"banded LPIPS speedup {lpips_row['speedup']}x < 3x")
+        if lpips_row["speedup_vs_whole_map"] < 1.15:
+            failures.append(
+                f"banded LPIPS speedup over whole-map "
+                f"{lpips_row['speedup_vs_whole_map']}x < 1.15x"
+            )
+        if lpips_row["banded_peak_mib"] * 3 > lpips_row["whole_map_peak_mib"]:
+            failures.append(
+                f"banded LPIPS peak {lpips_row['banded_peak_mib']} MiB > 1/3 of "
+                f"whole-map {lpips_row['whole_map_peak_mib']} MiB"
+            )
         if im2col_row["lpips_scale0"]["speedup"] < 1.5:
             failures.append(
                 f"im2col LPIPS-shape speedup {im2col_row['lpips_scale0']['speedup']}x < 1.5x"

@@ -17,6 +17,7 @@ from .tensor import Tensor, as_tensor, is_grad_enabled
 __all__ = [
     "conv2d",
     "conv2d_forward",
+    "chunk_rows",
     "pixel_shuffle",
     "avg_pool2d",
     "im2col",
@@ -71,6 +72,20 @@ def _patch_view(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.nd
 _CONV_CHUNK_BYTES = 1 << 20
 
 
+def chunk_rows(row_bytes: int, multiple: int = 1) -> int:
+    """Rows per cache block: the largest multiple of ``multiple`` rows of
+    ``row_bytes`` each that fits ``_CONV_CHUNK_BYTES``, and at least one
+    multiple.
+
+    ``conv2d_forward`` cuts its output into chunks of
+    ``chunk_rows(n * c * kh * kw * out_w * itemsize)`` rows. A caller that
+    runs the conv band by band keeps its GEMMs, and with them their
+    rounding, the same as one whole-image call only if every band is a
+    whole number of those chunks: pass the chunk as ``multiple``.
+    """
+    return multiple * max(1, _CONV_CHUNK_BYTES // (row_bytes * multiple))
+
+
 def conv2d_forward(
     x: np.ndarray,
     weight: np.ndarray,
@@ -81,7 +96,8 @@ def conv2d_forward(
     """Graph-free conv2d forward on raw arrays (the inference hot path).
 
     Cache-blocked: the column buffer is built and consumed a few output
-    rows at a time so it never round-trips through DRAM.
+    rows at a time (:func:`chunk_rows`) so it never round-trips through
+    DRAM, and each chunk's GEMM writes its rows of the output in place.
     """
     n, c = x.shape[0], x.shape[1]
     c_out, _, kh, kw = weight.shape
@@ -91,14 +107,15 @@ def conv2d_forward(
     if w2.dtype != x.dtype:
         w2 = w2.astype(x.dtype)  # float32 inference path
     out = np.empty((n, c_out, out_h, out_w), dtype=x.dtype)
+    flat = out.reshape(n, c_out, -1)
 
     k = c * kh * kw
-    rows = max(1, _CONV_CHUNK_BYTES // (n * k * out_w * x.dtype.itemsize))
+    rows = chunk_rows(n * k * out_w * x.dtype.itemsize)
     pointwise = kh == 1 and kw == 1 and stride == 1 and padding == 0
     if pointwise or rows >= out_h:
         # One GEMM; the reshape is the im2col copy (a view for a pointwise
         # conv on a contiguous input).
-        np.matmul(w2, patches.reshape(n, k, -1), out=out.reshape(n, c_out, -1))
+        np.matmul(w2, patches.reshape(n, k, -1), out=flat)
     else:
         buf = np.empty(n * k * rows * out_w, dtype=x.dtype)
         for oy0 in range(0, out_h, rows):
@@ -107,8 +124,8 @@ def conv2d_forward(
                 n, c, kh, kw, oy1 - oy0, out_w
             )
             np.copyto(cols, patches[:, :, :, :, oy0:oy1])
-            out[:, :, oy0:oy1] = np.matmul(w2, cols.reshape(n, k, -1)).reshape(
-                n, c_out, oy1 - oy0, out_w
+            np.matmul(
+                w2, cols.reshape(n, k, -1), out=flat[:, :, oy0 * out_w : oy1 * out_w]
             )
 
     if bias is not None:

@@ -159,6 +159,23 @@ class TestFusedConvForward:
         chunked = F.conv2d_forward(x, weight, None, 1, 1)
         np.testing.assert_allclose(chunked, full, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batched_strided_chunks_match_reference(self, rng, monkeypatch, dtype):
+        # n = 3 with stride 2 and padding 1, under a budget of two output
+        # rows per chunk: every GEMM writes its rows of each batch item's
+        # output in place. (dgemm's rounding can depend on the GEMM's N;
+        # 8 output channels by 32 columns rounds the same at every N.)
+        x = rng.uniform(size=(3, 8, 41, 64)).astype(dtype)
+        weight = rng.normal(size=(8, 8, 3, 3))
+        bias = rng.normal(size=(8,))
+        out_h, out_w = 21, 32
+        row_bytes = 3 * 8 * 9 * out_w * np.dtype(dtype).itemsize
+        monkeypatch.setattr(F, "_CONV_CHUNK_BYTES", 2 * row_bytes)
+        assert F.chunk_rows(row_bytes) == 2  # 11 chunks
+        out = F.conv2d_forward(x, weight, bias, 2, 1)
+        assert out.dtype == dtype and out.shape == (3, 8, out_h, out_w)
+        np.testing.assert_array_equal(out, _reference_conv(x, weight, bias, 2, 1))
+
     def test_kernel_larger_than_input_rejected(self, rng):
         x = rng.uniform(size=(1, 1, 2, 2))
         weight = rng.normal(size=(1, 1, 5, 5))
