@@ -17,7 +17,12 @@ Reported per scenario x arm:
   (:meth:`SessionResult.conformance_rate` — skipped reference-lost
   frames fail too, so GOP recovery speed is priced in);
 * **mtp**: motion-to-photon mean / p50 / p99 across the session;
-* **transport**: drop rate, retransmissions, mean delivered bitrate.
+* **transport**: drop rate, retransmissions, mean delivered bitrate;
+* **host cost**: ``wall_s``, the arm's host seconds (building its knobs
+  and streaming), and ``render_calls``, how many frames it rendered. All
+  arms stream one G3 object, so an arm renders only the frames the
+  server-stream memo does not already hold under that game, geometry
+  and fps; each static arm's knobs start a new encoded stream.
 
 Acceptance (full run): on at least one bursty cellular trace the ABR
 arm strictly beats *every* static configuration on conformance — the
@@ -30,6 +35,7 @@ import argparse
 import os
 import platform
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -158,21 +164,34 @@ def main(argv=None) -> int:
     plan = plan_roi_window(device)
     runner = SRRunner(default_sr_model(profile=PROFILE))
     game = build_game(GAME)
+    renders = []
+    render_frame = game.render_frame
+
+    def counting_render_frame(*args, **kwargs):
+        renders.append(args)
+        return render_frame(*args, **kwargs)
+
+    game.render_frame = counting_render_frame
     arms = list(STATIC_ARMS) + [("abr", None)]
 
     results = {}
     for scenario in scenarios:
         results[scenario] = {}
         for arm, cfg in arms:
+            rendered_before = len(renders)
+            start = time.perf_counter()
             point = _run_arm(
                 arm, cfg, scenario, n_frames, game, device, plan, runner
             )
+            point["wall_s"] = round(time.perf_counter() - start, 3)
+            point["render_calls"] = len(renders) - rendered_before
             results[scenario][arm] = point
             print(
                 f"{scenario:14s} {arm:16s} conf {point['conformance']:.3f}"
                 f"  drops {point['drop_rate']:.3f}"
                 f"  mtp {point['mtp_mean_ms']:6.1f} ms"
-                f"  {point['bitrate_mbps']:5.1f} Mbps",
+                f"  {point['bitrate_mbps']:5.1f} Mbps"
+                f"  {point['wall_s']:6.2f} s  {point['render_calls']:3d} renders",
                 file=sys.stderr,
             )
 

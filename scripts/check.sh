@@ -51,7 +51,9 @@ REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py --dispatch
 
 echo "== network-scenario + ABR smoke (REPRO_CONTRACTS=1) =="
 # Trace-driven time-varying link with skip-dropped transport, then the
-# ABR loop co-adapting quality/GOP/RoI/backend on top of it.
+# ABR loop co-adapting quality/GOP/RoI/backend on top of it. Rung changes
+# leave the memo's encoded frames, so the ABR leg's second pass must
+# match the first by digest and render none of the frames it rendered.
 REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py --scenario wifi_congested
 REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py --scenario lte_drive --abr
 

@@ -12,9 +12,12 @@ end without running the heavy analysis matrices.
 G3 is built once and each design streams it twice: the first pass
 records the server stream into the in-process memo
 (:mod:`repro.streaming.server`) and the second replays it. Both passes
-must have identical bitstream + HR-output digests and canonical traces,
-and without ``--abr`` (whose rung changes leave the memo) the second
-pass must have replayed every server frame.
+must have identical bitstream + HR-output digests and canonical traces.
+Without ``--abr`` the second pass must have replayed every server frame;
+with it, rung changes leave the memo's encoded frames, but the second
+pass must still render no frame an earlier pass rendered (the memo keeps
+renders whatever the knobs), which the script checks by counting the
+shared G3's ``render_frame`` calls.
 
 ``--gop-reuse``, ``--sr-backend NAME`` and ``--dispatch`` (mutually
 exclusive) restrict the matrix to the RoI designs and stream them with
@@ -249,17 +252,29 @@ def main(argv=None) -> int:
     )
 
     game = build_game("G3")
+    #: Every frame the shared G3 rendered: (index, width, height, fps).
+    rendered = []
+    render_frame = game.render_frame
+
+    def counting_render_frame(frame_index, width, height, fps=60.0):
+        rendered.append((frame_index, width, height, fps))
+        return render_frame(frame_index, width, height, fps)
+
+    game.render_frame = counting_render_frame
 
     def make_server(roi_side):
         return GameStreamServer(game, geometry, roi_side=roi_side, gop_size=GOP)
 
     out_dir = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="traces-"))
     for client, roi_side in build_clients(device, runner, plan, roi_only):
-        first, replay = (
-            run_captured(make_server(roi_side), client, **make_knobs())
-            for _ in range(2)
-        )
+        first = run_captured(make_server(roi_side), client, **make_knobs())
+        seen = len(rendered)
+        replay = run_captured(make_server(roi_side), client, **make_knobs())
         check_replay(first, replay, expect_replayed=not args.abr)
+        again = set(rendered[seen:]) & set(rendered[:seen])
+        assert not again, (
+            f"second pass of {first[0].design} rendered frames again: {sorted(again)}"
+        )
         result = first[0]
         check_session(result, out_dir)
         if args.scenario:

@@ -26,12 +26,15 @@ Two families:
 
 ``build_backend(name)`` materializes a zoo member by name; neural
 members load deterministic in-repo weights via
-:func:`repro.sr.pretrained.zoo_sr_model`.
+:func:`repro.sr.pretrained.zoo_sr_model`, once per weights file: calls
+for the same member, scale, profile and unchanged file share one
+backend.
 """
 
 from __future__ import annotations
 
 import abc
+from functools import lru_cache
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -222,17 +225,25 @@ def build_backend(
     """Materialize a zoo backend by name.
 
     Neural members train-or-load their deterministic in-repo weights
-    (``profile`` selects the shared geometry table); pass ``runner`` to
-    reuse an already-built :class:`SRRunner` instead (its scale must
-    match — the EDSR default path does this so the backend wraps the
-    session's existing model object).
+    (``profile`` selects the shared geometry table), and calls over the
+    same unchanged weights file (same path, mtime and size) return one
+    shared backend; pass ``runner`` to reuse an already-built
+    :class:`SRRunner` instead (its scale must match — the EDSR default
+    path does this so the backend wraps the session's existing model
+    object).
     """
     if name in _NEURAL_SPECS:
-        rank, lat_field, pow_field = _NEURAL_SPECS[name]
         if runner is None:
-            from .pretrained import zoo_sr_model  # deferred: training import
+            from .pretrained import weights_path, zoo_sr_model  # deferred: training import
 
+            path = weights_path(name, scale, profile)
+            if path.exists():
+                stat = path.stat()
+                return _zoo_backend(
+                    name, scale, profile, str(path), stat.st_mtime_ns, stat.st_size
+                )
             runner = SRRunner(zoo_sr_model(name, scale=scale, profile=profile))
+        rank, lat_field, pow_field = _NEURAL_SPECS[name]
         if runner.scale != scale:
             raise ValueError(
                 f"runner scale {runner.scale} != requested scale {scale}"
@@ -267,3 +278,15 @@ def build_backend(
     raise ValueError(
         f"unknown SR backend {name!r}; choose from {available_backends()}"
     )
+
+
+@lru_cache(maxsize=8)
+def _zoo_backend(
+    name: str, scale: int, profile: str, path: str, mtime_ns: int, size: int
+) -> SRBackend:
+    """The zoo member ``name`` over the weights file at ``path`` as it is
+    at ``mtime_ns`` and ``size``: a rewritten or healed file loads again."""
+    from .pretrained import zoo_sr_model  # deferred: training import
+
+    runner = SRRunner(zoo_sr_model(name, scale=scale, profile=profile))
+    return build_backend(name, scale=scale, profile=profile, runner=runner)

@@ -30,6 +30,7 @@ __all__ = [
     "model_geometry",
     "default_sr_model",
     "zoo_sr_model",
+    "weights_path",
     "training_frames",
     "PROFILES",
     "ZOO_ARCHS",
@@ -121,13 +122,20 @@ def default_sr_model(
             f"unknown profile {profile!r}; choose from {sorted(PROFILES)}"
         )
     model = EDSR(scale=scale, n_resblocks=blocks, n_feats=feats, seed=7)
-    path = cache_dir() / "weights" / f"edsr_{profile}_x{scale}.npz"
+    path = weights_path("edsr", scale, profile)
     return _load_or_train(model, path, scale, epochs, per_frame, force_retrain)
 
 
 #: Architectures :func:`zoo_sr_model` can build (neural zoo members; the
 #: interpolation backends in repro.sr.backends need no weights).
 ZOO_ARCHS = ("edsr", "edsr_int8", "fsrcnn", "quicksrnet")
+
+
+def weights_path(arch: str, scale: int = 2, profile: str = "experiment") -> Path:
+    """The cached weights file :func:`zoo_sr_model` loads ``arch`` from
+    (``edsr_int8`` quantizes the EDSR file)."""
+    stem = "edsr" if arch == "edsr_int8" else arch
+    return cache_dir() / "weights" / f"{stem}_{profile}_x{scale}.npz"
 
 
 def zoo_sr_model(
@@ -175,5 +183,5 @@ def zoo_sr_model(
         raise ValueError(
             f"unknown zoo architecture {arch!r}; choose from {ZOO_ARCHS}"
         )
-    path = cache_dir() / "weights" / f"{arch}_{profile}_x{scale}.npz"
+    path = weights_path(arch, scale, profile)
     return _load_or_train(model, path, scale, epochs, per_frame, force_retrain)

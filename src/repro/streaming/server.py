@@ -17,44 +17,55 @@ injected.
 The server-stream memo
 ----------------------
 Every design evaluated on one stream (Sec. V) sees the same server half,
-so the module keeps one in-process slot holding the last static stream
-produced, and :meth:`GameStreamServer.next_frame` serves frame *i* from
-it instead of rendering, detecting and encoding again.
+so the module keeps one in-process slot holding what the last streams
+produced, under two keys:
 
-*Purity contract.* A stream's frames are a pure function of its key: the
-game's class and its dataclass field values (fields of a plain value
-type compare by value, any other field, such as the ``scene``, by
-identity, and the slot holds it strongly), the geometry, fps, RoI side
-and :class:`RoIConfig`, and the encoder's GOP size, quality, block and
-search radius. A scene must not be edited while it is being streamed,
-and a game class must keep all the state its frames depend on in its
-fields.
+* the *render key*: the game's class and its dataclass field values
+  (fields of a plain value type compare by value, any other field, such
+  as the ``scene``, by identity, and the slot holds it strongly), the
+  geometry and the fps. A frame's render and HR reference depend on
+  nothing else;
+* the *stream key*: the render key plus the RoI side and
+  :class:`RoIConfig` and the encoder's GOP size, quality, block and
+  search radius. A frame's RoI box, bitstream and spans depend on
+  nothing else.
+
+*Purity contract.* A scene must not be edited while it is being
+streamed, and a game class must keep all the state its frames depend on
+in its fields.
+
+*Renders and HR references* are kept per frame index under the render
+key, read-only in place, first come first kept, up to
+:data:`MEMO_MAX_RENDER_BYTES` for both together. Frame 0 of a server
+with another render key drops them. Every server with the slot's render
+key takes its render (in :meth:`GameStreamServer.next_frame`) and its HR
+reference (:meth:`GameStreamServer.render_hr_reference`) from the slot
+when it holds them, and offers what it renders otherwise, whatever its
+knobs: a server that changes a knob mid-stream still renders nothing
+an earlier server rendered.
+
+*Encoded frames* are kept under the stream key, for frames ``0..n-1``
+up to :data:`MEMO_MAX_FRAMES`; a server on the memo serves frame *i*
+from them instead of rendering, detecting and encoding again. A hit
+returns a fresh :class:`FrameTrace` (copied spans with ``wall_ms=0.0``,
+since no stage work ran), a fresh ``server_timings_ms`` dict and the
+shared, immutable :class:`EncodedFrame` and RoI box, and restores the
+encoder's reconstruction state after frame *i*, so a later live frame
+continues the same chain. A miss runs the pipeline (RoI detection,
+encode and pricing always run live) and records frame *i* only while
+the slot holds exactly this key's frames ``0..i-1``; frame 0 of another
+stream key drops the encoded frames only.
 
 *Bypass rules.* A game whose own class is not a dataclass (such as a
 plain subclass of :class:`~repro.render.games.GameWorkload` that
-declares no fields of its own) and an RoI config with ``warm_start`` (a
-stateful detector) never use the slot. A server leaves the memo for
-good, replaying and recording nothing more, once a live knob no longer
-matches its frame-0 key or its encoder's frame counter no longer equals
-the frame index: an ABR rung change, adaptive RoI resizing,
-``set_roi_side`` or a forced IDR.
-
-A hit returns a fresh :class:`FrameTrace` (copied spans with
-``wall_ms=0.0``, since no stage work ran), a fresh ``server_timings_ms``
-dict and the shared, immutable :class:`EncodedFrame` and RoI box, and
-restores the encoder's reconstruction state after frame *i*, so a later
-live frame continues the same chain. A miss runs the pipeline and
-records frame *i* only while the slot holds exactly this key's frames
-``0..i-1`` (frame 0 claims the slot), up to :data:`MEMO_MAX_FRAMES`.
-
-The slot also keeps the HR reference color (the quality ground truth)
-of the frames it holds, up to :data:`MEMO_MAX_HR_BYTES` in total.
-:meth:`GameStreamServer.render_hr_reference` on a server still on the
-memo returns the slot's read-only copy when it has one; otherwise it
-renders as before and offers the result, which the slot copies only
-while it still holds this key's frame *i* and the cap allows (the
-server then hands out that copy too). Frame 0 of a new key drops the
-stored references with the frames.
+declares no fields of its own) has no render key and never uses the
+slot. An RoI config with ``warm_start`` (a stateful detector) has no
+stream key, so it shares renders and HR references but never encoded
+frames. A server leaves the encoded frames for good, replaying and
+recording none, once a live knob no longer matches its frame-0 stream
+key or its encoder's frame counter no longer equals the frame index: an
+ABR rung change, adaptive RoI resizing, ``set_roi_side`` or a forced
+IDR. Renders and HR references survive all of these.
 
 Outputs are byte-identical either way, which also makes the slot safe
 to inherit across a fork: a child's copy holds valid frames.
@@ -77,17 +88,18 @@ from ..render.rasterizer import RenderOutput
 from .frames import ROI_METADATA_BYTES, ServerFrame, StreamGeometry
 from .pipeline import SERVER_STAGES, FrameTrace, StageSpan, split_transmission
 
-__all__ = ["GameStreamServer", "MEMO_MAX_FRAMES", "MEMO_MAX_HR_BYTES"]
+__all__ = ["GameStreamServer", "MEMO_MAX_FRAMES", "MEMO_MAX_RENDER_BYTES"]
 
 #: Most frames the memoized stream keeps; later frames of a longer
 #: session are produced live. About 90 KB per frame at the 64x112 perf
 #: geometry (three reconstruction planes) and 350 KB at 128x224.
 MEMO_MAX_FRAMES = 64
 
-#: Most bytes of HR reference color the slot keeps beside its frames;
-#: later references are rendered live. A float64 reference is 2.75 MB at
-#: 256x448 (12 fit) and 0.69 MB at 128x224 (48 fit).
-MEMO_MAX_HR_BYTES = 32 << 20
+#: Most bytes of renders and HR reference colors the slot keeps together;
+#: later ones are rendered live. A float64 render (color and depth) is
+#: 0.23 MB at 64x112 and 0.92 MB at 128x224; a float64 reference is
+#: 0.69 MB at 128x224 and 2.75 MB at 256x448.
+MEMO_MAX_RENDER_BYTES = 32 << 20
 
 #: Field types a memo key compares by value; any other field compares by
 #: identity.
@@ -106,14 +118,14 @@ class _Identity:
         return isinstance(other, _Identity) and other.obj is self.obj
 
 
-def _stream_key(server: "GameStreamServer") -> Optional[tuple]:
-    """Everything the server's frames depend on, or None to bypass the memo."""
+def _memo_keys(server: "GameStreamServer") -> Tuple[Optional[tuple], Optional[tuple]]:
+    """The server's ``(render key, stream key)``; a None key bypasses its
+    part of the memo (see the module docstring)."""
     game = server.game
     cls = type(game)
-    if "__dataclass_fields__" not in vars(cls) or server.roi_config.warm_start:
-        return None
-    encoder = server.encoder
-    return (
+    if "__dataclass_fields__" not in vars(cls):
+        return None, None
+    render_key = (
         cls,
         tuple(
             value if isinstance(value, _VALUE_TYPES) else _Identity(value)
@@ -121,6 +133,11 @@ def _stream_key(server: "GameStreamServer") -> Optional[tuple]:
         ),
         server.geometry,
         server.fps,
+    )
+    if server.roi_config.warm_start:
+        return render_key, None
+    encoder = server.encoder
+    return render_key, render_key + (
         server.roi_side,
         server.roi_config,
         encoder.gop_size,
@@ -155,13 +172,51 @@ class _MemoFrame:
 
 
 class _StreamSlot:
-    """The last static stream produced: its key and its frames ``0..n-1``."""
+    """The renders and HR references under one render key, and the last
+    static stream's key and its encoded frames ``0..n-1``."""
 
     def __init__(self) -> None:
+        self.render_key: Optional[tuple] = None
+        #: Read-only renders and HR reference colors, by frame index.
+        self.renders: Dict[int, RenderOutput] = {}
+        self.hr: Dict[int, np.ndarray] = {}
+        #: Bytes held in ``renders`` and ``hr`` together.
+        self.render_bytes = 0
         self.key: Optional[tuple] = None
         self.frames: List[_MemoFrame] = []
-        #: Read-only HR reference colors of held frames, by frame index.
-        self.hr: Dict[int, np.ndarray] = {}
+
+    def claim_renders(self, render_key: tuple) -> None:
+        """Frame 0 of ``render_key``: drop another key's renders."""
+        if render_key != self.render_key:
+            self.render_key, self.renders, self.hr = render_key, {}, {}
+            self.render_bytes = 0
+
+    def take(self, render_key: Optional[tuple], held: dict, index: int) -> Any:
+        """Frame ``index`` of ``held`` (``renders`` or ``hr``) if the slot
+        holds ``render_key``'s, else None."""
+        if render_key is None or render_key != self.render_key:
+            return None
+        return held.get(index)
+
+    def keep(
+        self, render_key: Optional[tuple], held: dict, index: int, value: Any,
+        *arrays: np.ndarray,
+    ) -> None:
+        """Keep ``value`` as frame ``index`` of ``held``, its ``arrays``
+        made read-only in place, if the slot holds ``render_key``, lacks
+        that frame and the byte cap allows."""
+        nbytes = sum(a.nbytes for a in arrays)
+        if (
+            render_key is None
+            or render_key != self.render_key
+            or index in held
+            or self.render_bytes + nbytes > MEMO_MAX_RENDER_BYTES
+        ):
+            return
+        for array in arrays:
+            array.flags.writeable = False
+        self.render_bytes += nbytes
+        held[index] = value
 
     def lookup(self, key: tuple, index: int) -> Optional[_MemoFrame]:
         if index < len(self.frames) and self.key == key:
@@ -170,25 +225,9 @@ class _StreamSlot:
 
     def record(self, key: tuple, index: int, frame: _MemoFrame) -> None:
         if index == 0:
-            self.key, self.frames, self.hr = key, [], {}
+            self.key, self.frames = key, []
         if index == len(self.frames) < MEMO_MAX_FRAMES and self.key == key:
             self.frames.append(frame)
-
-    def lookup_hr(self, key: tuple, index: int) -> Optional[np.ndarray]:
-        return self.hr.get(index) if self.key == key else None
-
-    def offer_hr(self, key: tuple, index: int, color: np.ndarray) -> np.ndarray:
-        """Keep a read-only copy of frame ``index``'s HR reference if the
-        slot still holds this key's frame and the byte cap allows; returns
-        the copy, or ``color`` itself when the slot declines."""
-        if index >= len(self.frames) or index in self.hr or self.key != key:
-            return color
-        if sum(c.nbytes for c in self.hr.values()) + color.nbytes > MEMO_MAX_HR_BYTES:
-            return color
-        kept = color.copy()
-        kept.flags.writeable = False
-        self.hr[index] = kept
-        return kept
 
 
 _SLOT = _StreamSlot()
@@ -223,6 +262,9 @@ class GameStreamServer:
         )
         self._index = 0
         self._hr_cache: tuple[int, RenderOutput] | None = None
+        #: The render key of the last frame produced; None before frame 0
+        #: or when the game bypasses the memo.
+        self._render_key: Optional[tuple] = None
         #: The frame-0 stream key while this server still streams it;
         #: None once it bypasses or has left the memo.
         self._memo_key: Optional[tuple] = None
@@ -281,15 +323,14 @@ class GameStreamServer:
     def render_hr_reference(self, index: int) -> np.ndarray:
         """Native HR render of frame ``index`` (the quality ground truth).
 
-        On the server-stream memo this is the slot's read-only copy
-        whenever the slot holds or takes one (see the module docstring).
+        The slot's read-only reference when it holds one under this
+        server's render key; otherwise a live render, which the slot keeps
+        (read-only) if it can (see the module docstring).
         """
-        key = self._memo_key
-        if key is None:
-            return self._render_hr(index).color
-        color = _SLOT.lookup_hr(key, index)
+        color = _SLOT.take(self._render_key, _SLOT.hr, index)
         if color is None:
-            color = _SLOT.offer_hr(key, index, self._render_hr(index).color)
+            color = self._render_hr(index).color
+            _SLOT.keep(self._render_key, _SLOT.hr, index, color, color)
         return color
 
     def next_frame(self) -> ServerFrame:
@@ -325,10 +366,14 @@ class GameStreamServer:
         return frame
 
     def _memo_key_for(self, index: int) -> Optional[tuple]:
-        """This server's memo key for frame ``index`` (None: stream live)."""
+        """This server's stream key for frame ``index`` (None: encode
+        live); also sets its render key, which frame 0 claims."""
+        self._render_key, stream_key = _memo_keys(self)
         if index == 0:
-            self._memo_key = _stream_key(self)
-        elif self._memo_key is not None and _stream_key(self) != self._memo_key:
+            self._memo_key = stream_key
+            if self._render_key is not None:
+                _SLOT.claim_renders(self._render_key)
+        elif stream_key != self._memo_key:
             self._memo_key = None
         if self.encoder.state().frame_index != index:
             self._memo_key = None
@@ -350,8 +395,20 @@ class GameStreamServer:
             trace=trace,
         )
 
+    def _render_lr_shared(self, index: int) -> RenderOutput:
+        """:meth:`render_lr` from the slot when it holds the frame under
+        this server's render key; otherwise live, offered to the slot."""
+        rendered = _SLOT.take(self._render_key, _SLOT.renders, index)
+        if rendered is None:
+            rendered = self.render_lr(index)
+            _SLOT.keep(
+                self._render_key, _SLOT.renders, index, rendered,
+                rendered.color, rendered.depth,
+            )
+        return rendered
+
     def _produce(self, index: int) -> ServerFrame:
-        """Render, detect, encode and price frame ``index`` live."""
+        """Detect, encode and price frame ``index`` live over its render."""
         trace = FrameTrace(index=index)
 
         with trace.stage("input") as st:
@@ -360,7 +417,7 @@ class GameStreamServer:
             st.modeled_ms = lat.server_game_logic_ms()
 
         with trace.stage("render") as st:
-            rendered = self.render_lr(index)
+            rendered = self._render_lr_shared(index)
             st.modeled_ms = lat.server_render_ms(self.geometry.modeled_lr_pixels)
             st.meta(lr_source=self.geometry.lr_source)
 

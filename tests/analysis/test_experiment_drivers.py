@@ -91,4 +91,4 @@ class TestSessionDriver:
         assert type(server.game) is GameWorkload
         assert server.game.game_id == "G3"
         assert server.roi_side is not None
-        assert server_module._stream_key(server) is not None
+        assert server_module._memo_keys(server)[1] is not None

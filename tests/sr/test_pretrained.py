@@ -1,4 +1,5 @@
-"""Pretrained-model cache: corrupt checkpoints must heal, not crash."""
+"""Pretrained-model cache: corrupt checkpoints must heal, not crash, and
+zoo backends over one weights file are loaded once."""
 
 from __future__ import annotations
 
@@ -75,3 +76,43 @@ def test_save_weights_is_atomic_and_leaves_no_temp(tmp_path):
     load_weights(loaded, path)
     np.testing.assert_array_equal(loaded.head.weight.data, model.head.weight.data)
     assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
+
+
+def _quicksrnet(abr):
+    return abr.backends["quicksrnet"]
+
+
+def test_abr_controllers_share_zoo_backends(tiny_runner):
+    from repro.streaming import build_abr
+
+    first, second = (
+        build_abr(64, 32, 720, runner=tiny_runner, profile="tiny") for _ in range(2)
+    )
+    assert _quicksrnet(first) is _quicksrnet(second)
+    assert first.backends["edsr"].runner is second.backends["edsr"].runner is tiny_runner
+    image = np.random.default_rng(5).uniform(size=(24, 40, 3))
+    for name in ("quicksrnet", "bilinear_gpu"):
+        assert (
+            first.backends[name].upscale(image).tobytes()
+            == second.backends[name].upscale(image).tobytes()
+        )
+
+
+def test_shared_zoo_backend_heals_a_corrupt_weights_file(tmp_path, monkeypatch, fast_training):
+    from repro.sr.backends import build_backend
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    trained = build_backend("quicksrnet", profile="tiny")
+    loaded = build_backend("quicksrnet", profile="tiny")
+    assert build_backend("quicksrnet", profile="tiny") is loaded
+    path = pretrained.weights_path("quicksrnet", 2, "tiny")
+    path.write_bytes(b"\x04\x00garbage that is definitely not a zip archive")
+    healed = build_backend("quicksrnet", profile="tiny")
+    assert healed is not loaded
+    # The retrain rewrote the file: the next call loads it and is shared.
+    reloaded = build_backend("quicksrnet", profile="tiny")
+    assert build_backend("quicksrnet", profile="tiny") is reloaded
+    image = np.random.default_rng(5).uniform(size=(24, 40, 3))
+    expected = trained.upscale(image).tobytes()
+    for backend in (loaded, healed, reloaded):
+        assert backend.upscale(image).tobytes() == expected

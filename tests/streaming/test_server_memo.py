@@ -1,10 +1,12 @@
 """The in-process server-stream memo (``repro.streaming.server``).
 
 The contract under test: a session is byte-identical (bitstreams, HR
-outputs, canonical trace) whether its server frames were replayed from
-the memo or produced live. A freshly built game is a new scene object,
-so streaming over one is a guaranteed miss and serves as the reference.
-Sessions over one shared game replay the stream the first one recorded.
+outputs, canonical trace) whether its server frames, renders and HR
+references came from the memo or were produced live. A freshly built
+game is a new scene object, so streaming over one is a guaranteed miss
+and serves as the reference. Sessions over one shared game replay the
+stream the first one recorded, and take its renders and HR references
+whatever their knobs.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 from repro.core.config import RoIConfig
 from repro.core.roi_sizing import plan_roi_window
 from repro.network import NetworkLink
+from repro.network.trace import build_scenario
 from repro.platform.calibration import REALTIME_DEADLINE_MS
 from repro.platform.device import get_device
 from repro.render.games import GameWorkload, build_game
@@ -207,6 +210,19 @@ def _force_idr(server, index):
         server.encoder.reset()
 
 
+def _abr_knobs(runner, bandwidth_mbps):
+    """An ABR loop over a loss-free link: at 2 Mbps it downshifts."""
+    return dict(
+        scenario=NetworkLink(bandwidth_mbps=bandwidth_mbps, propagation_ms=8.0, seed=3),
+        link_deadline_ms=60.0,
+        skip_dropped=True,
+        abr=build_abr(
+            PLAN.side, PLAN.min_side, 720, runner=runner,
+            profile="tiny", net_budget_ms=60.0,
+        ),
+    )
+
+
 class TestLeavingTheMemo:
     """A knob change or encoder reset mid-session: the server stops using
     the memo for good and stays byte-identical to a live stream."""
@@ -238,27 +254,16 @@ class TestLeavingTheMemo:
         assert not all(replayed.replayed)
 
     def test_abr(self, tiny_runner):
-        def knobs(bandwidth_mbps):
-            return dict(
-                scenario=NetworkLink(
-                    bandwidth_mbps=bandwidth_mbps, propagation_ms=8.0, seed=3
-                ),
-                link_deadline_ms=60.0,
-                skip_dropped=True,
-                abr=build_abr(
-                    PLAN.side, PLAN.min_side, 720, runner=tiny_runner,
-                    profile="tiny", net_budget_ms=60.0,
-                ),
-            )
-
         # A link ABR never downshifts on records the stream; a slow one
         # replays it until the first rung change.
         shared = build_game("G3")
         n = 8
-        stream(shared, _gsr(tiny_runner), n_frames=n, **knobs(1000.0))
-        slow = knobs(2.0)
+        stream(shared, _gsr(tiny_runner), n_frames=n, **_abr_knobs(tiny_runner, 1000.0))
+        slow = _abr_knobs(tiny_runner, 2.0)
         replayed = stream(shared, _gsr(tiny_runner), n_frames=n, **slow)
-        live = stream(build_game("G3"), _gsr(tiny_runner), n_frames=n, **knobs(2.0))
+        live = stream(
+            build_game("G3"), _gsr(tiny_runner), n_frames=n, **_abr_knobs(tiny_runner, 2.0)
+        )
         assert slow["abr"].n_downshifts >= 1
         assert replayed.same_outputs(live)
         assert replayed.server._memo_key is None
@@ -303,12 +308,15 @@ class TestKey:
         assert second.same_outputs(first)
 
     def test_warm_start_bypasses(self):
+        """A stateful detector bypasses the encoded frames only."""
         game = build_game("G3")
         warm = RoIConfig(warm_start=True)
         first = stream(game, BilinearClient(DEVICE), roi_config=warm)
         second = stream(game, BilinearClient(DEVICE), roi_config=warm)
         assert not any(first.replayed) and not any(second.replayed)
         assert first.server._memo_key is None
+        assert second.server._render_key is not None
+        assert sorted(server_module._SLOT.renders) == list(range(N_FRAMES))
 
     def test_replayed_spans_report_no_wall_time(self):
         game = build_game("G3")
@@ -335,6 +343,9 @@ class TestFrameCap:
 
 
 HR_SHAPE = (GEO.eval_lr_height * GEO.scale, GEO.eval_lr_width * GEO.scale, 3)
+#: Bytes of one float64 HR reference and of one LR render (color + depth).
+HR_BYTES = int(np.prod(HR_SHAPE)) * 8
+LR_RENDER_BYTES = GEO.eval_lr_height * GEO.eval_lr_width * 4 * 8
 QUALITY = dict(evaluate_quality=True, with_lpips=True)
 
 
@@ -388,11 +399,12 @@ class TestHRReferences:
     def test_byte_cap_renders_later_references_live(self, monkeypatch, render_calls):
         kept = 2
         monkeypatch.setattr(
-            server_module, "MEMO_MAX_HR_BYTES", kept * int(np.prod(HR_SHAPE)) * 8
+            server_module, "MEMO_MAX_RENDER_BYTES", kept * (HR_BYTES + LR_RENDER_BYTES)
         )
         shared = build_game("G3")
         stream(shared, BilinearClient(DEVICE), **QUALITY)
         assert sorted(server_module._SLOT.hr) == list(range(kept))
+        assert sorted(server_module._SLOT.renders) == list(range(kept))
         del render_calls[:]
         replayed = stream(shared, BilinearClient(DEVICE), **QUALITY)
         assert len(render_calls) == N_FRAMES - kept
@@ -409,32 +421,44 @@ class TestHRReferences:
         assert server_module._SLOT.hr
         stream(build_game("G9"), BilinearClient(DEVICE), n_frames=1)
         assert server_module._SLOT.hr == {}
+        assert list(server_module._SLOT.renders) == [0]
 
     def test_server_that_left_the_memo_gets_correct_references(self):
+        """Leaving the encoded frames keeps the slot's references."""
         shared = build_game("G3")
         stream(shared, BilinearClient(DEVICE), **QUALITY)
         left = stream(shared, BilinearClient(DEVICE), mid=_resize, **QUALITY)
-        live = stream(build_game("G3"), BilinearClient(DEVICE), mid=_resize, **QUALITY)
         assert left.server._memo_key is None
+        held = dict(server_module._SLOT.hr)
+        assert sorted(held) == list(range(N_FRAMES))
+        assert all(left.server.render_hr_reference(i) is held[i] for i in held)
+        live = stream(build_game("G3"), BilinearClient(DEVICE), mid=_resize, **QUALITY)
         assert _quality(left) == _quality(live)
         _assert_references_are_renders(left.server, "G3")
 
     @pytest.mark.parametrize(
-        "wrap, kwargs",
+        "wrap, kwargs, shares",
         [
-            (plain_copy, {}),
-            (lambda g: g, dict(roi_config=RoIConfig(warm_start=True))),
+            (plain_copy, {}, False),
+            (lambda g: g, dict(roi_config=RoIConfig(warm_start=True)), True),
         ],
         ids=["plain_subclass", "warm_start"],
     )
-    def test_bypassing_server_gets_correct_references(self, wrap, kwargs):
-        """The slot holds another game's stream; a bypassing server must
-        neither read its references nor offer its own."""
+    def test_bypassing_server_gets_correct_references(self, wrap, kwargs, shares):
+        """The slot holds another game's stream. A game with no render key
+        must neither read its references nor offer its own; a warm-start
+        server, which bypasses only the encoded frames, claims the slot
+        for its own references."""
         stream(build_game("G9"), BilinearClient(DEVICE), **QUALITY)
         held = dict(server_module._SLOT.hr)
         off = stream(wrap(build_game("G3")), BilinearClient(DEVICE), **kwargs, **QUALITY)
-        assert server_module._SLOT.hr.keys() == held.keys()
-        assert all(server_module._SLOT.hr[i] is held[i] for i in held)
+        if shares:
+            ours = server_module._SLOT.hr
+            assert sorted(ours) == list(range(N_FRAMES))
+            assert all(off.server.render_hr_reference(i) is ours[i] for i in ours)
+        else:
+            assert server_module._SLOT.hr.keys() == held.keys()
+            assert all(server_module._SLOT.hr[i] is held[i] for i in held)
         live = stream(build_game("G3"), BilinearClient(DEVICE), **kwargs, **QUALITY)
         assert _quality(off) == _quality(live)
         _assert_references_are_renders(off.server, "G3")
@@ -446,3 +470,140 @@ def _assert_references_are_renders(server, game_id):
     for index in range(N_FRAMES):
         render = game.render_frame(index, HR_SHAPE[1], HR_SHAPE[0], server.fps)
         assert server.render_hr_reference(index).tobytes() == render.color.tobytes()
+
+
+#: How a session leaves the encoded frames mid-stream.
+LEAVE = {
+    "roi_side": lambda runner: dict(mid=_resize),
+    "idr": lambda runner: dict(mid=_force_idr),
+    "abr": lambda runner: _abr_knobs(runner, 2.0),
+}
+
+
+class TestSharedRenders:
+    """The slot keeps renders under the render key (game, geometry, fps),
+    so every server of that key shares them whatever its knobs."""
+
+    @pytest.mark.parametrize("leave", sorted(LEAVE))
+    def test_leaving_session_renders_nothing(self, tiny_runner, render_calls, leave):
+        n = 8
+        shared = build_game("G3")
+        stream(shared, _gsr(tiny_runner), n_frames=n)
+        del render_calls[:]
+        left = stream(shared, _gsr(tiny_runner), n_frames=n, **LEAVE[leave](tiny_runner))
+        assert left.server._memo_key is None
+        assert not all(left.replayed)
+        assert render_calls == []
+        live = stream(build_game("G3"), _gsr(tiny_runner), n_frames=n, **LEAVE[leave](tiny_runner))
+        assert len(render_calls) == n
+        assert left.same_outputs(live)
+
+    def test_render_arrays_are_read_only(self):
+        shared = build_game("G3")
+        stream(shared, BilinearClient(DEVICE))
+        renders = server_module._SLOT.renders
+        assert sorted(renders) == list(range(N_FRAMES))
+        for rendered in renders.values():
+            assert not rendered.color.flags.writeable
+            assert not rendered.depth.flags.writeable
+            with pytest.raises(ValueError):
+                rendered.color[0, 0, 0] = 1.0
+        left = stream(shared, BilinearClient(DEVICE), mid=_force_idr)
+        live = stream(build_game("G3"), BilinearClient(DEVICE), mid=_force_idr)
+        assert left.same_outputs(live)
+
+    def test_frame_zero_of_another_render_key_drops_renders(self, render_calls):
+        shared = build_game("G3")
+        stream(shared, BilinearClient(DEVICE), **QUALITY)
+        held = dict(server_module._SLOT.renders)
+        del render_calls[:]
+        # Another stream key over the same render key keeps the renders.
+        other = stream(shared, BilinearClient(DEVICE), gop=2, **QUALITY)
+        assert not any(other.replayed)
+        assert render_calls == []
+        assert all(server_module._SLOT.renders[i] is held[i] for i in held)
+        live = stream(build_game("G3"), BilinearClient(DEVICE), gop=2, **QUALITY)
+        assert other.same_outputs(live)
+        assert _quality(other) == _quality(live)
+        stream(build_game("G9"), BilinearClient(DEVICE), n_frames=1)
+        assert list(server_module._SLOT.renders) == [0]
+        assert server_module._SLOT.hr == {}
+        assert server_module._SLOT.render_bytes == LR_RENDER_BYTES
+
+    def test_server_of_another_render_key_reads_no_renders(self):
+        """A server whose render key lost the slot mid-stream renders live."""
+
+        def server(game_id):
+            return GameStreamServer(build_game(game_id), GEO, roi_side=ROI_SIDE, gop_size=GOP)
+
+        ours, theirs, live = server("G3"), server("G9"), server("G3")
+        payloads = [ours.next_frame().encoded.payload]
+        for _ in range(N_FRAMES):
+            theirs.next_frame()
+        assert sorted(server_module._SLOT.renders) == list(range(N_FRAMES))
+        payloads += [ours.next_frame().encoded.payload for _ in range(N_FRAMES - 1)]
+        assert payloads == [live.next_frame().encoded.payload for _ in range(N_FRAMES)]
+
+    def test_non_dataclass_game_neither_reads_nor_offers_renders(self, render_calls):
+        shared = build_game("G3")
+        stream(shared, BilinearClient(DEVICE))
+        held = dict(server_module._SLOT.renders)
+        del render_calls[:]
+        off = stream(plain_copy(shared), BilinearClient(DEVICE))
+        assert off.server._render_key is None
+        assert len(render_calls) == N_FRAMES
+        assert server_module._SLOT.renders.keys() == held.keys()
+        assert all(server_module._SLOT.renders[i] is held[i] for i in held)
+        live = stream(build_game("G3"), BilinearClient(DEVICE))
+        assert off.same_outputs(live)
+
+    def test_byte_cap_bounds_renders_and_references_together(
+        self, monkeypatch, render_calls
+    ):
+        cap = HR_BYTES + 2 * LR_RENDER_BYTES
+        monkeypatch.setattr(server_module, "MEMO_MAX_RENDER_BYTES", cap)
+        shared = build_game("G3")
+        stream(shared, BilinearClient(DEVICE), **QUALITY)
+        # Frame 0's render and reference, then frame 1's render, fill it.
+        assert sorted(server_module._SLOT.renders) == [0, 1]
+        assert sorted(server_module._SLOT.hr) == [0]
+        assert server_module._SLOT.render_bytes == cap
+        del render_calls[:]
+        left = stream(shared, BilinearClient(DEVICE), mid=_force_idr, **QUALITY)
+        # Live: the renders of frames 2-3 and the references of frames 1-3.
+        assert len(render_calls) == 5
+        assert server_module._SLOT.render_bytes == cap
+        live = stream(build_game("G3"), BilinearClient(DEVICE), mid=_force_idr, **QUALITY)
+        assert left.same_outputs(live)
+        assert _quality(left) == _quality(live)
+
+    def test_lossy_abr_loop_renders_each_frame_once(self, tiny_runner, render_calls):
+        """32 ABR sessions over the same 6 frames, 16 lossy links times two
+        arms as in e2ebench's ``lossy_abr``, make 6 render calls."""
+        n = 6
+
+        def sessions(game_for):
+            streamed = []
+            for trace_seed in (0, 1, 2, 4):
+                for packet_seed in range(4):
+                    for client in (_gsr(tiny_runner), SRIntegratedDecoderClient(DEVICE, tiny_runner)):
+                        streamed.append(stream(
+                            game_for(), client, n_frames=n, gop=n,
+                            scenario=build_scenario(f"synthetic:{trace_seed}", seed=packet_seed),
+                            link_deadline_ms=100.0,
+                            skip_dropped=True,
+                            abr=build_abr(
+                                PLAN.side, PLAN.min_side, 720, runner=tiny_runner,
+                                profile="tiny", net_budget_ms=100.0,
+                            ),
+                        ))
+            return streamed
+
+        shared_game = build_game("G10")
+        shared = sessions(lambda: shared_game)
+        assert len(shared) == 32
+        assert len(render_calls) == n
+        assert any(s.server._memo_key is None for s in shared)
+        live = sessions(lambda: build_game("G10"))
+        for ours, reference in zip(shared, live):
+            assert ours.same_outputs(reference)
