@@ -151,7 +151,9 @@ def check_replay(first, replay, expect_replayed: bool) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default=None, help="trace output dir (default: tmp)")
+    parser.add_argument(
+        "--out", default=None, help="trace output dir (default: a temp dir removed on exit)"
+    )
     parser.add_argument(
         "--gop-reuse",
         action="store_true",
@@ -265,58 +267,61 @@ def main(argv=None) -> int:
     def make_server(roi_side):
         return GameStreamServer(game, geometry, roi_side=roi_side, gop_size=GOP)
 
-    out_dir = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="traces-"))
-    for client, roi_side in build_clients(device, runner, plan, roi_only):
-        first = run_captured(make_server(roi_side), client, **make_knobs())
-        seen = len(rendered)
-        replay = run_captured(make_server(roi_side), client, **make_knobs())
-        check_replay(first, replay, expect_replayed=not args.abr)
-        again = set(rendered[seen:]) & set(rendered[:seen])
-        assert not again, (
-            f"second pass of {first[0].design} rendered frames again: {sorted(again)}"
-        )
-        result = first[0]
-        check_session(result, out_dir)
-        if args.scenario:
-            # Every frame transmitted over the trace-driven link records
-            # the conditions it saw.
-            assert result.metrics.counter("net.scenario/frames").value == N_FRAMES, (
-                f"net.scenario/frames not recorded for {result.design}"
+    # Without --out the trace exports go to a temporary directory that is
+    # removed on exit.
+    with tempfile.TemporaryDirectory(prefix="traces-") as tmp:
+        out_dir = Path(args.out) if args.out else Path(tmp)
+        for client, roi_side in build_clients(device, runner, plan, roi_only):
+            first = run_captured(make_server(roi_side), client, **make_knobs())
+            seen = len(rendered)
+            replay = run_captured(make_server(roi_side), client, **make_knobs())
+            check_replay(first, replay, expect_replayed=not args.abr)
+            again = set(rendered[seen:]) & set(rendered[:seen])
+            assert not again, (
+                f"second pass of {first[0].design} rendered frames again: {sorted(again)}"
             )
-        if args.abr:
-            assert result.metrics.counter("abr/frames").value == N_FRAMES, (
-                f"abr/frames not recorded for {result.design}"
-            )
-        if args.gop_reuse:
-            # Every frame of a reuse run carries the reuse decision record.
-            assert result.metrics.counter("sr.reuse/frames").value == N_FRAMES, (
-                f"sr.reuse/frames not recorded for {result.design}"
-            )
-            # Frame 0 is an I-frame: the cache must log a refresh for it.
-            assert result.metrics.counter("sr.reuse/refreshes").value >= 1, (
-                f"no sr.reuse refresh recorded for {result.design}"
-            )
-        if sr_backend is not None:
-            # Every RoI-SR frame must carry the backend's name in its span.
-            named = [
-                r.trace.span("upscale").metadata.get("sr_backend")
-                for r in result.records
-                if r.trace.span("upscale").metadata.get("path") != (
-                    "in_decoder_reconstruction"
+            result = first[0]
+            check_session(result, out_dir)
+            if args.scenario:
+                # Every frame transmitted over the trace-driven link records
+                # the conditions it saw.
+                assert result.metrics.counter("net.scenario/frames").value == N_FRAMES, (
+                    f"net.scenario/frames not recorded for {result.design}"
                 )
-            ]
-            assert named and all(n == sr_backend.name for n in named), (
-                f"sr_backend={sr_backend.name} not recorded for {result.design}"
+            if args.abr:
+                assert result.metrics.counter("abr/frames").value == N_FRAMES, (
+                    f"abr/frames not recorded for {result.design}"
+                )
+            if args.gop_reuse:
+                # Every frame of a reuse run carries the reuse decision record.
+                assert result.metrics.counter("sr.reuse/frames").value == N_FRAMES, (
+                    f"sr.reuse/frames not recorded for {result.design}"
+                )
+                # Frame 0 is an I-frame: the cache must log a refresh for it.
+                assert result.metrics.counter("sr.reuse/refreshes").value >= 1, (
+                    f"no sr.reuse refresh recorded for {result.design}"
+                )
+            if sr_backend is not None:
+                # Every RoI-SR frame must carry the backend's name in its span.
+                named = [
+                    r.trace.span("upscale").metadata.get("sr_backend")
+                    for r in result.records
+                    if r.trace.span("upscale").metadata.get("path") != (
+                        "in_decoder_reconstruction"
+                    )
+                ]
+                assert named and all(n == sr_backend.name for n in named), (
+                    f"sr_backend={sr_backend.name} not recorded for {result.design}"
+                )
+            if dispatch is not None:
+                assert result.metrics.counter("sr.dispatch/frames").value >= 1, (
+                    f"sr.dispatch/frames not recorded for {result.design}"
+                )
+            print(
+                f"ok: {result.design:22s} mtp {result.mean_mtp().total_ms:7.2f} ms  "
+                f"energy {result.mean_energy().total:7.2f} mJ  traces validated"
             )
-        if dispatch is not None:
-            assert result.metrics.counter("sr.dispatch/frames").value >= 1, (
-                f"sr.dispatch/frames not recorded for {result.design}"
-            )
-        print(
-            f"ok: {result.design:22s} mtp {result.mean_mtp().total_ms:7.2f} ms  "
-            f"energy {result.mean_energy().total:7.2f} mJ  traces validated"
-        )
-    print(f"ok: schema-validated trace exports in {out_dir}")
+        print(f"ok: schema-validated trace exports in {out_dir}")
     return 0
 
 

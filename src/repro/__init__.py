@@ -37,7 +37,7 @@ from .core import (
     min_roi_side_px,
     plan_roi_window,
 )
-from .metrics import lpips, psnr, ssim
+from .metrics import lpips, psnr
 from .platform import (
     DeviceProfile,
     get_device,
@@ -92,5 +92,4 @@ __all__ = [
     "psnr",
     "run_session",
     "samsung_tab_s8",
-    "ssim",
 ]

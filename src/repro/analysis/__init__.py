@@ -16,12 +16,6 @@ from .experiments import (
 )
 from .parallel import default_worker_count, run_session_matrix
 from .tables import fmt, format_paper_vs_measured, format_table
-from .traces import (
-    network_health,
-    trace_energy_table,
-    trace_mtp_table,
-    wall_clock_profile,
-)
 
 __all__ = [
     "ALL_GAME_IDS",
@@ -33,7 +27,6 @@ __all__ = [
     "format_paper_vs_measured",
     "format_table",
     "input_resolution_sweep",
-    "network_health",
     "perf_geometry",
     "performance_sessions",
     "quality_geometry",
@@ -41,8 +34,5 @@ __all__ = [
     "roi_sizing_table",
     "run_session_matrix",
     "sota_timeline",
-    "trace_energy_table",
-    "trace_mtp_table",
     "upscale_factor_tradeoff",
-    "wall_clock_profile",
 ]

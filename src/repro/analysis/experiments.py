@@ -11,15 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from ..cache import load_or_build
 from ..core.config import RoIConfig
 from ..core.roi_sizing import RoIWindowPlan, plan_roi_window
 from ..metrics.psnr import psnr as psnr_metric
 from ..platform import calibration as cal
 from ..platform import latency as lat
-from ..platform.benchmark import max_realtime_roi_side
 from ..platform.device import DeviceProfile, get_device
 from ..render.games import GAME_TABLE, build_game
 from ..sr.interpolate import resize

@@ -12,7 +12,6 @@ builds.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import logging
@@ -28,7 +27,6 @@ __all__ = [
     "cache_disabled",
     "config_key",
     "artifact_path",
-    "memoize",
     "load_or_build",
 ]
 
@@ -91,16 +89,3 @@ def load_or_build(
         pickle.dump(artifact, fh)
     tmp.replace(path)
     return artifact
-
-
-def memoize(name: str, subdir: str = "artifacts") -> Callable:
-    """Decorator caching a zero-side-effect builder keyed by its kwargs."""
-
-    def decorate(fn: Callable) -> Callable:
-        @functools.wraps(fn)
-        def wrapper(**kwargs):
-            return load_or_build(name, kwargs, lambda: fn(**kwargs), subdir=subdir)
-
-        return wrapper
-
-    return decorate

@@ -23,6 +23,34 @@ from pathlib import Path
 __all__ = ["build_parser", "main"]
 
 
+def _int_at_least(minimum: int):
+    """argparse ``type``: an int >= ``minimum``; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+def _game_id(text: str) -> str:
+    """argparse ``type``: one of the ten game ids (Table I)."""
+    from .render.games import GAME_BUILDERS
+
+    if text not in GAME_BUILDERS:
+        raise argparse.ArgumentTypeError(
+            f"unknown game id {text!r}; choose from {', '.join(GAME_BUILDERS)}"
+        )
+    return text
+
+
 def _cmd_games(args: argparse.Namespace) -> int:
     from .analysis.tables import format_table
     from .render.games import GAME_TABLE, build_game
@@ -198,25 +226,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("devices", help="device profiles + RoI plans").set_defaults(fn=_cmd_devices)
 
     render = sub.add_parser("render", help="render frames to PPM/PGM files")
-    render.add_argument("game", help="game id, e.g. G3")
-    render.add_argument("--frames", type=int, default=1)
-    render.add_argument("--width", type=int, default=224)
-    render.add_argument("--height", type=int, default=128)
+    render.add_argument("game", type=_game_id, help="game id, e.g. G3")
+    render.add_argument("--frames", type=_int_at_least(1), default=1)
+    render.add_argument("--width", type=_int_at_least(1), default=224)
+    render.add_argument("--height", type=_int_at_least(1), default=128)
     render.add_argument("--out", default="renders")
     render.set_defaults(fn=_cmd_render)
 
     detect = sub.add_parser("detect", help="run RoI detection on a frame")
-    detect.add_argument("game")
-    detect.add_argument("--frame", type=int, default=0)
-    detect.add_argument("--width", type=int, default=224)
-    detect.add_argument("--height", type=int, default=128)
-    detect.add_argument("--side", type=int, default=54)
+    detect.add_argument("game", type=_game_id)
+    detect.add_argument("--frame", type=_int_at_least(0), default=0)
+    detect.add_argument("--width", type=_int_at_least(1), default=224)
+    detect.add_argument("--height", type=_int_at_least(1), default=128)
+    detect.add_argument("--side", type=_int_at_least(1), default=54)
     detect.set_defaults(fn=_cmd_detect)
 
     stream = sub.add_parser("stream", help="compare designs on a short session")
-    stream.add_argument("game", nargs="?", default="G3")
+    stream.add_argument("game", nargs="?", type=_game_id, default="G3")
     stream.add_argument("--device", default="samsung_tab_s8")
-    stream.add_argument("--frames", type=int, default=8)
+    stream.add_argument("--frames", type=_int_at_least(1), default=8)
     stream.add_argument("--profile", default="tiny", help="SR model profile")
     stream.add_argument(
         "--gop-reuse",

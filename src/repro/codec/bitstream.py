@@ -1,9 +1,9 @@
 """Bit-level output for the codec's entropy-coded payloads.
 
-:class:`BitWriter` keeps its original bit-at-a-time API but adds
-:meth:`BitWriter.write_codes`, a bulk append that assembles a whole batch
-of MSB-first codewords in one numpy pass (bit scatter + ``np.packbits``),
-producing byte-identical output to the equivalent ``write_bits`` loop.
+:class:`BitWriter` appends single bits (:meth:`BitWriter.write_bit`) or,
+with :meth:`BitWriter.write_codes`, a whole batch of MSB-first codewords
+in one numpy pass (bit scatter + ``np.packbits``), byte-identical to
+writing the same codewords bit by bit.
 Payloads are read back by :func:`repro.codec.entropy.decode_payload`,
 which parses a whole payload at once and needs no bit reader.
 """
@@ -31,18 +31,11 @@ class BitWriter:
             self._accumulator = 0
             self._n_bits = 0
 
-    def write_bits(self, value: int, count: int) -> None:
-        """Write the ``count`` low bits of ``value``, MSB first."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        for shift in range(count - 1, -1, -1):
-            self.write_bit((value >> shift) & 1)
-
     def write_codes(self, values: np.ndarray, widths: np.ndarray) -> None:
         """Bulk-append codewords: the ``widths[i]`` low bits of ``values[i]``.
 
-        Equivalent to ``write_bits(values[i], widths[i])`` for each i, but
-        the whole batch is scattered into one bit array and packed with a
+        Equivalent to ``write_bit`` over those bits, MSB first, for each i,
+        but the whole batch is scattered into one bit array and packed with a
         single ``np.packbits`` pass.  Works at any bit offset: pending
         accumulator bits are prepended and the new tail (< 8 bits) is
         carried back into the accumulator.
@@ -80,7 +73,3 @@ class BitWriter:
         if self._n_bits:
             out.append(self._accumulator << (8 - self._n_bits))
         return bytes(out)
-
-    def __len__(self) -> int:
-        """Total number of bits written so far."""
-        return len(self._bytes) * 8 + self._n_bits

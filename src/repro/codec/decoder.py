@@ -66,12 +66,6 @@ class DecodedFrame:
         self._residual_rgb: Optional[np.ndarray] = None
         self._residual_block_energy: Dict[int, np.ndarray] = {}
 
-    def __repr__(self) -> str:
-        return (
-            f"DecodedFrame(frame_type={self.frame_type!r}, "
-            f"shape={tuple(self.rgb.shape)})"
-        )
-
     @property
     def is_reference(self) -> bool:
         return self.frame_type == "I"

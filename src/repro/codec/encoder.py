@@ -20,7 +20,7 @@ import numpy as np
 
 from ..contracts import shaped
 from .bitstream import BitWriter
-from .blocks import block_grid_shape, merge_blocks, split_blocks
+from .blocks import merge_blocks, split_blocks
 from .color import rgb_to_ycbcr, subsample_chroma, upsample_chroma, ycbcr_to_rgb
 from .entropy import encode_blocks
 from .motion import compensate, estimate_motion
@@ -49,14 +49,6 @@ class EncodedFrame:
     @property
     def size_bytes(self) -> int:
         return len(self.payload)
-
-    @property
-    def size_bits(self) -> int:
-        return len(self.payload) * 8
-
-    @property
-    def is_reference(self) -> bool:
-        return self.frame_type == "I"
 
 
 class EncoderState(NamedTuple):

@@ -27,8 +27,6 @@ from .bitstream import BitWriter
 
 __all__ = [
     "zigzag_indices",
-    "zigzag",
-    "inverse_zigzag",
     "encode_blocks",
     "decode_payload",
     "write_exp_golomb_array",
@@ -48,20 +46,6 @@ def zigzag_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     rows = np.array([r for r, _ in order], dtype=np.intp)
     cols = np.array([c for _, c in order], dtype=np.intp)
     return rows, cols
-
-
-def zigzag(block: np.ndarray) -> np.ndarray:
-    """Flatten an (n, n) block in zigzag order."""
-    rows, cols = zigzag_indices(block.shape[0])
-    return block[rows, cols]
-
-
-def inverse_zigzag(flat: np.ndarray, n: int) -> np.ndarray:
-    """Rebuild an (n, n) block from its zigzag-ordered coefficients."""
-    rows, cols = zigzag_indices(n)
-    block = np.empty((n, n), dtype=flat.dtype)
-    block[rows, cols] = flat
-    return block
 
 
 def _exp_golomb_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

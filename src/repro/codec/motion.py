@@ -46,14 +46,6 @@ _SEA_SLACK = 1e-3
 _SAD_CHUNK = 4096
 
 
-def _shift_frame(frame: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """Shift with edge replication: result[y, x] = frame[y + dy, x + dx]."""
-    h, w = frame.shape
-    ys = np.clip(np.arange(h, dtype=np.int64) + dy, 0, h - 1)
-    xs = np.clip(np.arange(w, dtype=np.int64) + dx, 0, w - 1)
-    return frame[np.ix_(ys, xs)]
-
-
 @lru_cache(maxsize=None)
 def _search_offsets(search_radius: int) -> tuple[np.ndarray, np.ndarray]:
     """All (dy, dx) in the window, nearest-first (zero motion leads).

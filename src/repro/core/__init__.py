@@ -11,17 +11,13 @@ from .depth_preprocess import (
     DepthPreprocessResult,
     DepthPreprocessStats,
     center_weight_matrix,
-    extract_foreground,
-    foreground_threshold,
     layer_bounds,
-    nearness,
     preprocess_depth,
 )
-from .detector import RoIDetection, RoIDetector, center_roi
+from .detector import RoIDetection, RoIDetector
 from .roi_search import (
     RoIBox,
     RoISearchResult,
-    search_roi,
     search_roi_scored,
     warm_search_roi,
     window_sums,
@@ -47,18 +43,13 @@ __all__ = [
     "RoISearchResult",
     "RoIWindowPlan",
     "RoIAssistedUpscaler",
-    "center_roi",
     "center_weight_matrix",
-    "extract_foreground",
-    "foreground_threshold",
     "foveal_diameter_cm",
     "foveal_diameter_inches",
     "layer_bounds",
     "min_roi_side_px",
-    "nearness",
     "plan_roi_window",
     "preprocess_depth",
-    "search_roi",
     "search_roi_scored",
     "warm_search_roi",
     "window_sums",

@@ -40,9 +40,6 @@ from ..contracts import shaped
 from .config import DEFAULT_ROI_CONFIG, RoIConfig
 
 __all__ = [
-    "nearness",
-    "foreground_threshold",
-    "extract_foreground",
     "center_weight_matrix",
     "layer_bounds",
     "DepthPreprocessResult",
@@ -90,11 +87,6 @@ def _check_depth(depth: np.ndarray) -> np.ndarray:
     if dmin >= 0.0 and dmax <= 1.0:
         return depth  # already in range: the clip would be a no-op copy
     return np.clip(depth, 0.0, 1.0)
-
-
-def nearness(depth: np.ndarray) -> np.ndarray:
-    """Convert [0=near, 1=far] depth into [0=far, 1=near] importance."""
-    return 1.0 - _check_depth(depth)
 
 
 def _uniform_histogram(
@@ -153,7 +145,19 @@ def _quantile_linear(values: np.ndarray, quantiles: np.ndarray) -> np.ndarray:
 
 
 def _foreground_threshold(depth: np.ndarray, config: RoIConfig) -> float:
-    """Threshold on an already-validated depth map (see public wrapper)."""
+    """Depth value separating foreground from background (Fig. 8 step 1).
+
+    Takes an already-validated depth map. Builds the depth histogram
+    (pixels at depth 1.0 — sky/background with nothing rendered — are
+    excluded up front), smooths it, and walks it near-to-far looking for
+    the first *significant gap*: a local minimum whose count drops below
+    ``valley_dip_ratio`` of the tallest peak seen so far, after at least
+    ``valley_min_mass`` of the pixel mass has been covered (the paper's
+    "noticeable gap between foreground and background depth values").
+    Falls back to Otsu's threshold when no gap exists (smooth unimodal
+    distributions). Returns a threshold in (0, 1]; pixels with
+    ``depth <= threshold`` are foreground.
+    """
     finite = depth[depth < 1.0]
     if finite.size == 0:
         return 1.0  # everything is background; keep all (degenerate frame)
@@ -194,31 +198,6 @@ def _foreground_threshold(depth: np.ndarray, config: RoIConfig) -> float:
     # clamp the split strictly inside the histogram.
     split = min(int(np.argmax(sigma_b)), len(hist) - 2)
     return float(edges[split + 1])
-
-
-def foreground_threshold(depth: np.ndarray, config: RoIConfig = DEFAULT_ROI_CONFIG) -> float:
-    """Depth value separating foreground from background.
-
-    Builds the depth histogram (pixels at depth 1.0 — sky/background with
-    nothing rendered — are excluded up front), smooths it, and walks it
-    near-to-far looking for the first *significant gap*: a local minimum
-    whose count drops below ``valley_dip_ratio`` of the tallest peak seen
-    so far, after at least ``valley_min_mass`` of the pixel mass has been
-    covered (the paper's "noticeable gap between foreground and background
-    depth values"). Falls back to Otsu's threshold when no gap exists
-    (smooth unimodal distributions). Returns a threshold in (0, 1];
-    pixels with ``depth <= threshold`` are foreground.
-    """
-    return _foreground_threshold(_check_depth(depth), config)
-
-
-def extract_foreground(
-    depth: np.ndarray, config: RoIConfig = DEFAULT_ROI_CONFIG
-) -> tuple[np.ndarray, float]:
-    """Foreground mask (bool) and the threshold used (Fig. 8 step-1)."""
-    depth = _check_depth(depth)
-    threshold = _foreground_threshold(depth, config)
-    return depth <= threshold, threshold
 
 
 @lru_cache(maxsize=16)
@@ -346,10 +325,6 @@ class DepthPreprocessResult:
         self._fg_layer = fg_layer
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self.processed.shape
-
-    @property
     def stats(self) -> DepthPreprocessStats | None:
         """The frame-global statistics, reusable via ``reuse=`` (or None
         for degenerate frames, which have no layering)."""
@@ -378,14 +353,6 @@ class DepthPreprocessResult:
             out.ravel()[self._fg_flat] = self._fg_layer
             self._layer_index = out
         return self._layer_index
-
-    def __repr__(self) -> str:
-        h, w = self.processed.shape
-        return (
-            f"DepthPreprocessResult(shape=({h}, {w}), "
-            f"threshold={self.foreground_threshold:.4g}, "
-            f"selected_layer={self.selected_layer})"
-        )
 
 
 @shaped(depth="H W:n")

@@ -29,7 +29,7 @@ from .depth_preprocess import (
 )
 from .roi_search import RoIBox, search_roi_scored, warm_search_roi
 
-__all__ = ["RoIDetection", "RoIDetector", "center_roi"]
+__all__ = ["RoIDetection", "RoIDetector"]
 
 
 @dataclass(frozen=True)
@@ -45,14 +45,6 @@ class RoIDetection:
     preprocess: DepthPreprocessResult
     search_mode: str = "full"
     score: float = 0.0
-
-
-def center_roi(height: int, width: int, side: int) -> RoIBox:
-    """A frame-centred square RoI (the no-detection fallback/ablation)."""
-    side = min(side, height, width)
-    return RoIBox(
-        x=(width - side) // 2, y=(height - side) // 2, width=side, height=side
-    )
 
 
 class RoIDetector:

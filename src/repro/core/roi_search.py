@@ -33,7 +33,6 @@ from ..contracts import shaped
 __all__ = [
     "RoIBox",
     "RoISearchResult",
-    "search_roi",
     "search_roi_scored",
     "warm_search_roi",
     "window_sums",
@@ -362,20 +361,6 @@ def search_roi_scored(
         score=score,
         mode="full",
     )
-
-
-def search_roi(
-    processed: np.ndarray,
-    win_h: int,
-    win_w: int,
-    coarse_stride: int | None = None,
-    fine_stride: int = 2,
-    boundary: int | None = None,
-) -> RoIBox:
-    """Algorithm 1: coarse + fine windowed max-sum search (box only)."""
-    return search_roi_scored(
-        processed, win_h, win_w, coarse_stride, fine_stride, boundary
-    ).box
 
 
 @shaped(processed="H W:n")

@@ -1,17 +1,12 @@
-"""Full-reference image/video quality metrics (PSNR, SSIM, LPIPS surrogate)."""
+"""Full-reference image/video quality metrics (PSNR, LPIPS surrogate)."""
 
 from .lpips import PERCEPTIBLE_LPIPS_DIFFERENCE, lpips
 from .psnr import ACCEPTABLE_PSNR_DB, mse, psnr
-from .report import QualityReport, compare_sequences
-from .ssim import ssim
 
 __all__ = [
     "ACCEPTABLE_PSNR_DB",
     "PERCEPTIBLE_LPIPS_DIFFERENCE",
-    "QualityReport",
-    "compare_sequences",
     "lpips",
     "mse",
     "psnr",
-    "ssim",
 ]

@@ -62,11 +62,6 @@ class TransmitResult:
     dropped: bool
     serialization_ms: float = 0.0
 
-    @property
-    def propagation_total_ms(self) -> float:
-        """Byte-independent share of the delivery latency."""
-        return self.latency_ms - self.serialization_ms
-
 
 class NetworkLink:
     """A lossy, finite-bandwidth downlink."""
@@ -88,12 +83,6 @@ class NetworkLink:
         self.propagation_ms = propagation_ms
         self.loss_rate = loss_rate
         self._rng = np.random.default_rng(seed)
-
-    def serialization_ms(self, size_bytes: int) -> float:
-        """Time to clock ``size_bytes`` onto the link."""
-        if size_bytes < 0:
-            raise ValueError(f"size_bytes must be >= 0, got {size_bytes}")
-        return size_bytes * 8 / (self.bandwidth_mbps * 1e3)
 
     # -- per-call conditions (overridden by the trace-driven link) -------
     def _conditions_at(self, at_ms: float) -> tuple[float, float, float]:

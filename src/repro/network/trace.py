@@ -29,8 +29,8 @@ seeded session replays byte-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -185,7 +185,7 @@ class TraceDrivenLink(NetworkLink):
             jitter = float(self._rng.exponential(self.trace.jitter_ms))
             propagation += jitter
         # Mirror the instantaneous conditions onto the plain-link attrs
-        # so serialization_ms()/propagation_ms reads stay coherent, and
+        # so bandwidth_mbps/propagation_ms reads stay coherent, and
         # publish them for span metadata.
         self.bandwidth_mbps = segment.bandwidth_mbps
         self.propagation_ms = propagation

@@ -5,27 +5,24 @@ runs its EDSR super-resolution model on. See DESIGN.md for the substitution
 rationale.
 """
 
-from .alloc import reset_malloc_defaults, tune_malloc_for_large_arrays
-from .functional import avg_pool2d, conv2d, pixel_shuffle
+from .alloc import tune_malloc_for_large_arrays
+from .functional import conv2d, pixel_shuffle
 from .layers import (
     Conv2d,
     Module,
     PixelShuffle,
     PReLU,
-    ReLU,
     ResidualBlock,
     Sequential,
     Upsampler,
 )
-from .loss import charbonnier_loss, l1_loss, mse_loss
+from .loss import l1_loss
 from .models import EDSR, FSRCNNLite
-from .optim import Adam, SGD, clip_grad_norm
+from .optim import Adam, clip_grad_norm
 from .serialization import load_state, load_weights, save_weights
 from .tensor import (
     Tensor,
-    active_dtype,
     as_tensor,
-    concat,
     get_inference_dtype,
     is_grad_enabled,
     no_grad,
@@ -40,29 +37,21 @@ __all__ = [
     "Module",
     "PReLU",
     "PixelShuffle",
-    "ReLU",
     "ResidualBlock",
-    "SGD",
     "Sequential",
     "Tensor",
     "Upsampler",
-    "active_dtype",
     "as_tensor",
-    "avg_pool2d",
     "get_inference_dtype",
     "set_inference_dtype",
-    "charbonnier_loss",
     "clip_grad_norm",
-    "concat",
     "conv2d",
     "is_grad_enabled",
     "l1_loss",
     "load_state",
     "load_weights",
-    "mse_loss",
     "no_grad",
     "pixel_shuffle",
-    "reset_malloc_defaults",
     "save_weights",
     "tune_malloc_for_large_arrays",
 ]

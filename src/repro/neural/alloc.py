@@ -10,9 +10,8 @@ of megabytes — on a single core that costs more than the GEMM itself
 :func:`tune_malloc_for_large_arrays` raises ``M_MMAP_THRESHOLD`` and
 ``M_TRIM_THRESHOLD`` so big blocks are served from the heap and reused
 across ops. It is called once from :mod:`repro.neural` at import; set
-``REPRO_NO_MALLOC_TUNING=1`` to keep the platform defaults (or call
-:func:`reset_malloc_defaults`, which the hotpath bench uses to time the
-untuned baseline faithfully).
+``REPRO_NO_MALLOC_TUNING=1`` to keep the platform defaults (the hotpath
+bench times its untuned baseline in a subprocess that sets it).
 
 No-ops gracefully on non-glibc platforms.
 """
@@ -22,14 +21,11 @@ from __future__ import annotations
 import ctypes
 import os
 
-__all__ = ["tune_malloc_for_large_arrays", "reset_malloc_defaults"]
+__all__ = ["tune_malloc_for_large_arrays"]
 
 # glibc mallopt parameter codes (malloc.h).
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-
-#: glibc defaults (both 128 KiB, dynamic adjustment enabled).
-_GLIBC_DEFAULT_THRESHOLD = 128 * 1024
 
 _TUNED = False
 
@@ -55,15 +51,4 @@ def tune_malloc_for_large_arrays(threshold: int = 1 << 30) -> bool:
         _M_TRIM_THRESHOLD, threshold
     )
     _TUNED = _TUNED or ok
-    return ok
-
-
-def reset_malloc_defaults() -> bool:
-    """Restore glibc's default thresholds (used to bench the cold path)."""
-    global _TUNED
-    ok = _mallopt(_M_MMAP_THRESHOLD, _GLIBC_DEFAULT_THRESHOLD) and _mallopt(
-        _M_TRIM_THRESHOLD, _GLIBC_DEFAULT_THRESHOLD
-    )
-    if ok:
-        _TUNED = False
     return ok

@@ -19,7 +19,6 @@ __all__ = [
     "conv2d_forward",
     "chunk_rows",
     "pixel_shuffle",
-    "avg_pool2d",
     "im2col",
     "col2im",
 ]
@@ -275,27 +274,6 @@ def pixel_shuffle(x: Tensor, factor: int) -> Tensor:
             .transpose(0, 1, 3, 5, 2, 4)
             .reshape(n, c, h, w)
         )
-        x._accumulate(g)
-
-    return Tensor._make(out_data, (x,), backward)
-
-
-def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
-    """Non-overlapping average pooling with a ``kernel`` x ``kernel`` window."""
-    x = as_tensor(x)
-    if x.ndim != 4:
-        raise ValueError(f"avg_pool2d input must be 4-D, got {x.shape}")
-    n, c, h, w = x.shape
-    if h % kernel or w % kernel:
-        raise ValueError(f"spatial dims {h}x{w} not divisible by kernel {kernel}")
-    oh, ow = h // kernel, w // kernel
-    out_data = x.data.reshape(n, c, oh, kernel, ow, kernel).mean(axis=(3, 5))
-    if not (is_grad_enabled() and x.requires_grad):
-        return Tensor(out_data)
-
-    def backward(grad: np.ndarray) -> None:
-        g = grad[:, :, :, None, :, None] / (kernel * kernel)
-        g = np.broadcast_to(g, (n, c, oh, kernel, ow, kernel)).reshape(n, c, h, w)
         x._accumulate(g)
 
     return Tensor._make(out_data, (x,), backward)

@@ -1,10 +1,10 @@
-"""Deterministic weight initializers (He/Xavier) for the neural substrate."""
+"""Deterministic weight initializers (He) for the neural substrate."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["kaiming_uniform", "xavier_uniform", "zeros"]
+__all__ = ["kaiming_uniform", "zeros"]
 
 
 def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -22,13 +22,6 @@ def kaiming_uniform(
     """He-uniform init sized for ReLU nets."""
     fan_in, _ = _fan_in_out(shape)
     bound = gain * np.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot-uniform init."""
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 
 

@@ -18,13 +18,11 @@ from .tensor import Tensor, is_grad_enabled
 __all__ = [
     "Module",
     "Conv2d",
-    "ReLU",
     "PReLU",
     "Sequential",
     "ResidualBlock",
     "PixelShuffle",
     "Upsampler",
-    "ScaledAdd",
 ]
 
 
@@ -56,10 +54,6 @@ class Module:
             yield f"{prefix}{name}", param
         for mod_name, module in self._modules.items():
             yield from module.named_parameters(prefix=f"{prefix}{mod_name}.")
-
-    def zero_grad(self) -> None:
-        for param in self.parameters():
-            param.zero_grad()
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
@@ -137,11 +131,6 @@ class Conv2d(Module):
         return F.conv2d(x, self.weight, self.bias, self.stride, self.padding)
 
 
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-
 class PReLU(Module):
     """Parametric ReLU with a single shared negative slope."""
 
@@ -173,18 +162,6 @@ class Sequential(Module):
 
     def __iter__(self):
         return (self._modules[name] for name in self._order)
-
-
-class ScaledAdd(Module):
-    """Residual-scaling add used by EDSR (``x + scale * f(x)``)."""
-
-    def __init__(self, body: Module, scale: float = 1.0) -> None:
-        super().__init__()
-        self.body = body
-        self.scale = scale
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x + self.body(x) * self.scale
 
 
 class ResidualBlock(Module):

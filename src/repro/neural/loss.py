@@ -1,24 +1,11 @@
-"""Training losses for the SR models (EDSR trains with L1)."""
+"""Training loss for the SR models (EDSR trains with L1)."""
 
 from __future__ import annotations
 
 from .tensor import Tensor, as_tensor
 
-__all__ = ["mse_loss", "l1_loss", "charbonnier_loss"]
-
-
-def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    prediction = as_tensor(prediction)
-    target = as_tensor(target)
-    diff = prediction - target
-    return (diff * diff).mean()
+__all__ = ["l1_loss"]
 
 
 def l1_loss(prediction: Tensor, target: Tensor) -> Tensor:
     return (as_tensor(prediction) - as_tensor(target)).abs().mean()
-
-
-def charbonnier_loss(prediction: Tensor, target: Tensor, eps: float = 1e-3) -> Tensor:
-    """Smooth L1 variant common in SR training."""
-    diff = as_tensor(prediction) - as_tensor(target)
-    return ((diff * diff + eps * eps) ** 0.5).mean()

@@ -321,13 +321,6 @@ class QuickSRNet(Module):
         y = self.body(y)
         return self.shuffle(self.tail(y))
 
-    def describe(self) -> str:
-        n_convs = len(self.body) // 2
-        return (
-            f"QuickSRNet(x{self.scale}, {n_convs} convs, "
-            f"{self.head.out_channels} feats, {self.num_parameters():,} params)"
-        )
-
 
 class QuantizedEDSR(EDSR):
     """EDSR with simulated-int8 per-channel weight quantization.
@@ -353,10 +346,3 @@ class QuantizedEDSR(EDSR):
     def load_state_dict(self, state) -> None:
         super().load_state_dict(state)
         self.quantized = False
-
-    def describe(self) -> str:
-        state = "int8" if self.quantized else "float"
-        return (
-            f"QuantizedEDSR(x{self.scale}, {len(self.body)} blocks, "
-            f"w{self.weight_bits} {state}, {self.num_parameters():,} params)"
-        )

@@ -1,4 +1,4 @@
-"""First-order optimizers (SGD with momentum, Adam)."""
+"""First-order optimizer (Adam) and gradient-norm clipping."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Optimizer", "Adam", "clip_grad_norm"]
 
 
 class Optimizer:
@@ -28,25 +28,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    def __init__(
-        self, parameters: Iterable[Tensor], lr: float = 1e-2, momentum: float = 0.0
-    ) -> None:
-        super().__init__(parameters, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, vel in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            vel *= self.momentum
-            vel += param.grad
-            param.data -= self.lr * vel
 
 
 class Adam(Optimizer):

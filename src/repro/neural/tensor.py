@@ -8,7 +8,7 @@ topological order accumulating gradients.
 
 Only the operations the SR models need are implemented, but they are
 implemented completely (full broadcasting support with gradient
-"unbroadcasting", slicing, reductions, matmul over batched operands).
+"unbroadcasting", reductions, zero padding).
 
 Dtype policy
 ------------
@@ -23,7 +23,7 @@ backward closures, so inference builds no graph at all.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,12 +31,10 @@ __all__ = [
     "Tensor",
     "ArrayLike",
     "as_tensor",
-    "concat",
     "no_grad",
     "is_grad_enabled",
     "set_inference_dtype",
     "get_inference_dtype",
-    "active_dtype",
 ]
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
@@ -69,11 +67,6 @@ def set_inference_dtype(dtype) -> np.dtype:
 def get_inference_dtype() -> np.dtype:
     """The dtype tensors adopt while grad is disabled."""
     return _INFERENCE_DTYPE
-
-
-def active_dtype() -> np.dtype:
-    """The dtype newly created tensors adopt right now."""
-    return _TRAIN_DTYPE if _GRAD_ENABLED else _INFERENCE_DTYPE
 
 
 class no_grad:
@@ -174,10 +167,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def dtype(self) -> np.dtype:
-        return self.data.dtype
-
     def numpy(self) -> np.ndarray:
         """The underlying ndarray (shared, not copied)."""
         return self.data
@@ -185,28 +174,11 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
-    def detach(self) -> "Tensor":
-        """A new tensor sharing data but cut from the tape."""
-        return Tensor(self.data, requires_grad=False)
-
-    def astype(self, dtype) -> "Tensor":
-        """A grad-free copy of this tensor cast to ``dtype``."""
-        return Tensor(self.data.astype(np.dtype(dtype)))
-
     def zero_grad(self) -> None:
         self.grad = None
 
-    def __repr__(self) -> str:
-        grad = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{grad})"
-
     # ------------------------------------------------------------------
     # graph construction helpers
-
-    def _needs_tape(self, *others: "Tensor") -> bool:
-        return _GRAD_ENABLED and (
-            self.requires_grad or any(o.requires_grad for o in others)
-        )
 
     @staticmethod
     def _make(
@@ -275,57 +247,6 @@ class Tensor:
     def __sub__(self, other: ArrayLike) -> "Tensor":
         return self + (-as_tensor(other))
 
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return as_tensor(other) + (-self)
-
-    def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = as_tensor(other)
-        out_data = self.data / other.data
-        if _tape_off(self, other):
-            return Tensor(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad / other.data, self.shape))
-            other._accumulate(
-                _unbroadcast(-grad * self.data / (other.data**2), other.shape)
-            )
-
-        return Tensor._make(out_data, (self, other), backward)
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return as_tensor(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not np.isscalar(exponent):
-            raise TypeError("only scalar exponents are supported")
-        out_data = self.data**exponent
-        if _tape_off(self):
-            return Tensor(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def __matmul__(self, other: ArrayLike) -> "Tensor":
-        other = as_tensor(other)
-        out_data = self.data @ other.data
-        if _tape_off(self, other):
-            return Tensor(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            a, b = self.data, other.data
-            if a.ndim == 1 and b.ndim == 1:  # dot product
-                self._accumulate(grad * b)
-                other._accumulate(grad * a)
-                return
-            ga = grad @ np.swapaxes(b, -1, -2) if b.ndim >= 2 else np.outer(grad, b)
-            gb = np.swapaxes(a, -1, -2) @ grad if a.ndim >= 2 else np.outer(a, grad)
-            self._accumulate(_unbroadcast(ga, self.shape))
-            other._accumulate(_unbroadcast(gb, other.shape))
-
-        return Tensor._make(out_data, (self, other), backward)
-
     # ------------------------------------------------------------------
     # elementwise nonlinearities
 
@@ -351,59 +272,8 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-        if _tape_off(self):
-            return Tensor(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-        if _tape_off(self):
-            return Tensor(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-        if _tape_off(self):
-            return Tensor(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1 - out_data**2))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-        if _tape_off(self):
-            return Tensor(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data * (1 - out_data))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        out_data = np.clip(self.data, low, high)
-        if _tape_off(self):
-            return Tensor(out_data)
-        mask = (self.data >= low) & (self.data <= high)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
-
-        return Tensor._make(out_data, (self,), backward)
-
     # ------------------------------------------------------------------
-    # reductions and reshapes
+    # reductions and padding
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
@@ -428,43 +298,6 @@ class Tensor:
             axes = axis if isinstance(axis, tuple) else (axis,)
             count = int(np.prod([self.shape[a % self.ndim] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def reshape(self, *shape: int) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        out_data = self.data.reshape(shape)
-        if _tape_off(self):
-            return Tensor(out_data)
-        in_shape = self.shape
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.reshape(in_shape))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def transpose(self, *axes: int) -> "Tensor":
-        axes_t = tuple(axes) if axes else tuple(reversed(range(self.ndim)))
-        out_data = self.data.transpose(axes_t)
-        if _tape_off(self):
-            return Tensor(out_data)
-        inverse = np.argsort(axes_t)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.transpose(inverse))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def __getitem__(self, index) -> "Tensor":
-        out_data = self.data[index]
-        if _tape_off(self):
-            return Tensor(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            full = np.zeros_like(self.data)
-            np.add.at(full, index, grad)
-            self._accumulate(full)
-
-        return Tensor._make(out_data, (self,), backward)
 
     def pad2d(self, pad: int) -> "Tensor":
         """Zero-pad the last two axes by ``pad`` on each side."""
@@ -528,21 +361,3 @@ class Tensor:
 def as_tensor(value: ArrayLike | Tensor) -> Tensor:
     """Wrap ``value`` in a non-grad :class:`Tensor` if it is not one."""
     return value if isinstance(value, Tensor) else Tensor(value)
-
-
-def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis`` with gradient routing."""
-    tensors = [as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    if _tape_off(*tensors):
-        return Tensor(out_data)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad: np.ndarray) -> None:
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * grad.ndim
-            sl[axis] = slice(lo, hi)
-            t._accumulate(grad[tuple(sl)])
-
-    return Tensor._make(out_data, tuple(tensors), backward)

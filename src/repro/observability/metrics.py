@@ -3,8 +3,8 @@
 A deliberately tiny, dependency-free metrics layer (in the spirit of a
 Prometheus client, scoped to what the streaming simulator needs): the
 session loop feeds per-frame :class:`~repro.streaming.pipeline.FrameTrace`
-spans into a :class:`MetricsRegistry`, and analysis/CLI consumers export
-the registry as JSON next to the raw traces.
+spans into a :class:`MetricsRegistry`, whose ``to_dict`` travels in the
+trace export next to the raw traces.
 
 Histograms are *streaming*: they keep count/sum/min/max plus fixed bucket
 counts (log-spaced by default, which suits latencies spanning 0.01 ms
@@ -19,10 +19,8 @@ family of the same kind, and raises ``ValueError`` otherwise.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .schema import METRIC_FAMILIES, match_metric_family
@@ -98,20 +96,6 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
-    def quantile(self, q: float) -> float:
-        """Approximate quantile from bucket upper bounds (conservative)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        seen = 0
-        for i, n in enumerate(self.counts):
-            seen += n
-            if seen >= target and n:
-                return self.bounds[i] if i < len(self.bounds) else self.max
-        return self.max
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "type": "histogram",
@@ -176,9 +160,3 @@ class MetricsRegistry:
             metric = self._counters.get(name) or self._histograms[name]
             out[name] = metric.to_dict()
         return out
-
-    def export_json(self, path: Path | str) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
-        return path

@@ -6,7 +6,7 @@ publishes (see calibration.py for the anchor-by-anchor derivation).
 """
 
 from . import calibration
-from .benchmark import max_realtime_roi_side, probe_latency_curve
+from .benchmark import max_realtime_roi_side
 from .device import DeviceProfile, DisplaySpec, get_device, pixel_7_pro, samsung_tab_s8
 from .energy import Component, EnergyBreakdown, component_power_w, overhead_mj, stage_energy_mj
 from .eyetracking import EyeTrackingCost, eyetracking_cost
@@ -49,7 +49,6 @@ __all__ = [
     "npu_sr_latency_ms",
     "overhead_mj",
     "pixel_7_pro",
-    "probe_latency_curve",
     "samsung_tab_s8",
     "server_encode_ms",
     "server_game_logic_ms",

@@ -14,7 +14,7 @@ from . import calibration as cal
 from .device import DeviceProfile
 from .latency import npu_sr_latency_ms
 
-__all__ = ["max_realtime_roi_side", "probe_latency_curve"]
+__all__ = ["max_realtime_roi_side"]
 
 
 def max_realtime_roi_side(
@@ -37,10 +37,3 @@ def max_realtime_roi_side(
         else:
             hi = mid - 1
     return lo
-
-
-def probe_latency_curve(
-    device: DeviceProfile, sides: list[int]
-) -> list[tuple[int, float]]:
-    """(side, latency_ms) samples of the NPU model — the Fig. 3b style sweep."""
-    return [(side, npu_sr_latency_ms(side * side, device)) for side in sides]

@@ -16,7 +16,7 @@ with the paper anchor each one reproduces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict
 
 from . import calibration as cal

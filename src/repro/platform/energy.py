@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable
 
 from . import calibration as cal
 from .device import DeviceProfile

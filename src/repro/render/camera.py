@@ -37,14 +37,3 @@ class Camera:
         if width < 1 or height < 1:
             raise ValueError(f"invalid viewport {width}x{height}")
         return self.projection_matrix(width / height) @ self.view_matrix()
-
-    def moved(self, position, target=None) -> "Camera":
-        """A copy of this camera at a new pose (used for camera animation)."""
-        return Camera(
-            position=np.asarray(position, dtype=np.float64),
-            target=self.target if target is None else np.asarray(target, dtype=np.float64),
-            up=self.up.copy(),
-            fov_y=self.fov_y,
-            near=self.near,
-            far=self.far,
-        )

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from .camera import Camera
-from .math3d import compose, rotation_y, scaling, translation
+from .math3d import compose, rotation_y, translation
 from .mesh import Mesh, box, cone, cylinder, plane, sphere, terrain
 from .rasterizer import RenderOutput
 from .scene import Scene
@@ -57,12 +57,6 @@ class GameWorkload:
         if frame_index < 0:
             raise ValueError(f"frame_index must be >= 0, got {frame_index}")
         return self.scene.render_frame(frame_index / fps, width, height)
-
-    def render_sequence(
-        self, n_frames: int, width: int, height: int, fps: float = 60.0
-    ) -> List[RenderOutput]:
-        return [self.render_frame(i, width, height, fps) for i in range(n_frames)]
-
 
 # ----------------------------------------------------------------------
 # shared mesh assemblies

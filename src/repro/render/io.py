@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["save_ppm", "save_pgm", "load_ppm"]
+__all__ = ["save_ppm", "save_pgm"]
 
 
 def _to_u8(image: np.ndarray) -> np.ndarray:
@@ -46,30 +46,3 @@ def save_pgm(image: np.ndarray, path: str | os.PathLike) -> Path:
         fh.write(f"P5\n{w} {h}\n255\n".encode())
         fh.write(_to_u8(image).tobytes())
     return path
-
-
-def load_ppm(path: str | os.PathLike) -> np.ndarray:
-    """Read a binary PPM (P6) back into an (H, W, 3) float image in [0, 1]."""
-    data = Path(path).read_bytes()
-    if not data.startswith(b"P6"):
-        raise ValueError(f"{path}: not a binary PPM (P6) file")
-    # Header: magic, width, height, maxval, then a single whitespace byte.
-    fields: list[bytes] = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":  # comment line
-            while data[pos : pos + 1] not in (b"\n", b""):
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    pos += 1  # the single whitespace after maxval
-    w, h, maxval = (int(f) for f in fields)
-    if maxval != 255:
-        raise ValueError(f"{path}: only 8-bit PPMs are supported")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=h * w * 3, offset=pos)
-    return pixels.reshape(h, w, 3).astype(np.float64) / 255.0

@@ -13,10 +13,7 @@ import numpy as np
 __all__ = [
     "normalize",
     "translation",
-    "scaling",
-    "rotation_x",
     "rotation_y",
-    "rotation_z",
     "look_at",
     "perspective",
     "transform_points",
@@ -39,12 +36,6 @@ def translation(x: float, y: float, z: float) -> np.ndarray:
     return m
 
 
-def scaling(sx: float, sy: float | None = None, sz: float | None = None) -> np.ndarray:
-    sy = sx if sy is None else sy
-    sz = sx if sz is None else sz
-    return np.diag([sx, sy, sz, 1.0])
-
-
 def _rotation(axis: int, angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     m = np.eye(4)
@@ -60,19 +51,9 @@ def _rotation(axis: int, angle: float) -> np.ndarray:
     return m
 
 
-def rotation_x(angle: float) -> np.ndarray:
-    """Rotation about +X by ``angle`` radians."""
-    return _rotation(0, angle)
-
-
 def rotation_y(angle: float) -> np.ndarray:
     """Rotation about +Y by ``angle`` radians."""
     return _rotation(1, angle)
-
-
-def rotation_z(angle: float) -> np.ndarray:
-    """Rotation about +Z by ``angle`` radians."""
-    return _rotation(2, angle)
 
 
 def compose(*matrices: np.ndarray) -> np.ndarray:

@@ -69,10 +69,6 @@ class RenderOutput:
     color: np.ndarray  # (H, W, 3) float in [0, 1]
     depth: np.ndarray  # (H, W) float in [0, 1]; 0 = near, 1 = far/background
 
-    @property
-    def resolution(self) -> tuple[int, int]:
-        return self.color.shape[0], self.color.shape[1]
-
 
 def sky_gradient(
     width: int,

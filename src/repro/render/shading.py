@@ -10,7 +10,7 @@ with view distance exactly like a mip-chain fading out high frequencies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

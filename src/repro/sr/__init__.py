@@ -15,12 +15,11 @@ from .gop_reuse import (
     dirty_block_mask,
     warp_hr,
 )
-from .interpolate import FILTERS, bicubic, bilinear, lanczos, nearest, resize, upscale
+from .interpolate import FILTERS, bicubic, bilinear, resize
 from .pretrained import (
     PROFILES,
     ZOO_ARCHS,
     default_sr_model,
-    model_geometry,
     training_frames,
     zoo_sr_model,
 )
@@ -49,14 +48,10 @@ __all__ = [
     "dirty_block_mask",
     "default_sr_model",
     "extract_patches",
-    "lanczos",
-    "model_geometry",
-    "nearest",
     "resize",
     "tile_difficulty",
     "training_frames",
     "train_sr_model",
-    "upscale",
     "warp_hr",
     "zoo_sr_model",
 ]

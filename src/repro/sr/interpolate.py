@@ -1,9 +1,9 @@
 """Classical (non-neural) image upscaling filters.
 
-These implement the traditional interpolation family the paper contrasts with
-DNN-based super resolution (Sec. II-A): nearest neighbour, bilinear
-(``GL_LINEAR``, the filter GameStreamSR runs on the mobile GPU for non-RoI
-pixels), bicubic (Catmull-Rom / Keys a=-0.5), and Lanczos.
+These implement the traditional interpolation the paper contrasts with
+DNN-based super resolution (Sec. II-A): bilinear (``GL_LINEAR``, the filter
+GameStreamSR runs on the mobile GPU for non-RoI pixels) and bicubic
+(Catmull-Rom / Keys a=-0.5).
 
 All functions accept float images shaped ``(H, W)`` or ``(H, W, C)`` and
 return the same dtype family (float64 in, float64 out). Coordinates follow
@@ -20,11 +20,8 @@ import numpy as np
 from ..contracts import shaped
 
 __all__ = [
-    "upscale",
-    "nearest",
     "bilinear",
     "bicubic",
-    "lanczos",
     "resize",
     "FILTERS",
 ]
@@ -45,14 +42,6 @@ def _source_coords(out_size: int, in_size: int) -> np.ndarray:
     """Map output pixel centres into input coordinate space."""
     scale = in_size / out_size
     return (np.arange(out_size, dtype=np.float64) + 0.5) * scale - 0.5
-
-
-def nearest(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Nearest-neighbour resampling."""
-    image = _check_image(image)
-    ys = np.clip(np.round(_source_coords(out_h, image.shape[0])), 0, image.shape[0] - 1)
-    xs = np.clip(np.round(_source_coords(out_w, image.shape[1])), 0, image.shape[1] - 1)
-    return image[ys.astype(np.intp)][:, xs.astype(np.intp)]
 
 
 @shaped(image="H W:n|H W C:n")
@@ -106,16 +95,6 @@ def _cubic_kernel(x: np.ndarray, a: float = -0.5) -> np.ndarray:
     return out
 
 
-def _lanczos_kernel(x: np.ndarray, taps: int = 3) -> np.ndarray:
-    """Lanczos windowed-sinc kernel with ``taps`` lobes."""
-    x = np.asarray(x, dtype=np.float64)  # reprolint: disable=dtype-discipline -- documented f64-in/f64-out resampling
-    out = np.zeros_like(x)
-    mask = np.abs(x) < taps
-    xm = x[mask]
-    out[mask] = np.sinc(xm) * np.sinc(xm / taps)
-    return out
-
-
 def _separable_resample(
     image: np.ndarray,
     out_h: int,
@@ -160,18 +139,9 @@ def bicubic(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return _separable_resample(image, out_h, out_w, _cubic_kernel, support=2)
 
 
-def lanczos(image: np.ndarray, out_h: int, out_w: int, taps: int = 3) -> np.ndarray:
-    """Lanczos resampling with ``taps`` lobes (default 3)."""
-    return _separable_resample(
-        image, out_h, out_w, lambda x: _lanczos_kernel(x, taps), support=taps
-    )
-
-
 FILTERS: Dict[str, Callable[[np.ndarray, int, int], np.ndarray]] = {
-    "nearest": nearest,
     "bilinear": bilinear,
     "bicubic": bicubic,
-    "lanczos": lanczos,
 }
 
 
@@ -189,11 +159,3 @@ def resize(image: np.ndarray, out_h: int, out_w: int, method: str = "bilinear") 
     if out_h < 1 or out_w < 1:
         raise ValueError(f"target size must be positive, got ({out_h}, {out_w})")
     return fn(image, out_h, out_w)
-
-
-def upscale(image: np.ndarray, factor: int, method: str = "bilinear") -> np.ndarray:
-    """Upscale ``image`` by an integer ``factor`` using the named filter."""
-    if factor < 1:
-        raise ValueError(f"upscale factor must be >= 1, got {factor}")
-    image = _check_image(image)
-    return resize(image, image.shape[0] * factor, image.shape[1] * factor, method)

@@ -27,7 +27,6 @@ from ..neural.serialization import load_weights, save_weights
 from .training import extract_patches, train_sr_model
 
 __all__ = [
-    "model_geometry",
     "default_sr_model",
     "zoo_sr_model",
     "weights_path",
@@ -49,17 +48,6 @@ PROFILES = {
 #: Codec quality the deployed stream uses; training matches it
 #: (see repro.sr.training.extract_patches).
 DEFAULT_TRAIN_CODEC_QUALITY = 70
-
-
-def model_geometry(profile: str) -> tuple[int, int]:
-    """(n_resblocks, n_feats) for a named profile."""
-    try:
-        blocks, feats, _, _ = PROFILES[profile]
-    except KeyError:
-        raise ValueError(
-            f"unknown profile {profile!r}; choose from {sorted(PROFILES)}"
-        ) from None
-    return blocks, feats
 
 
 def training_frames(

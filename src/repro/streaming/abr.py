@@ -182,10 +182,6 @@ class ABRController(AdaptiveRoIController):
         """The operating point for the next produced frame."""
         return self.ladder[self._rung_index]
 
-    @property
-    def rung_index(self) -> int:
-        return self._rung_index
-
     def _rung_side_cap(self) -> int:
         """The rung's RoI cap, snapped onto the controller lattice."""
         return self._quantize_down(self.max_side * self.rung.roi_scale)

@@ -74,10 +74,6 @@ class AdaptiveRoIController:
         """The window side to request for the next frame."""
         return self._side
 
-    @property
-    def at_foveal_floor(self) -> bool:
-        return self._side == self.min_side
-
     def observe(self, upscale_latency_ms: float) -> int:
         """Feed one frame's measured upscale latency; returns the new side.
 
@@ -110,10 +106,3 @@ class AdaptiveRoIController:
             + (shrunk - self.min_side) // self.grow_step * self.grow_step
         )
         return min(aligned, self.max_side)
-
-    def miss_rate(self) -> float:
-        """Fraction of observed frames that exceeded the deadline."""
-        if not self._history:
-            return 0.0
-        misses = sum(1 for ms in self._history if ms > self.deadline_ms)
-        return misses / len(self._history)

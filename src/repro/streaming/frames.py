@@ -109,10 +109,6 @@ class ServerFrame:
     #: Structured per-stage trace recorded by the server pipeline.
     trace: Optional[FrameTrace] = None
 
-    @property
-    def is_reference(self) -> bool:
-        return self.encoded.is_reference
-
 
 @dataclass(frozen=True)
 class ClientFrameResult:
@@ -129,10 +125,6 @@ class ClientFrameResult:
     energy_stages: Dict[str, list] = field(default_factory=dict)
     #: Structured per-stage trace recorded by the client pipeline.
     trace: Optional[FrameTrace] = None
-
-    @property
-    def is_reference(self) -> bool:
-        return self.frame_type == "I"
 
     @property
     def upscale_ms(self) -> float:

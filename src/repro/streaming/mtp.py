@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable
 
-from ..platform import calibration as cal
 from .frames import ClientFrameResult, ServerFrame
 from .pipeline import FrameTrace
 
@@ -46,9 +45,6 @@ class MTPBreakdown:
     @property
     def total_ms(self) -> float:
         return sum(self.stages_ms.values())
-
-    def conformant(self, budget_ms: float = cal.MTP_BUDGET_MS) -> bool:
-        return self.total_ms <= budget_ms
 
     def stage(self, name: str) -> float:
         return self.stages_ms.get(name, 0.0)

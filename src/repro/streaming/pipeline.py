@@ -279,10 +279,6 @@ class FrameTrace:
     def total_modeled_ms(self) -> float:
         return sum(span.modeled_ms for span in self.spans if span.mtp)
 
-    @property
-    def total_wall_ms(self) -> float:
-        return sum(span.wall_ms for span in self.spans)
-
     def energy_stages(self) -> Dict[str, List[Tuple[Component, float]]]:
         """Energy attributions grouped by Fig. 12 category.
 

@@ -116,11 +116,6 @@ class FrameRecord:
     def is_reference(self) -> bool:
         return self.frame_type == "I"
 
-    @property
-    def upscale_fps(self) -> float:
-        """Output frame rate the upscaling stage alone can sustain."""
-        return 1000.0 / self.upscale_ms if self.upscale_ms > 0 else float("inf")
-
 
 @dataclass
 class SessionResult:
@@ -148,10 +143,6 @@ class SessionResult:
 
     def upscale_fps(self, reference: Optional[bool] = None) -> float:
         return 1000.0 / self.mean_upscale_ms(reference)
-
-    def gop_upscale_ms(self) -> float:
-        """Total upscaling time across the session (GOP throughput basis)."""
-        return float(np.sum([r.upscale_ms for r in self.records]))
 
     def mean_mtp(self, reference: Optional[bool] = None) -> MTPBreakdown:
         return MTPBreakdown.mean([r.mtp for r in self._select(reference)])

@@ -57,8 +57,8 @@ class TestGOPStructure:
 
     def test_reference_flag(self, frames):
         encoder = VideoEncoder(gop_size=3, quality=60)
-        encoded = encoder.encode_sequence(frames[:3])
-        assert encoded[0].is_reference and not encoded[1].is_reference
+        decoded = VideoDecoder().decode_sequence(encoder.encode_sequence(frames[:3]))
+        assert decoded[0].is_reference and not decoded[1].is_reference
 
     def test_p_frames_smaller_than_i(self, frames):
         encoded = VideoEncoder(gop_size=6, quality=60).encode_sequence(frames)

@@ -171,8 +171,9 @@ class TestEntropyByteIdentity:
         """Bulk writes must compose with prior odd-bit-offset content."""
         blocks = rng.integers(-15, 15, size=(3, 4, 4))
         fast, legacy = BitWriter(), LegacyBitWriter()
-        for w in (fast, legacy):
-            w.write_bits(0b10110, 5)  # leave the writer mid-byte
+        # Leave both writers mid-byte.
+        fast.write_codes(np.array([0b10110]), np.array([5]))
+        legacy.write_bits(0b10110, 5)
         encode_blocks(blocks, fast)
         legacy_encode_blocks(blocks, legacy)
         assert fast.getvalue() == legacy.getvalue()

@@ -8,26 +8,38 @@ import pytest
 from repro.core.config import RoIConfig
 from repro.core.depth_preprocess import (
     center_weight_matrix,
-    extract_foreground,
-    foreground_threshold,
     layer_bounds,
-    nearness,
     preprocess_depth,
 )
 
 
+def extract_foreground(depth):
+    """Fig. 8 step 1 as ``preprocess_depth`` reports it: (mask, threshold)."""
+    result = preprocess_depth(depth)
+    return result.foreground_mask, result.foreground_threshold
+
+
+def foreground_threshold(depth):
+    return preprocess_depth(depth).foreground_threshold
+
+
 class TestNearness:
     def test_inverts_depth(self):
-        depth = np.array([[0.0, 0.5, 1.0]])
-        np.testing.assert_allclose(nearness(depth), [[1.0, 0.5, 0.0]])
+        # Foreground importance is nearness (1 - depth) plus the centre bias.
+        # A single depth plane is all foreground; the sky pixel is not.
+        depth = np.array([[0.25, 0.25, 1.0]])
+        result = preprocess_depth(depth)
+        assert result.foreground_mask.tolist() == [[True, True, False]]
+        nearness = result.weighted - result.weight_matrix
+        np.testing.assert_allclose(nearness[0, :2], [0.75, 0.75])
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            nearness(np.array([1.0, 2.0]))  # out of range
+            preprocess_depth(np.array([[1.0, 2.0]]))  # out of range
         with pytest.raises(ValueError):
-            nearness(np.zeros((2, 2, 2)))
+            preprocess_depth(np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):
-            nearness(np.zeros((0, 3)))
+            preprocess_depth(np.zeros((0, 3)))
 
 
 class TestForegroundExtraction:
@@ -165,7 +177,6 @@ class TestFullPipeline:
         assert result.weight_matrix.shape == synthetic_depth.shape
         assert result.layer_index.shape == synthetic_depth.shape
         assert 0 <= result.selected_layer < RoIConfig().n_layers
-        assert result.shape == synthetic_depth.shape
 
     def test_background_layer_is_minus_one(self, synthetic_depth):
         result = preprocess_depth(synthetic_depth)

@@ -5,21 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.detector import RoIDetection, RoIDetector, center_roi
+from repro.core.detector import RoIDetection, RoIDetector
 from repro.core.roi_search import RoIBox
 from repro.core.upscaler import RoIAssistedUpscaler
 from repro.render.games import GAME_TABLE, build_game
 from repro.sr.interpolate import bilinear
-
-
-class TestCenterRoI:
-    def test_centered(self):
-        box = center_roi(100, 200, 40)
-        assert box.center == (100.0, 50.0)
-
-    def test_clamps_to_frame(self):
-        box = center_roi(30, 30, 100)
-        assert box.width == 30 and box.height == 30
 
 
 class TestDetector:

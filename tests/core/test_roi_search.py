@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.core.roi_search import (
     RoIBox,
-    search_roi,
     search_roi_scored,
     warm_search_roi,
     window_sums,
@@ -69,12 +68,12 @@ class TestSearch:
     def test_finds_planted_blob(self):
         values = np.zeros((60, 80))
         values[34:44, 50:60] = 1.0
-        box = search_roi(values, 10, 10, fine_stride=1)
+        box = search_roi_scored(values, 10, 10, fine_stride=1).box
         assert (box.y, box.x) == (34, 50)
 
     def test_fine_stride_one_matches_bruteforce(self, rng):
         values = rng.uniform(size=(40, 50)) ** 4  # peaky field
-        box = search_roi(values, 12, 12, fine_stride=1)
+        box = search_roi_scored(values, 12, 12, fine_stride=1).box
         best, _ = brute_force_best(values, 12, 12)
         found = values[box.y : box.y_end, box.x : box.x_end].sum()
         # Coarse+fine is a heuristic; it must come close to the optimum.
@@ -83,13 +82,13 @@ class TestSearch:
     def test_center_tiebreak(self):
         """On a uniform map every window ties; the centre must win."""
         values = np.ones((40, 60))
-        box = search_roi(values, 10, 10, fine_stride=1)
+        box = search_roi_scored(values, 10, 10, fine_stride=1).box
         cx, cy = box.center
         assert abs(cx - 30) <= 5 and abs(cy - 20) <= 5
 
     def test_full_size_window(self):
         values = np.ones((16, 16))
-        box = search_roi(values, 16, 16)
+        box = search_roi_scored(values, 16, 16).box
         assert (box.x, box.y) == (0, 0)
 
     def test_stride_defaults_follow_paper(self, rng):
@@ -97,22 +96,22 @@ class TestSearch:
         strong blob after fine refinement."""
         values = np.zeros((64, 64))
         values[20:36, 28:44] = 1.0
-        box = search_roi(values, 16, 16)  # default strides
+        box = search_roi_scored(values, 16, 16).box  # default strides
         overlap = box.intersection_area(RoIBox(28, 20, 16, 16))
         assert overlap >= 0.5 * 16 * 16
 
     def test_validation(self):
         values = np.ones((10, 10))
         with pytest.raises(ValueError, match="larger than map"):
-            search_roi(values, 20, 20)
+            search_roi_scored(values, 20, 20).box
         with pytest.raises(ValueError, match="strides"):
-            search_roi(values, 4, 4, coarse_stride=0)
+            search_roi_scored(values, 4, 4, coarse_stride=0).box
         with pytest.raises(ValueError, match="fine stride"):
-            search_roi(values, 4, 4, coarse_stride=2, fine_stride=3)
+            search_roi_scored(values, 4, 4, coarse_stride=2, fine_stride=3).box
         # Message differs by mode: the function's own "2-D" check, or the
         # @shaped rank contract when REPRO_CONTRACTS=1.
         with pytest.raises(ValueError, match="2-D|rank 3"):
-            search_roi(np.ones((4, 4, 3)), 2, 2)
+            search_roi_scored(np.ones((4, 4, 3)), 2, 2).box
 
     def test_exact_tie_regression(self):
         """A window whose sum falls within 1e-9 of the max but below it
@@ -123,14 +122,14 @@ class TestSearch:
         values[0:2, 0:2] = 0.25  # corner window: sum exactly 1.0
         values[3:5, 3:5] = 0.25
         values[4, 4] = 0.25 - 1e-10  # center window: sum 1.0 - 1e-10
-        box = search_roi(values, 2, 2, coarse_stride=1, fine_stride=1)
+        box = search_roi_scored(values, 2, 2, coarse_stride=1, fine_stride=1).box
         assert (box.y, box.x) == (0, 0)
 
     def test_uniform_map_still_ties_to_center(self):
         """Exact ties (uniform map) must still break toward the centre —
         the epsilon fix may only shrink the tie set, never the rule."""
         values = np.full((12, 16), 0.125)
-        box = search_roi(values, 4, 4, coarse_stride=1, fine_stride=1)
+        box = search_roi_scored(values, 4, 4, coarse_stride=1, fine_stride=1).box
         # Both (3, 5) and (4, 6) anchors are equidistant from the centre;
         # scan order resolves to the first.
         assert (box.y, box.x) == (3, 5)
@@ -145,7 +144,7 @@ class TestDenseOracle:
         rng = np.random.default_rng(seed)
         values = rng.random((30, 40)) ** 3
         oracle = dense_oracle_box(values, 8, 8)
-        assert search_roi(values, 8, 8, coarse_stride=1, fine_stride=1) == oracle
+        assert search_roi_scored(values, 8, 8, coarse_stride=1, fine_stride=1).box == oracle
         rows, cols = np.nonzero(values > 0.5)
         if rows.size:
             bbox = (rows.min(), rows.max(), cols.min(), cols.max())
@@ -160,16 +159,16 @@ class TestDenseOracle:
     def test_all_background(self):
         values = np.zeros((20, 24))
         oracle = dense_oracle_box(values, 6, 6)
-        assert search_roi(values, 6, 6, coarse_stride=1, fine_stride=1) == oracle
+        assert search_roi_scored(values, 6, 6, coarse_stride=1, fine_stride=1).box == oracle
 
     def test_single_plane(self):
         values = np.full((20, 24), 0.7)
         oracle = dense_oracle_box(values, 6, 6)
-        assert search_roi(values, 6, 6, coarse_stride=1, fine_stride=1) == oracle
+        assert search_roi_scored(values, 6, 6, coarse_stride=1, fine_stride=1).box == oracle
 
     def test_window_equals_frame(self):
         values = np.random.default_rng(3).random((16, 16))
-        assert search_roi(values, 16, 16) == RoIBox(0, 0, 16, 16)
+        assert search_roi_scored(values, 16, 16).box == RoIBox(0, 0, 16, 16)
         assert warm_search_roi(
             values, 16, 16, prev=RoIBox(0, 0, 16, 16)
         ).box == RoIBox(0, 0, 16, 16)

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.codec.decoder import VideoDecoder
 from repro.codec.encoder import VideoEncoder
-from repro.core.roi_search import RoIBox, search_roi
+from repro.core.roi_search import RoIBox, search_roi_scored
 from repro.metrics.psnr import psnr
 from repro.sr.interpolate import bilinear
 
@@ -73,7 +73,7 @@ class TestSearchProperties:
     def test_search_returns_valid_box(self, h, w, win, seed):
         values = np.random.default_rng(seed).uniform(size=(h, w))
         win = min(win, h, w)
-        box = search_roi(values, win, win, fine_stride=1)
+        box = search_roi_scored(values, win, win, fine_stride=1).box
         assert 0 <= box.x <= w - win
         assert 0 <= box.y <= h - win
         assert box.width == box.height == win
@@ -83,7 +83,7 @@ class TestSearchProperties:
     def test_search_never_beats_bruteforce(self, seed):
         rng = np.random.default_rng(seed)
         values = rng.uniform(size=(20, 24))
-        box = search_roi(values, 6, 6, fine_stride=1)
+        box = search_roi_scored(values, 6, 6, fine_stride=1).box
         found = values[box.y : box.y + 6, box.x : box.x + 6].sum()
         best = max(
             values[y : y + 6, x : x + 6].sum()

@@ -1,4 +1,4 @@
-"""PSNR / SSIM / LPIPS surrogate and the aggregate report."""
+"""PSNR and the LPIPS surrogate."""
 
 from __future__ import annotations
 
@@ -10,12 +10,9 @@ from hypothesis import strategies as st
 from repro.metrics import (
     ACCEPTABLE_PSNR_DB,
     PERCEPTIBLE_LPIPS_DIFFERENCE,
-    QualityReport,
-    compare_sequences,
     lpips,
     mse,
     psnr,
-    ssim,
 )
 from repro.sr.interpolate import bilinear, resize
 
@@ -60,30 +57,6 @@ class TestPSNR:
         assert ACCEPTABLE_PSNR_DB == 30.0
 
 
-class TestSSIM:
-    def test_identical_is_one(self, photo):
-        assert ssim(photo, photo) == pytest.approx(1.0)
-
-    def test_noise_lowers_ssim(self, photo, rng):
-        noisy = np.clip(photo + rng.normal(scale=0.1, size=photo.shape), 0, 1)
-        assert ssim(photo, noisy) < 0.95
-
-    def test_blur_lowers_ssim(self, photo):
-        blurred = bilinear(resize(photo, 48, 64, "bilinear"), 96, 128)
-        assert ssim(photo, blurred) < ssim(photo, photo)
-
-    def test_contrast_change_detected(self, photo):
-        assert ssim(photo, np.clip(photo * 0.5, 0, 1)) < 0.9
-
-    def test_validation(self, photo):
-        with pytest.raises(ValueError):
-            ssim(photo, photo[:50])
-        with pytest.raises(ValueError):
-            ssim(np.zeros((3, 3)), np.zeros((3, 3)), window=7)
-        with pytest.raises(ValueError):
-            ssim(photo, photo, data_range=0)
-
-
 class TestLPIPS:
     def test_identical_is_zero(self, photo):
         assert lpips(photo, photo) == pytest.approx(0.0, abs=1e-12)
@@ -117,28 +90,6 @@ class TestLPIPS:
 
     def test_perceptibility_constant(self):
         assert PERCEPTIBLE_LPIPS_DIFFERENCE == 0.15
-
-
-class TestReport:
-    def test_compare_sequences(self, photo, rng):
-        noisy = [np.clip(photo + rng.normal(scale=0.03, size=photo.shape), 0, 1) for _ in range(3)]
-        report = compare_sequences([photo] * 3, noisy)
-        assert len(report) == 3
-        assert report.mean_psnr > 25
-        assert 0 < report.mean_lpips < 1
-        assert report.min_psnr <= report.mean_psnr
-
-    def test_length_mismatch(self, photo):
-        with pytest.raises(ValueError):
-            compare_sequences([photo], [photo, photo])
-
-    def test_skip_expensive_metrics(self, photo):
-        report = compare_sequences([photo], [photo], with_lpips=False, with_ssim=False)
-        assert report.mean_lpips == 0.0 and report.mean_ssim == 1.0
-
-    def test_report_identical_means(self, photo):
-        report = compare_sequences([photo], [photo])
-        assert report.mean_psnr == float("inf")
 
 
 class TestProperties:

@@ -8,11 +8,16 @@ import pytest
 from repro.network.link import MTU_BYTES, NetworkLink, packet_sizes
 
 
+def _serialization_ms(size_bytes, bandwidth_mbps=80.0):
+    """Time to clock ``size_bytes`` onto a link of ``bandwidth_mbps``."""
+    return size_bytes * 8 / (bandwidth_mbps * 1e3)
+
+
 class TestSerialization:
     def test_time_from_bandwidth(self):
         link = NetworkLink(bandwidth_mbps=80.0, propagation_ms=0.0)
         # 10 KB at 80 Mbps = 80,000 bits / 80,000 bits-per-ms = 1 ms.
-        assert link.serialization_ms(10_000) == pytest.approx(1.0)
+        assert link.transmit(10_000).serialization_ms == pytest.approx(1.0)
 
     def test_propagation_added(self):
         link = NetworkLink(bandwidth_mbps=80.0, propagation_ms=5.0)
@@ -31,7 +36,7 @@ class TestSerialization:
         with pytest.raises(ValueError):
             NetworkLink(loss_rate=1.0)
         with pytest.raises(ValueError):
-            NetworkLink().serialization_ms(-1)
+            NetworkLink().transmit(-1)
 
 
 class TestLoss:
@@ -86,7 +91,7 @@ class TestRetransmitSerialization:
         result = link.transmit(size)
         # Serialization: full frame once + both packets once more — the
         # old code would have charged 2 * MTU_BYTES for the retransmit.
-        expected_ser = link.serialization_ms(size) + link.serialization_ms(size)
+        expected_ser = 2 * _serialization_ms(size)
         assert result.serialization_ms == pytest.approx(expected_ser)
         assert result.latency_ms == pytest.approx(
             expected_ser + 5.0 + 2 * 5.0
@@ -100,17 +105,15 @@ class TestRetransmitSerialization:
         link._lose_packets = lambda n, p: next(rounds)
         result = link.transmit(size)
         assert result.serialization_ms == pytest.approx(
-            link.serialization_ms(size) + link.serialization_ms(200)
+            _serialization_ms(size) + _serialization_ms(200)
         )
         assert result.n_retransmissions == 1
 
     def test_serialization_ms_excludes_propagation(self):
         link = NetworkLink(bandwidth_mbps=80.0, propagation_ms=7.0, loss_rate=0.0)
         result = link.transmit(10_000)
-        assert result.serialization_ms == pytest.approx(
-            link.serialization_ms(10_000)
-        )
-        assert result.propagation_total_ms == pytest.approx(7.0)
+        assert result.serialization_ms == pytest.approx(_serialization_ms(10_000))
+        assert result.latency_ms - result.serialization_ms == pytest.approx(7.0)
 
 
 class TestStreamDropRate:

@@ -1,4 +1,4 @@
-"""conv2d / pixel_shuffle / pooling: correctness and gradients."""
+"""conv2d / pixel_shuffle: correctness and gradients."""
 
 from __future__ import annotations
 
@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 from scipy.signal import correlate
 
-from repro.neural.functional import avg_pool2d, col2im, conv2d, im2col, pixel_shuffle
+from repro.neural.functional import col2im, conv2d, im2col, pixel_shuffle
 from repro.neural.tensor import Tensor
 
 from ..conftest import numeric_gradient
+
+
+def _mean_square(t):
+    return (t * t).mean()
 
 
 def reference_conv(x, w, b=None, stride=1, padding=0):
@@ -61,11 +65,13 @@ class TestConv2d:
         xt = Tensor(x.copy(), requires_grad=True)
         wt = Tensor(w.copy(), requires_grad=True)
         bt = Tensor(b.copy(), requires_grad=True)
-        loss = (conv2d(xt, wt, bt, padding=1) ** 2.0).mean()
+        loss = _mean_square(conv2d(xt, wt, bt, padding=1))
         loss.backward()
 
         def loss_fn():
-            return (conv2d(Tensor(xt.data), Tensor(wt.data), Tensor(bt.data), padding=1) ** 2.0).mean().item()
+            return _mean_square(
+                conv2d(Tensor(xt.data), Tensor(wt.data), Tensor(bt.data), padding=1)
+            ).item()
 
         for t in (wt, bt, xt):
             numeric = numeric_gradient(loss_fn, t.data)
@@ -76,10 +82,10 @@ class TestConv2d:
         w = rng.normal(size=(2, 1, 3, 3)) * 0.3
         xt = Tensor(x.copy(), requires_grad=True)
         wt = Tensor(w.copy(), requires_grad=True)
-        (conv2d(xt, wt, stride=2) ** 2.0).mean().backward()
+        _mean_square(conv2d(xt, wt, stride=2)).backward()
 
         def loss_fn():
-            return (conv2d(Tensor(xt.data), Tensor(wt.data), stride=2) ** 2.0).mean().item()
+            return _mean_square(conv2d(Tensor(xt.data), Tensor(wt.data), stride=2)).item()
 
         for t in (wt, xt):
             np.testing.assert_allclose(
@@ -139,19 +145,3 @@ class TestPixelShuffle:
             pixel_shuffle(Tensor(np.ones((1, 3, 2, 2))), 2)
         with pytest.raises(ValueError, match="4-D"):
             pixel_shuffle(Tensor(np.ones((3, 2, 2))), 2)
-
-
-class TestAvgPool:
-    def test_values(self):
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
-        out = avg_pool2d(Tensor(x), 2)
-        np.testing.assert_allclose(out.data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_gradient(self, rng):
-        x = Tensor(rng.normal(size=(1, 2, 4, 4)), requires_grad=True)
-        avg_pool2d(x, 2).sum().backward()
-        np.testing.assert_allclose(x.grad, np.full_like(x.data, 0.25))
-
-    def test_divisibility_check(self):
-        with pytest.raises(ValueError, match="divisible"):
-            avg_pool2d(Tensor(np.ones((1, 1, 5, 4))), 2)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.neural.init import kaiming_uniform, xavier_uniform, zeros
+from repro.neural.init import kaiming_uniform, zeros
 
 
 class TestFans:
@@ -19,9 +19,9 @@ class TestFans:
 
     def test_linear_shape(self):
         rng = np.random.default_rng(0)
-        w = xavier_uniform((10, 20), rng)
+        w = kaiming_uniform((10, 20), rng)
         assert w.shape == (10, 20)
-        bound = np.sqrt(6.0 / 30)
+        bound = np.sqrt(2.0) * np.sqrt(3.0 / 20)
         assert np.abs(w).max() <= bound
 
     def test_kaiming_bound(self):

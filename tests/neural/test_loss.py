@@ -1,11 +1,11 @@
-"""Loss functions: values and gradient flow."""
+"""L1 loss: values and gradient flow."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.neural.loss import charbonnier_loss, l1_loss, mse_loss
+from repro.neural.loss import l1_loss
 from repro.neural.tensor import Tensor
 
 
@@ -16,45 +16,17 @@ def pair():
     return pred, target
 
 
-def test_mse_value(pair):
-    pred, target = pair
-    assert mse_loss(pred, target).item() == pytest.approx((0 + 4 + 4) / 3)
-
-
 def test_l1_value(pair):
     pred, target = pair
     assert l1_loss(pred, target).item() == pytest.approx((0 + 2 + 2) / 3)
 
 
-def test_charbonnier_close_to_l1_for_large_errors(pair):
-    pred, target = pair
-    charb = charbonnier_loss(pred, target, eps=1e-6).item()
-    assert charb == pytest.approx(l1_loss(pred, target).item(), rel=1e-3)
-
-
-def test_charbonnier_smooth_at_zero():
-    pred = Tensor(np.zeros(3), requires_grad=True)
-    target = Tensor(np.zeros(3))
-    loss = charbonnier_loss(pred, target, eps=1e-3)
-    loss.backward()
-    assert np.all(np.isfinite(pred.grad))
-
-
 def test_identical_inputs_zero_loss():
     x = Tensor(np.array([1.0, 2.0]))
-    assert mse_loss(x, x).item() == 0.0
     assert l1_loss(x, x).item() == 0.0
 
 
 def test_gradients_flow(pair):
     pred, target = pair
-    for loss_fn in (mse_loss, l1_loss, charbonnier_loss):
-        pred.zero_grad()
-        loss_fn(pred, target).backward()
-        assert pred.grad is not None and np.any(pred.grad != 0)
-
-
-def test_mse_gradient_value():
-    pred = Tensor(np.array([3.0]), requires_grad=True)
-    mse_loss(pred, Tensor(np.array([1.0]))).backward()
-    assert pred.grad[0] == pytest.approx(2 * (3 - 1) / 1)
+    l1_loss(pred, target).backward()
+    assert pred.grad is not None and np.any(pred.grad != 0)

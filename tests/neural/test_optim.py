@@ -1,55 +1,21 @@
-"""Optimizers: convergence on known problems, state handling, validation."""
+"""Adam: convergence on known problems, state handling, validation."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.neural.optim import Adam, SGD, clip_grad_norm
+from repro.neural.optim import Adam, clip_grad_norm
 from repro.neural.tensor import Tensor
 
 
 def quadratic_step(optimizer, x: Tensor, target: np.ndarray) -> float:
     optimizer.zero_grad()
-    loss = ((x - Tensor(target)) ** 2.0).sum()
+    diff = x - Tensor(target)
+    loss = (diff * diff).sum()
     loss.backward()
     optimizer.step()
     return loss.item()
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        x = Tensor(np.array([5.0, -3.0]), requires_grad=True)
-        target = np.array([1.0, 2.0])
-        opt = SGD([x], lr=0.1)
-        for _ in range(100):
-            quadratic_step(opt, x, target)
-        np.testing.assert_allclose(x.data, target, atol=1e-4)
-
-    def test_momentum_accelerates(self):
-        def run(momentum):
-            x = Tensor(np.array([10.0]), requires_grad=True)
-            opt = SGD([x], lr=0.02, momentum=momentum)
-            for _ in range(30):
-                quadratic_step(opt, x, np.zeros(1))
-            return abs(float(x.data[0]))
-
-        assert run(0.9) < run(0.0)
-
-    def test_skips_params_without_grad(self):
-        x = Tensor(np.array([1.0]), requires_grad=True)
-        opt = SGD([x], lr=0.1)
-        opt.step()  # no grad yet; must not raise or move
-        assert x.data[0] == 1.0
-
-    def test_validation(self):
-        x = Tensor(np.ones(1), requires_grad=True)
-        with pytest.raises(ValueError):
-            SGD([x], lr=0.0)
-        with pytest.raises(ValueError):
-            SGD([x], momentum=1.5)
-        with pytest.raises(ValueError):
-            SGD([Tensor(np.ones(1))], lr=0.1)  # nothing trainable
 
 
 class TestAdam:
@@ -77,10 +43,20 @@ class TestAdam:
             quadratic_step(opt, x, np.zeros(1))
             assert abs(scale - float(x.data[0])) == pytest.approx(0.1, rel=1e-3)
 
+    def test_skips_params_without_grad(self):
+        x = Tensor(np.array([1.0]), requires_grad=True)
+        opt = Adam([x], lr=0.1)
+        opt.step()  # no grad yet; must not raise or move
+        assert x.data[0] == 1.0
+
     def test_validation(self):
         x = Tensor(np.ones(1), requires_grad=True)
         with pytest.raises(ValueError):
             Adam([x], betas=(1.0, 0.999))
+        with pytest.raises(ValueError):
+            Adam([x], lr=0.0)
+        with pytest.raises(ValueError):
+            Adam([Tensor(np.ones(1))], lr=0.1)  # nothing trainable
 
 
 class TestClipGradNorm:

@@ -13,7 +13,6 @@ from repro.neural.models import (
     conv_modules,
     quantize_conv_per_channel,
 )
-from repro.sr.interpolate import nearest
 from repro.sr.runner import SRRunner
 
 
@@ -32,16 +31,11 @@ class TestQuickSRNet:
         model = QuickSRNet(scale=2, n_convs=3, feats=12, seed=1)
         x = rng.uniform(size=(16, 16, 3))
         out = SRRunner(model).upscale(x)
-        ref = nearest(x, 32, 32)
+        ref = x.repeat(2, axis=0).repeat(2, axis=1)  # nearest neighbour
         assert np.abs(out - ref).max() < 0.25
         # Random noise input is the worst case for the perturbed
         # identity; an unrelated pair of such images sits near 8 dB.
         assert psnr(ref, out.astype(np.float64)) > 20.0
-
-    def test_describe_mentions_geometry(self):
-        model = QuickSRNet(scale=2, n_convs=4, feats=32)
-        text = model.describe()
-        assert "4" in text and "32" in text
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
@@ -118,9 +112,3 @@ class TestQuantizedEDSR:
         quant.quantize()
         quant.load_state_dict(ref.state_dict())
         assert quant.quantized is False
-
-    def test_describe_tracks_precision(self):
-        model = QuantizedEDSR(scale=2, n_resblocks=1, n_feats=8, seed=5)
-        assert "float" in model.describe()
-        model.quantize()
-        assert "int8" in model.describe()

@@ -42,19 +42,6 @@ class TestHistogram:
         assert h.max == 500.0
         assert h.counts == [1, 1, 1, 1]  # last is the overflow bucket
 
-    def test_quantile_is_conservative_bucket_bound(self):
-        h = Histogram("lat", bounds=[1.0, 10.0, 100.0])
-        for v in (0.5, 0.6, 0.7, 50.0):
-            h.observe(v)
-        assert h.quantile(0.5) == 1.0  # p50 inside the first bucket
-        assert h.quantile(1.0) == 100.0
-        assert Histogram("empty", bounds=[1.0]).quantile(0.5) == 0.0
-
-    def test_overflow_quantile_uses_observed_max(self):
-        h = Histogram("lat", bounds=[1.0])
-        h.observe(123.0)
-        assert h.quantile(0.99) == 123.0
-
     def test_bounds_must_increase(self):
         with pytest.raises(ValueError):
             Histogram("bad", bounds=[1.0, 1.0])
@@ -96,12 +83,12 @@ class TestRegistry:
             reg.counter("stage_ms/decode")  # dynamic family, wrong kind
         assert reg.names() == []
 
-    def test_export_json_roundtrip(self, tmp_path):
+    def test_export_json_roundtrip(self):
+        # The registry travels in the trace export as its to_dict().
         reg = MetricsRegistry()
         reg.counter("frames_total").inc(2)
         reg.histogram("stage_ms/decode").observe(3.0)
-        path = reg.export_json(tmp_path / "metrics.json")
-        data = json.loads(path.read_text())
+        data = json.loads(json.dumps(reg.to_dict()))
         assert data["frames_total"]["value"] == 2
         assert data["stage_ms/decode"]["count"] == 1
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.platform import calibration as cal
-from repro.platform.benchmark import max_realtime_roi_side, probe_latency_curve
+from repro.platform.benchmark import max_realtime_roi_side
 from repro.platform.device import DisplaySpec, get_device, pixel_7_pro, samsung_tab_s8
 from repro.platform.eyetracking import eyetracking_cost
 from repro.platform.latency import (
@@ -131,11 +131,6 @@ class TestProbe:
     def test_invalid_deadline(self, s8):
         with pytest.raises(ValueError):
             max_realtime_roi_side(s8, 0)
-
-    def test_probe_curve(self, s8):
-        curve = probe_latency_curve(s8, [100, 200, 300])
-        assert [s for s, _ in curve] == [100, 200, 300]
-        assert curve[0][1] < curve[-1][1]
 
 
 class TestEyeTracking:

@@ -22,18 +22,6 @@ class TestCamera:
         ndc = clip[0, :2] / clip[0, 3]
         np.testing.assert_allclose(ndc, [0.0, 0.0], atol=1e-12)
 
-    def test_moved_keeps_intrinsics(self):
-        camera = Camera(fov_y=np.deg2rad(45), near=0.5, far=80.0)
-        moved = camera.moved([1.0, 2.0, 3.0])
-        assert moved.fov_y == camera.fov_y
-        assert moved.near == camera.near and moved.far == camera.far
-        np.testing.assert_array_equal(moved.position, [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(moved.target, camera.target)
-
-    def test_moved_with_target(self):
-        moved = Camera().moved([0.0, 0.0, 9.0], target=[1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(moved.target, [1.0, 0.0, 0.0])
-
     def test_viewport_validation(self):
         with pytest.raises(ValueError):
             Camera().view_projection(0, 100)

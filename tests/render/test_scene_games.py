@@ -97,10 +97,6 @@ class TestEveryWorkload:
 
 
 class TestWorkloadAPI:
-    def test_render_sequence(self):
-        frames = build_game("G9").render_sequence(3, W, H)
-        assert len(frames) == 3
-
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             build_game("G1").render_frame(-1, W, H)

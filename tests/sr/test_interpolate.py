@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hypothesis.extra.numpy import arrays
 
-from repro.sr.interpolate import FILTERS, bicubic, bilinear, lanczos, nearest, resize, upscale
+from repro.sr.interpolate import FILTERS, bicubic, bilinear, resize
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
 
@@ -60,16 +60,7 @@ class TestCommonBehaviour:
         with pytest.raises(ValueError):
             resize(np.ones((4, 4)), 0, 8)
         with pytest.raises(ValueError):
-            upscale(np.ones((4, 4)), 0)
-        with pytest.raises(ValueError):
             bilinear(np.ones(4), 8, 8)
-
-
-class TestNearest:
-    def test_2x_duplicates_pixels(self):
-        img = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = nearest(img, 4, 4)
-        np.testing.assert_array_equal(out, [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]])
 
 
 class TestBilinear:
@@ -131,24 +122,16 @@ class TestHigherOrder:
         out = bicubic(img, 4, 32)
         assert out.min() < -1e-6 or out.max() > 1 + 1e-6
 
-    def test_lanczos_taps(self, rng):
-        img = rng.uniform(size=(8, 8))
-        a = lanczos(img, 16, 16, taps=2)
-        b = lanczos(img, 16, 16, taps=3)
-        assert not np.allclose(a, b)
-
     def test_weights_normalized_at_border(self):
         img = np.full((6, 6), 0.5)
-        for fn in (bicubic, lanczos):
-            out = fn(img, 12, 12)
-            np.testing.assert_allclose(out, 0.5, atol=1e-9)
+        np.testing.assert_allclose(bicubic(img, 12, 12), 0.5, atol=1e-9)
 
 
 class TestProperties:
     @given(st.integers(2, 12), st.integers(2, 12), st.integers(1, 3))
     @settings(max_examples=25, deadline=None)
     def test_upscale_shape(self, h, w, factor):
-        out = upscale(np.zeros((h, w)), factor)
+        out = resize(np.zeros((h, w)), h * factor, w * factor)
         assert out.shape == (h * factor, w * factor)
 
     @given(st.integers(2, 10))

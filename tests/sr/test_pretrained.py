@@ -50,7 +50,7 @@ def test_truncated_weights_cache_retrains(tmp_path, monkeypatch, fast_training):
 
 def test_valid_cache_loads_without_training(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    blocks, feats = pretrained.model_geometry("tiny")
+    blocks, feats = pretrained.PROFILES["tiny"][:2]
     trained = EDSR(scale=2, n_resblocks=blocks, n_feats=feats, seed=7)
     path = _weights_path(tmp_path)
     save_weights(trained, path)

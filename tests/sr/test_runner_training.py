@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.neural.models import EDSR
-from repro.sr.pretrained import PROFILES, default_sr_model, model_geometry
+from repro.sr.pretrained import PROFILES, default_sr_model
 from repro.sr.runner import SRRunner
 from repro.sr.training import extract_patches, train_sr_model
 
@@ -127,14 +127,11 @@ class TestTraining:
 
 class TestPretrained:
     def test_profiles_well_formed(self):
-        for name in PROFILES:
-            blocks, feats = model_geometry(name)
-            assert blocks >= 1 and feats >= 1
-        assert model_geometry("paper") == (16, 64)
+        for blocks, feats, epochs, per_frame in PROFILES.values():
+            assert min(blocks, feats, epochs, per_frame) >= 1
+        assert PROFILES["paper"][:2] == (16, 64)
 
     def test_unknown_profile(self):
-        with pytest.raises(ValueError):
-            model_geometry("huge")
         with pytest.raises(ValueError):
             default_sr_model(profile="huge")
 

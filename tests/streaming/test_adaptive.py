@@ -36,8 +36,7 @@ class TestControl:
         ctl = make_controller(initial_side=180)
         for _ in range(20):
             ctl.observe(30.0)
-        assert ctl.side == 172
-        assert ctl.at_foveal_floor
+        assert ctl.side == ctl.min_side == 172
 
     def test_shrink_stays_on_grow_lattice(self):
         """Regression: bare ``int(side * shrink_factor)`` truncation could
@@ -83,13 +82,6 @@ class TestControl:
         for _ in range(20):
             ctl.observe(5.0)
         assert ctl.side == 304
-
-    def test_miss_rate(self):
-        ctl = make_controller()
-        ctl.observe(10.0)
-        ctl.observe(20.0)
-        assert ctl.miss_rate() == pytest.approx(0.5)
-        assert make_controller().miss_rate() == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

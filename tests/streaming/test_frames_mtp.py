@@ -48,10 +48,6 @@ class TestMTP:
         assert mtp.total_ms == 24.0
         assert mtp.stage("render") == 0.0
 
-    def test_conformance(self):
-        assert MTPBreakdown({"input": 100.0}).conformant(150.0)
-        assert not MTPBreakdown({"input": 200.0}).conformant(150.0)
-
     def test_unknown_stage_rejected(self):
         with pytest.raises(ValueError, match="unknown MTP"):
             MTPBreakdown({"teleport": 1.0})

@@ -136,7 +136,7 @@ class TestABRBehavior:
         )
         assert abr.n_downshifts > 0
         assert abr.n_idr_requests > 0
-        assert abr.rung_index > 0
+        assert abr.ladder.index(abr.rung) > 0
 
     def test_abr_holds_top_rung_on_stable_wifi(self, tiny_runner):
         client, plan, abr = _abr_session_kwargs(tiny_runner)

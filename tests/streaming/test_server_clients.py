@@ -82,7 +82,7 @@ class TestClients:
         for r in results:
             assert r.hr_frame.shape == (96, 160, 3)
             assert r.upscale_ms <= cal.REALTIME_DEADLINE_MS
-        assert results[0].is_reference and not results[1].is_reference
+        assert [r.frame_type for r in results[:2]] == ["I", "P"]
 
     def test_gamestreamsr_requires_roi(self, device, tiny_runner):
         client = GameStreamSRClient(device, tiny_runner)

@@ -267,7 +267,8 @@ class TestAdaptiveSession:
         )
 
         assert controller.side < initial
-        assert controller.miss_rate() > 0.0
+        # The controller saw deadline misses (the shrink's cause).
+        assert max(r.upscale_ms for r in result.records) > controller.deadline_ms
         # The side is pushed at frame start and observed at frame end, so
         # the client tracks the controller with one frame of lag: it holds
         # the side the controller had *before* the final observation.

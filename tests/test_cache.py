@@ -8,7 +8,6 @@ from repro.cache import (
     cache_disabled,
     config_key,
     load_or_build,
-    memoize,
 )
 
 
@@ -74,21 +73,3 @@ def test_no_temp_files_left_behind(tmp_path, monkeypatch):
     load_or_build("t", {"x": 1}, lambda: list(range(100)))
     leftovers = [p for p in (tmp_path / "artifacts").iterdir() if p.suffix != ".pkl"]
     assert leftovers == []
-
-
-def test_memoize_caches_by_kwargs_and_keeps_metadata(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    calls = []
-
-    @memoize("square")
-    def square(n):
-        """Square a number."""
-        calls.append(n)
-        return n * n
-
-    assert square.__name__ == "square"  # functools.wraps applied
-    assert square.__doc__ == "Square a number."
-    assert square(n=3) == 9
-    assert square(n=3) == 9
-    assert square(n=4) == 16
-    assert calls == [3, 4]

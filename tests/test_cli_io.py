@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.render.io import load_ppm, save_pgm, save_ppm
+from repro.render.io import save_pgm, save_ppm
 
 
 class TestImageIO:
     def test_ppm_roundtrip(self, tmp_path, rng):
         image = rng.uniform(size=(12, 16, 3))
         path = save_ppm(image, tmp_path / "frame.ppm")
-        loaded = load_ppm(path)
-        assert loaded.shape == image.shape
+        data = path.read_bytes()
+        header = b"P6\n16 12\n255\n"
+        assert data.startswith(header)
+        loaded = np.frombuffer(data[len(header):], dtype=np.uint8).reshape(12, 16, 3) / 255.0
         assert np.abs(loaded - image).max() <= 0.5 / 255 + 1e-9
 
     def test_pgm_header(self, tmp_path):
@@ -28,12 +30,6 @@ class TestImageIO:
             save_ppm(np.zeros((4, 4)), tmp_path / "x.ppm")
         with pytest.raises(ValueError):
             save_pgm(np.zeros((4, 4, 3)), tmp_path / "x.pgm")
-
-    def test_load_rejects_non_ppm(self, tmp_path):
-        bad = tmp_path / "bad.ppm"
-        bad.write_bytes(b"JFIF....")
-        with pytest.raises(ValueError, match="P6"):
-            load_ppm(bad)
 
     def test_creates_directories(self, tmp_path):
         path = save_ppm(np.zeros((2, 2, 3)), tmp_path / "a" / "b" / "x.ppm")
@@ -67,6 +63,38 @@ class TestCLI:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["stream", "G3", "--frames", "0"], "--frames"),
+            (["render", "G3", "--frames", "0"], "--frames"),
+            (["render", "G3", "--width", "-4"], "--width"),
+            (["render", "G3", "--height", "x"], "--height"),
+            (["detect", "G3", "--side", "0"], "--side"),
+            (["detect", "G3", "--frame", "-1"], "--frame"),
+            (["render", "G99"], "game"),
+            (["detect", "G99"], "game"),
+            (["stream", "G99"], "game"),
+        ],
+        ids=[
+            "stream-frames", "render-frames", "render-width", "render-height",
+            "detect-side", "detect-frame", "render-game", "detect-game",
+            "stream-game",
+        ],
+    )
+    def test_bad_input_is_a_usage_error(self, argv, flag, tmp_path, capsys):
+        """Bad counts, sizes and game ids fail at parse time: exit 2 and
+        one ``error:`` line naming the argument, no traceback, no output."""
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)] if argv[0] == "render" else argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {flag}" in errors[0]
+        assert "Traceback" not in captured.err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.slow
     def test_stream_command(self, capsys, tiny_model):
