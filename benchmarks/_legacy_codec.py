@@ -282,7 +282,7 @@ def buffered_decode_blocks(reader, n_blocks: int, n: int) -> np.ndarray:
 # (the decoder's chroma upsample and bench_hotpath's bilinear row).
 # ----------------------------------------------------------------------
 def _check_image(image: np.ndarray) -> np.ndarray:
-    image = np.asarray(image, dtype=np.float64)  # reprolint: disable=dtype-discipline -- documented f64-in/f64-out resampling
+    image = np.asarray(image, dtype=np.float64)
     if image.ndim not in (2, 3):
         raise ValueError(
             f"expected (H, W) or (H, W, C) image, got shape {image.shape}"

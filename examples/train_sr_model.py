@@ -16,7 +16,7 @@ import time
 from repro.metrics import psnr
 from repro.neural import EDSR
 from repro.render import build_game
-from repro.sr import SRRunner, bilinear, extract_patches, resize, train_sr_model
+from repro.sr import SRRunner, bilinear, extract_patches, train_sr_model
 
 TRAIN_GAMES = ("G2", "G6", "G9")  # train on these ...
 HELDOUT_GAME = "G4"  # ... evaluate on this one
@@ -46,7 +46,7 @@ def main() -> None:
 
     print(f"\nevaluating on held-out {HELDOUT_GAME}...")
     hr = build_game(HELDOUT_GAME).render_frame(3, 448, 256).color
-    lr = resize(hr, 128, 224, "bilinear")
+    lr = bilinear(hr, 128, 224)
     sr_out = SRRunner(model).upscale(lr)
     bl = bilinear(lr, 256, 448)
     print(f"  bilinear: {psnr(hr, bl):6.2f} dB")

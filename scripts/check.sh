@@ -18,14 +18,12 @@ python -m compileall -q src scripts benchmarks
 echo "ok: all sources byte-compile"
 
 echo "== static analysis (reprolint) =="
-# Per-file rules (import cycles, layering, dtype discipline, epsilon
-# comparisons, nondeterminism, public-API drift) plus the whole-program
-# fork-safety pass in one run. Metric names and @shaped specs are checked
-# by the program itself, on creation and at import, in the legs below.
-# Fails on any finding not in reprolint-baseline.json
-# (grandfathered legacy benchmarks only) and on baseline entries that no
-# longer match any source line.
-python -m repro.lint --fail-stale-baseline src tests scripts benchmarks
+# Two passes: import-hygiene (no import cycles, package layer order) and
+# fork-safety (nothing a process-pool worker reaches forks mutable state,
+# unseeded RNG or the wall clock). No baseline, no suppressions: any
+# finding fails. Metric names, @shaped specs and __all__ lists are checked
+# by the program and the tier-1 tests below.
+python -m repro.lint src tests scripts benchmarks
 
 echo "== tier-1 tests =="
 python -m pytest -q -m tier1

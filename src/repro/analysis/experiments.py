@@ -9,6 +9,7 @@ files in ``benchmarks/`` are thin formatting wrappers around these.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
 from ..cache import load_or_build
@@ -19,7 +20,7 @@ from ..platform import calibration as cal
 from ..platform import latency as lat
 from ..platform.device import DeviceProfile, get_device
 from ..render.games import GAME_TABLE, build_game
-from ..sr.interpolate import resize
+from ..sr.interpolate import bilinear
 from ..sr.pretrained import default_sr_model
 from ..sr.runner import SRRunner
 from ..streaming.client import (
@@ -65,15 +66,10 @@ QUALITY_FRAMES = 36
 QUALITY_GOP = 36
 STREAM_QUALITY = 70
 
-_RUNNER: Optional[SRRunner] = None
-
-
+@lru_cache(maxsize=None)
 def default_runner() -> SRRunner:
     """The shared SR inference runner (trains/caches weights at first use)."""
-    global _RUNNER  # reprolint: disable=fork-safety -- per-process memo of a deterministic artifact: every worker rebuilds identical weights from the cache
-    if _RUNNER is None:
-        _RUNNER = SRRunner(default_sr_model())
-    return _RUNNER
+    return SRRunner(default_sr_model())
 
 
 def perf_geometry() -> StreamGeometry:
@@ -308,8 +304,8 @@ def upscale_factor_tradeoff(
             in_h, in_w = target[0] // factor, target[1] // factor
             modeled_in_px = (2560 // factor) * (1440 // factor)
             latency = lat.npu_sr_latency_ms(modeled_in_px, device)
-            lr = resize(hr, in_h, in_w, "bilinear")
-            up = resize(lr, target[0], target[1], "bilinear")
+            lr = bilinear(hr, in_h, in_w)
+            up = bilinear(lr, target[0], target[1])
             points.append(
                 FactorPoint(factor, in_h, in_w, latency, psnr_metric(hr, up))
             )

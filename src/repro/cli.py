@@ -217,6 +217,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .platform.device import DEVICES
+
     parser = argparse.ArgumentParser(
         prog="repro", description="GameStreamSR reproduction toolkit"
     )
@@ -228,22 +230,24 @@ def build_parser() -> argparse.ArgumentParser:
     render = sub.add_parser("render", help="render frames to PPM/PGM files")
     render.add_argument("game", type=_game_id, help="game id, e.g. G3")
     render.add_argument("--frames", type=_int_at_least(1), default=1)
-    render.add_argument("--width", type=_int_at_least(1), default=224)
-    render.add_argument("--height", type=_int_at_least(1), default=128)
+    render.add_argument("--width", type=_int_at_least(2), default=224)
+    render.add_argument("--height", type=_int_at_least(2), default=128)
     render.add_argument("--out", default="renders")
     render.set_defaults(fn=_cmd_render)
 
     detect = sub.add_parser("detect", help="run RoI detection on a frame")
     detect.add_argument("game", type=_game_id)
     detect.add_argument("--frame", type=_int_at_least(0), default=0)
-    detect.add_argument("--width", type=_int_at_least(1), default=224)
-    detect.add_argument("--height", type=_int_at_least(1), default=128)
+    detect.add_argument("--width", type=_int_at_least(2), default=224)
+    detect.add_argument("--height", type=_int_at_least(2), default=128)
     detect.add_argument("--side", type=_int_at_least(1), default=54)
     detect.set_defaults(fn=_cmd_detect)
 
     stream = sub.add_parser("stream", help="compare designs on a short session")
     stream.add_argument("game", nargs="?", type=_game_id, default="G3")
-    stream.add_argument("--device", default="samsung_tab_s8")
+    stream.add_argument(
+        "--device", choices=sorted(DEVICES), default="samsung_tab_s8"
+    )
     stream.add_argument("--frames", type=_int_at_least(1), default=8)
     stream.add_argument("--profile", default="tiny", help="SR model profile")
     stream.add_argument(

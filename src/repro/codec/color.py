@@ -20,7 +20,7 @@ _INVERSE = np.linalg.inv(_FORWARD)
 
 def rgb_to_ycbcr(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(H, W, 3) RGB in [0, 1] -> (Y, Cb, Cr) planes, Y in [0,1], C in [-.5,.5]."""
-    rgb = np.asarray(rgb, dtype=np.float64)  # reprolint: disable=dtype-discipline -- frozen f64 codec arithmetic
+    rgb = np.asarray(rgb, dtype=np.float64)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise ValueError(f"expected (H, W, 3) RGB, got {rgb.shape}")
     ycc = rgb @ _FORWARD.T
@@ -35,7 +35,7 @@ def ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
 
 def subsample_chroma(plane: np.ndarray) -> np.ndarray:
     """2x2 average-pool (4:2:0 subsampling); odd dims are edge-padded."""
-    plane = np.asarray(plane, dtype=np.float64)  # reprolint: disable=dtype-discipline -- frozen f64 codec arithmetic
+    plane = np.asarray(plane, dtype=np.float64)
     h, w = plane.shape
     if h % 2 or w % 2:
         plane = np.pad(plane, ((0, h % 2), (0, w % 2)), mode="edge")

@@ -141,7 +141,7 @@ class VideoEncoder:
     @shaped(rgb="H W 3:n")
     def encode_frame(self, rgb: np.ndarray) -> EncodedFrame:
         """Encode the next frame of the stream."""
-        rgb = np.asarray(rgb, dtype=np.float64)  # reprolint: disable=dtype-discipline -- frozen f64 codec arithmetic
+        rgb = np.asarray(rgb, dtype=np.float64)
         if rgb.ndim != 3 or rgb.shape[2] != 3:
             raise ValueError(f"expected (H, W, 3) RGB frame, got {rgb.shape}")
         h, w = rgb.shape[:2]

@@ -62,7 +62,7 @@ def _exp_golomb_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return codes, np.zeros(0, dtype=np.int64)
     if int(codes.max()) < (1 << 53):
         # frexp's exponent is the exact bit length for ints below 2**53.
-        _, exp = np.frexp(codes.astype(np.float64))  # reprolint: disable=dtype-discipline -- exact: codes < 2**53
+        _, exp = np.frexp(codes.astype(np.float64))  # exact: codes < 2**53
         n_bits = exp.astype(np.int64)
     else:
         n_bits = np.array([int(c).bit_length() for c in codes], dtype=np.int64)

@@ -161,8 +161,8 @@ def estimate_motion(
     region starting at ``(by*block + dy, bx*block + dx)``; each vector
     is the exact minimum-SAD offset within ``search_radius``.
     """
-    current = np.asarray(current, dtype=np.float64)  # reprolint: disable=dtype-discipline -- frozen f64 codec arithmetic
-    reference = np.asarray(reference, dtype=np.float64)  # reprolint: disable=dtype-discipline -- frozen f64 codec arithmetic
+    current = np.asarray(current, dtype=np.float64)
+    reference = np.asarray(reference, dtype=np.float64)
     if current.shape != reference.shape:
         raise ValueError(
             f"frame shape mismatch: {current.shape} vs {reference.shape}"
@@ -187,7 +187,7 @@ def compensate(
     broadcast across the block — bit-identical to the per-block loop it
     replaces.
     """
-    reference = np.asarray(reference, dtype=np.float64)  # reprolint: disable=dtype-discipline -- frozen f64 codec arithmetic
+    reference = np.asarray(reference, dtype=np.float64)
     h, w = reference.shape
     nby, nbx = block_grid_shape(h, w, block)
     if motion_vectors.shape != (nby, nbx, 2):

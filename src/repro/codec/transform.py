@@ -89,4 +89,4 @@ def quantize(coeffs: np.ndarray, quality: int) -> np.ndarray:
 def dequantize(levels: np.ndarray, quality: int) -> np.ndarray:
     """Reconstruct coefficients from quantized integer levels."""
     steps = quant_matrix(quality, levels.shape[-1])
-    return levels.astype(np.float64) * steps  # reprolint: disable=dtype-discipline -- frozen f64 codec arithmetic
+    return levels.astype(np.float64) * steps

@@ -76,7 +76,7 @@ _DEGENERATE_DEPTH_SPREAD = 1e-9
 
 
 def _check_depth(depth: np.ndarray) -> np.ndarray:
-    depth = np.asarray(depth, dtype=np.float64)  # reprolint: disable=dtype-discipline -- frozen f64 RoI arithmetic
+    depth = np.asarray(depth, dtype=np.float64)
     if depth.ndim != 2:
         raise ValueError(f"expected a 2-D depth map, got shape {depth.shape}")
     if depth.size == 0:
@@ -166,7 +166,7 @@ def _foreground_threshold(depth: np.ndarray, config: RoIConfig) -> float:
         return hi  # single depth plane
     hist, edges = _uniform_histogram(finite, config.histogram_bins, lo, hi)
     kernel = np.ones(config.valley_smoothing, dtype=np.float64) / config.valley_smoothing
-    smooth = np.convolve(hist.astype(np.float64), kernel, mode="same")  # reprolint: disable=dtype-discipline -- exact int counts
+    smooth = np.convolve(hist.astype(np.float64), kernel, mode="same")  # exact int counts
     cumulative = np.cumsum(hist)
 
     peak_seen = smooth[0]
@@ -185,7 +185,7 @@ def _foreground_threshold(depth: np.ndarray, config: RoIConfig) -> float:
             return float(edges[i + 1])
 
     # Otsu fallback on the histogram.
-    probs = hist.astype(np.float64) / hist.sum()  # reprolint: disable=dtype-discipline -- exact int counts
+    probs = hist.astype(np.float64) / hist.sum()  # exact int counts
     centers = (edges[:-1] + edges[1:]) / 2.0
     omega = np.cumsum(probs)
     mu = np.cumsum(probs * centers)
@@ -240,7 +240,7 @@ def layer_bounds(
     is a continuum (ground planes) rather than discrete object clusters —
     see the RoIConfig docstring and the A1 ablation.
     """
-    values = np.asarray(weighted, dtype=np.float64).reshape(-1)  # reprolint: disable=dtype-discipline -- frozen f64 RoI arithmetic
+    values = np.asarray(weighted, dtype=np.float64).reshape(-1)
     if values.size == 0:
         raise ValueError("cannot layer an empty value set")
     if mode == "range":

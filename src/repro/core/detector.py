@@ -80,7 +80,7 @@ class RoIDetector:
     @shaped(depth="H W:n")
     def detect(self, depth: np.ndarray) -> RoIDetection:
         """Locate the RoI on one depth buffer."""
-        depth = np.asarray(depth, dtype=np.float64)  # reprolint: disable=dtype-discipline -- frozen f64 RoI arithmetic
+        depth = np.asarray(depth, dtype=np.float64)
         if depth.ndim != 2:
             raise ValueError(f"expected 2-D depth buffer, got {depth.shape}")
         height, width = depth.shape

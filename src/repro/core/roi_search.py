@@ -145,7 +145,7 @@ def window_sums(
     anchors are then interpreted in the table's coordinate frame.
     """
     if sat is None:
-        sat = _integral_image(np.asarray(values, dtype=np.float64))  # reprolint: disable=dtype-discipline -- frozen f64 RoI arithmetic
+        sat = _integral_image(np.asarray(values, dtype=np.float64))
     ys = np.asarray(ys)
     xs = np.asarray(xs)
     y0 = ys[:, None]
@@ -280,7 +280,7 @@ def search_roi_scored(
     the pruning is a pure evaluation-order optimization, never a
     different function.
     """
-    processed = np.asarray(processed, dtype=np.float64)  # reprolint: disable=dtype-discipline -- frozen f64 RoI arithmetic
+    processed = np.asarray(processed, dtype=np.float64)
     height, width = _validate(processed, win_h, win_w, fine_stride)
     if coarse_stride is None:
         coarse_stride = max(max(win_h, win_w) // 2, 1)
@@ -383,7 +383,7 @@ def warm_search_roi(
     (:class:`~repro.core.detector.RoIDetector` compares ``score`` against
     its running full-search reference).
     """
-    processed = np.asarray(processed, dtype=np.float64)  # reprolint: disable=dtype-discipline -- frozen f64 RoI arithmetic
+    processed = np.asarray(processed, dtype=np.float64)
     height, width = _validate(processed, win_h, win_w, fine_stride)
     if boundary is None:
         boundary = max(max(win_h, win_w) // 2, 1)

@@ -42,7 +42,7 @@ class RoIAssistedUpscaler:
     @shaped(lr_frame="H W 3:n")
     def upscale(self, lr_frame: np.ndarray, roi: RoIBox) -> HybridUpscaleResult:
         """Upscale ``lr_frame`` with DNN SR inside ``roi``, bilinear outside."""
-        lr_frame = np.asarray(lr_frame, dtype=np.float64)  # reprolint: disable=dtype-discipline -- frozen f64 RoI arithmetic
+        lr_frame = np.asarray(lr_frame, dtype=np.float64)
         if lr_frame.ndim != 3 or lr_frame.shape[2] != 3:
             raise ValueError(f"expected (H, W, 3) frame, got {lr_frame.shape}")
         height, width = lr_frame.shape[:2]

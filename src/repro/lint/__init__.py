@@ -1,49 +1,40 @@
-"""reprolint: AST static analysis enforcing the repo's hard invariants.
+"""reprolint, AST static analysis enforcing the repo's hard invariants.
 
-PRs 1-4 froze invariants by hand — a float32 no-grad inference dtype
-policy, exact tie-breaking instead of epsilon fudge, bit-identical
-frozen baselines, an acyclic layered import graph. This package turns
-them into tooling: ``python -m repro.lint src/ tests/`` runs a
-plugin-style registry of AST passes (no third-party dependencies) with
-inline suppressions, a checked-in baseline for grandfathered findings,
-and text/JSON reporters. See DESIGN.md ("Static analysis & runtime
-contracts")
-for the rule catalogue and workflow, and :mod:`repro.contracts` for the
-paired runtime shape/dtype contract layer.
+``python -m repro.lint src tests scripts benchmarks`` runs a
+plugin-style registry of AST passes (no third-party dependencies):
+``import-hygiene`` keeps the package layer order and the import graph
+acyclic, and ``fork-safety`` keeps everything a process-pool worker
+reaches free of forked mutable state, unseeded RNG and wall-clock
+reads. There are no suppressions and no baseline; a finding is fixed in
+the code. See DESIGN.md ("Static analysis & runtime contracts") for the
+rule catalogue, and :mod:`repro.contracts` for the paired runtime
+shape/dtype contract layer.
 """
 
 from __future__ import annotations
 
 from .framework import (
-    FileLintPass,
     Finding,
     LintPass,
     LintResult,
     ModuleInfo,
     Project,
     collect_modules,
-    load_baseline,
     register_pass,
     registered_passes,
-    render_json,
     render_text,
     run_lint,
-    write_baseline,
 )
 
 __all__ = [
-    "FileLintPass",
     "Finding",
     "LintPass",
     "LintResult",
     "ModuleInfo",
     "Project",
     "collect_modules",
-    "load_baseline",
     "register_pass",
     "registered_passes",
-    "render_json",
     "render_text",
     "run_lint",
-    "write_baseline",
 ]

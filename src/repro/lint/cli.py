@@ -1,41 +1,26 @@
 """Command-line front end: ``python -m repro.lint [paths...]``.
 
-Exit codes: 0 = clean (suppressed/baselined findings allowed), 1 = new
-findings (or stale baseline entries under ``--fail-stale-baseline``),
-2 = usage error (e.g. ``--rules`` naming an unregistered rule). The
-same codes apply when running a subset via ``--rules rule-a,rule-b``;
-``--list-rules`` prints the registry and exits 0. The default baseline
-is the checked-in ``reprolint-baseline.json`` at the repository root
-(i.e. the current directory); pass ``--no-baseline`` to see every
-finding or ``--write-baseline`` to regenerate the file from the
-current tree.
+Exit codes: 0 = no findings, 1 = findings, 2 = usage error (e.g.
+``--rules`` naming an unregistered rule). The same codes apply when
+running a subset via ``--rules rule-a,rule-b``; ``--list-rules`` prints
+the registry and exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import List, Optional
 
-from .framework import (
-    load_baseline,
-    registered_passes,
-    render_json,
-    render_text,
-    run_lint,
-    write_baseline,
-)
+from .framework import registered_passes, render_text, run_lint
 
-__all__ = ["DEFAULT_BASELINE", "build_parser", "main"]
-
-DEFAULT_BASELINE = "reprolint-baseline.json"
+__all__ = ["build_parser", "main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description="reprolint: static analysis for the repro codebase",
+        description="reprolint, static analysis for the repro codebase",
     )
     parser.add_argument(
         "paths",
@@ -50,28 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="list registered rules and exit"
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", dest="fmt"
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help=f"baseline file (default: {DEFAULT_BASELINE} when it exists)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true", help="ignore any baseline file"
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write all current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--fail-stale-baseline",
-        action="store_true",
-        help="exit 1 when the baseline has entries matching no current "
-        "source line (CI staleness gate; default only warns)",
     )
     return parser
 
@@ -88,32 +51,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.rules:
         rule_names = [r.strip() for r in args.rules.split(",") if r.strip()]
 
-    baseline_path = Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE)
-    baseline = None
-    if not args.no_baseline and not args.write_baseline and baseline_path.exists():
-        baseline = load_baseline(baseline_path)
-
     try:
-        result = run_lint(args.paths, rule_names=rule_names, baseline=baseline)
+        result = run_lint(args.paths, rule_names=rule_names)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        write_baseline(baseline_path, result.new)
-        print(
-            f"wrote {len(result.new)} entr"
-            f"{'y' if len(result.new) == 1 else 'ies'} to {baseline_path}"
-        )
-        return 0
-
-    print(render_text(result) if args.fmt == "text" else render_json(result))
-    if args.fail_stale_baseline and result.stale_baseline:
-        print(
-            f"error: {len(result.stale_baseline)} stale baseline entr"
-            f"{'y' if len(result.stale_baseline) == 1 else 'ies'} "
-            "(--fail-stale-baseline)",
-            file=sys.stderr,
-        )
-        return 1
+    print(render_text(result))
     return 0 if result.ok else 1

@@ -1,26 +1,25 @@
 """fork-safety: the whole worker-reachable call tree must be fork-safe.
 
-The syntactic worker-entry rule (part of ``nondeterminism``) checks the
-function literally handed to a process pool — but a worker entry that
-immediately calls into another module escapes it entirely. This pass
-generalizes the check to *reachability*: it resolves every worker entry
-point project-wide (``Process``/``Pool``/``ProcessPoolExecutor``
-targets, executor ``submit``/``map`` arguments, ``partial``-wrapped
-references, through imports), closes over the call graph, and checks
-everything reachable. Today that is the session-matrix fan-out
-(``ProcessPoolExecutor.map`` in :mod:`repro.analysis.parallel`), whose
-cached artifacts must match what the in-process path builds:
+The pass resolves every worker entry point project-wide
+(``Process``/``Pool``/``ProcessPoolExecutor`` ``target=`` and
+``initializer=`` arguments, executor ``submit``/``map`` arguments,
+``partial``-wrapped references, through imports), closes over the call
+graph, and checks everything reachable. Today that is the session-matrix
+fan-out (``ProcessPoolExecutor.map`` in :mod:`repro.analysis.parallel`),
+whose cached artifacts must match what the in-process path builds:
 
-* **no unseeded RNG or wall-clock reads** — entropy-seeded generators
-  and ``time.time()`` silently diverge per process. (Functions the
-  per-file rule already covers — hot-package code and same-module
-  syntactic entries — are skipped to avoid double reports.)
+* **no unseeded RNG or wall-clock reads** — legacy ``np.random``
+  globals, an argless ``default_rng()``, stdlib ``random`` and
+  ``time.time()`` silently diverge per process;
 * **no module-level mutable state** — a worker-reachable function that
   reads a module-level list/dict/set *that the module also mutates*, or
   rebinds a global, operates on state that silently forked: each
   process sees its own copy and they diverge.
 
-Findings name the worker entry point the offending function is
+Calls through instance attributes (``self.encoder.encode_frame``) do not
+resolve, so code reached only that way is outside the closure; the
+seeded-replay suites and the codec/raster/RoI goldens guard it at run
+time. Findings name the worker entry point the offending function is
 reachable from, so the spawn edge is auditable from the message.
 """
 
@@ -31,10 +30,27 @@ from typing import Dict, Iterator, List, Optional, Set
 
 from ..framework import Finding, LintPass, ModuleInfo, Project, register_pass
 from ..graph import Symbol, callable_refs, dotted_parts
-from .common import HOT_PACKAGES, module_aliases, walk_calls
-from .nondeterminism import _DISPATCHERS, _SPAWNERS, _worker_entry_names
 
 __all__ = ["ForkSafetyPass"]
+
+#: Callables whose ``target=``/``initializer=`` kwargs name worker entry
+#: points.
+_SPAWNERS = ("Process", "ProcessPoolExecutor", "Pool", "Thread")
+
+#: Methods whose first positional argument is dispatched to a worker.
+_DISPATCHERS = (
+    "submit",
+    "map",
+    "map_async",
+    "apply",
+    "apply_async",
+    "imap",
+    "imap_unordered",
+    "starmap",
+)
+
+#: np.random members that construct explicitly-seedable objects.
+_SEEDABLE = ("default_rng", "Generator", "SeedSequence", "PCG64", "Philox", "MT19937")
 
 #: AST nodes that build a mutable container at module level.
 _MUTABLE_DISPLAYS = (
@@ -60,6 +76,24 @@ _MUTATORS = (
     "discard",
     "clear",
 )
+
+
+def _walk_calls(tree: ast.AST) -> Iterator[ast.Call]:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            yield node
+
+
+def _module_aliases(mod: ModuleInfo) -> Dict[str, Set[str]]:
+    """Names the file binds to numpy, random and time via ``import m [as a]``."""
+    aliases: Dict[str, Set[str]] = {"numpy": set(), "random": set(), "time": set()}
+    assert mod.tree is not None
+    for node in ast.walk(mod.tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in aliases:
+                    aliases[alias.name].add(alias.asname or alias.name)
+    return aliases
 
 
 def _worker_roots(project: Project, table) -> Dict[str, Symbol]:
@@ -90,7 +124,7 @@ def _worker_roots(project: Project, table) -> Dict[str, Symbol]:
                     symbols.append(sym)
             return symbols
 
-        for call in walk_calls(mod.tree):
+        for call in _walk_calls(mod.tree):
             chain = dotted_parts(call.func)
             callee = chain[-1] if chain else None
             if callee in _SPAWNERS:
@@ -166,7 +200,7 @@ class ForkSafetyPass(LintPass):
             return
         origin = graph.reachable(roots)
         state_cache: Dict[str, Set[str]] = {}
-        entry_cache: Dict[str, Set[str]] = {}
+        alias_cache: Dict[str, Dict[str, Set[str]]] = {}
 
         for qualname in sorted(origin):
             sym = table.defs.get(qualname)
@@ -182,9 +216,10 @@ class ForkSafetyPass(LintPass):
 
             if mod.name not in state_cache:
                 state_cache[mod.name] = _mutated_containers(mod)
+                alias_cache[mod.name] = _module_aliases(mod)
 
             yield from self._check_globals(sym, via, state_cache[mod.name])
-            yield from self._check_rng(sym, via, entry_cache)
+            yield from self._check_rng(sym, via, alias_cache[mod.name])
 
     # -- mutable state capture ------------------------------------------
 
@@ -235,27 +270,16 @@ class ForkSafetyPass(LintPass):
                     "in explicitly",
                 )
 
-    # -- nondeterminism, beyond the per-file rule's sight ----------------
+    # -- nondeterminism -------------------------------------------------
 
     def _check_rng(
-        self, sym: Symbol, via: str, entry_cache: Dict[str, Set[str]]
+        self, sym: Symbol, via: str, aliases: Dict[str, Set[str]]
     ) -> Iterator[Finding]:
         mod = sym.module
-        # The per-file nondeterminism pass already checks hot-package code
-        # (module-wide) and same-module syntactic worker entries; only
-        # report what it cannot see.
-        if mod.in_package(HOT_PACKAGES):
-            return
-        if mod.name not in entry_cache:
-            entry_cache[mod.name] = (
-                _worker_entry_names(mod.tree) if mod.tree is not None else set()
-            )
-        if sym.name in entry_cache[mod.name]:
-            return
-        np_aliases = module_aliases(mod, "numpy")
-        random_aliases = module_aliases(mod, "random")
-        time_aliases = module_aliases(mod, "time")
-        for call in walk_calls(sym.node):
+        np_aliases = aliases["numpy"]
+        random_aliases = aliases["random"]
+        time_aliases = aliases["time"]
+        for call in _walk_calls(sym.node):
             chain = dotted_parts(call.func)
             if chain is None:
                 continue
@@ -264,8 +288,7 @@ class ForkSafetyPass(LintPass):
                 and chain[0] in np_aliases
                 and chain[1] == "random"
                 and (
-                    chain[2] not in ("default_rng", "Generator", "SeedSequence",
-                                     "PCG64", "Philox", "MT19937")
+                    chain[2] not in _SEEDABLE
                     or (chain[2] == "default_rng" and not call.args and not call.keywords)
                 )
             ):

@@ -204,8 +204,7 @@ class ImportHygienePass(LintPass):
 
         cycle = _find_cycle(graph)
         if cycle:
-            # Anchor the finding on the first module's offending import so
-            # line-level suppression and baseline matching behave normally.
+            # Anchor the finding on the first module's offending import.
             first, second = cycle[0], cycle[1]
             mod = by_name[first]
             node = next(

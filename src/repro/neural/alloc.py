@@ -27,8 +27,6 @@ __all__ = ["tune_malloc_for_large_arrays"]
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
-_TUNED = False
-
 
 def _mallopt(param: int, value: int) -> bool:
     try:
@@ -44,11 +42,8 @@ def tune_malloc_for_large_arrays(threshold: int = 1 << 30) -> bool:
     Returns True if the tuning took effect. Idempotent; honours
     ``REPRO_NO_MALLOC_TUNING``.
     """
-    global _TUNED
     if os.environ.get("REPRO_NO_MALLOC_TUNING", "").strip() in ("1", "true", "yes"):
         return False
-    ok = _mallopt(_M_MMAP_THRESHOLD, threshold) and _mallopt(
+    return _mallopt(_M_MMAP_THRESHOLD, threshold) and _mallopt(
         _M_TRIM_THRESHOLD, threshold
     )
-    _TUNED = _TUNED or ok
-    return ok

@@ -8,8 +8,6 @@ __all__ = ["kaiming_uniform", "zeros"]
 
 
 def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
-    if len(shape) == 2:  # linear (out, in)
-        return shape[1], shape[0]
     if len(shape) == 4:  # conv (out, in, kh, kw)
         receptive = shape[2] * shape[3]
         return shape[1] * receptive, shape[0] * receptive

@@ -85,7 +85,7 @@ class Module:
                 f"unexpected={sorted(unexpected)}"
             )
         for name, param in own.items():
-            value = np.asarray(state[name], dtype=np.float64)  # reprolint: disable=dtype-discipline -- f64 training/state policy
+            value = np.asarray(state[name], dtype=np.float64)
             if value.shape != param.shape:
                 raise ValueError(
                     f"parameter {name!r}: shape {value.shape} != {param.shape}"

@@ -195,7 +195,7 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.array(grad, dtype=np.float64, copy=True)  # reprolint: disable=dtype-discipline -- f64 training/state policy
+            self.grad = np.array(grad, dtype=np.float64, copy=True)
         else:
             self.grad += grad
 
@@ -330,7 +330,7 @@ class Tensor:
                 )
             grad = np.ones_like(self.data)
         else:
-            grad = np.asarray(grad, dtype=np.float64)  # reprolint: disable=dtype-discipline -- f64 training/state policy
+            grad = np.asarray(grad, dtype=np.float64)
             if grad.shape != self.shape:
                 raise ValueError(
                     f"gradient shape {grad.shape} != tensor shape {self.shape}"

@@ -32,8 +32,6 @@ upscaling + reconstruction). We adopt exactly that accounting; see
 
 from __future__ import annotations
 
-# reprolint: disable-file=public-api -- constants-only module; __all__ is
-# computed from globals() at the bottom, which the static pass cannot see.
 __all__ = [name for name in dir() if name.isupper()]  # re-filled at bottom
 
 # ----------------------------------------------------------------------

@@ -147,15 +147,15 @@ def pixel_7_pro() -> DeviceProfile:
     )
 
 
-DEVICES: Dict[str, "DeviceProfile"] = {}
-# reprolint: disable-file=fork-safety -- DEVICES is a lazy memo of the deterministic built-in profiles; every process rebuilds identical content from calibration constants
+#: The built-in device profiles by name; never mutated after import.
+DEVICES: Dict[str, DeviceProfile] = {
+    "samsung_tab_s8": samsung_tab_s8(),
+    "pixel_7_pro": pixel_7_pro(),
+}
 
 
 def get_device(name: str) -> DeviceProfile:
     """Look up a built-in device profile by name."""
-    if not DEVICES:
-        DEVICES["samsung_tab_s8"] = samsung_tab_s8()
-        DEVICES["pixel_7_pro"] = pixel_7_pro()
     try:
         return DEVICES[name]
     except KeyError:

@@ -36,24 +36,15 @@ def translation(x: float, y: float, z: float) -> np.ndarray:
     return m
 
 
-def _rotation(axis: int, angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    m = np.eye(4)
-    i, j = [(1, 2), (0, 2), (0, 1)][axis]
-    m[i, i] = c
-    m[j, j] = c
-    if axis == 1:  # y-axis uses the transposed sign pattern
-        m[i, j] = s
-        m[j, i] = -s
-    else:
-        m[i, j] = -s
-        m[j, i] = s
-    return m
-
-
 def rotation_y(angle: float) -> np.ndarray:
     """Rotation about +Y by ``angle`` radians."""
-    return _rotation(1, angle)
+    c, s = np.cos(angle), np.sin(angle)
+    m = np.eye(4)
+    m[0, 0] = c
+    m[2, 2] = c
+    m[0, 2] = s
+    m[2, 0] = -s
+    return m
 
 
 def compose(*matrices: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from .gop_reuse import (
     dirty_block_mask,
     warp_hr,
 )
-from .interpolate import FILTERS, bicubic, bilinear, resize
+from .interpolate import bicubic, bilinear
 from .pretrained import (
     PROFILES,
     ZOO_ARCHS,
@@ -29,7 +29,6 @@ from .training import PatchDataset, TrainReport, extract_patches, train_sr_model
 __all__ = [
     "DifficultyDispatcher",
     "DispatchPlan",
-    "FILTERS",
     "GOPSRCache",
     "InterpBackend",
     "NeuralBackend",
@@ -48,7 +47,6 @@ __all__ = [
     "dirty_block_mask",
     "default_sr_model",
     "extract_patches",
-    "resize",
     "tile_difficulty",
     "training_frames",
     "train_sr_model",

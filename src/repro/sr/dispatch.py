@@ -90,7 +90,7 @@ def _block_pixels(h: int, w: int, block: int) -> np.ndarray:
     ix = np.arange(nx, dtype=np.int64)
     bh = np.minimum((iy + 1) * block, h) - iy * block
     bw = np.minimum((ix + 1) * block, w) - ix * block
-    return bh[:, None].astype(np.float64) * bw[None, :]  # reprolint: disable=dtype-discipline -- planning statistic, frozen f64 policy
+    return bh[:, None].astype(np.float64) * bw[None, :]
 
 
 @shaped(patch="H W 3:n")
@@ -110,7 +110,7 @@ def tile_difficulty(
     """
     if tile < 1:
         raise ValueError(f"tile must be >= 1, got {tile}")
-    patch = np.asarray(patch, dtype=np.float64)  # reprolint: disable=dtype-discipline -- analysis statistic, not the inference path
+    patch = np.asarray(patch, dtype=np.float64)
     h, w = patch.shape[:2]
     luma = patch @ _LUMA
     # Forward differences; same-shape fields keep the SAT grids aligned.
@@ -126,7 +126,7 @@ def tile_difficulty(
     var_pp = np.maximum(_block_sum(luma * luma, tile) / pixels - mean * mean, 0.0)
     difficulty = grad_pp + var_pp
     if extra_energy is not None:
-        extra = np.asarray(extra_energy, dtype=np.float64)  # reprolint: disable=dtype-discipline -- planning statistic, frozen f64 policy
+        extra = np.asarray(extra_energy, dtype=np.float64)
         if extra.shape != difficulty.shape:
             raise ValueError(
                 f"extra_energy shape {extra.shape} != tile grid {difficulty.shape}"
@@ -225,7 +225,7 @@ class DifficultyDispatcher:
         difficulty grid comes from the eval-scale pixels, mirroring how
         every other client latency is modeled.
         """
-        difficulty = np.asarray(difficulty, dtype=np.float64)  # reprolint: disable=dtype-discipline -- planning statistic, frozen f64 policy
+        difficulty = np.asarray(difficulty, dtype=np.float64)
         flat = difficulty.ravel()
         n = flat.size
         tile_px = float(self.tile * self.tile) if tile_pixels is None else float(tile_pixels)
@@ -302,7 +302,7 @@ class DifficultyDispatcher:
         tile_pixels: Optional[float] = None,
     ) -> "tuple[np.ndarray, DispatchPlan]":
         """Score, route, and execute one LR patch; returns (HR, plan)."""
-        patch = np.asarray(patch, dtype=np.float64)  # reprolint: disable=dtype-discipline -- seam-normalized before backend casts
+        patch = np.asarray(patch, dtype=np.float64)  # seam-normalized before backend casts
         h, w = patch.shape[:2]
         s = self.scale
         difficulty = tile_difficulty(patch, self.tile, extra_energy)

@@ -13,7 +13,7 @@ sampling and video codecs: output pixel centre ``(i + 0.5) / scale - 0.5``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable
 
 import numpy as np
 
@@ -22,19 +22,19 @@ from ..contracts import shaped
 __all__ = [
     "bilinear",
     "bicubic",
-    "resize",
-    "FILTERS",
 ]
 
 
-def _check_image(image: np.ndarray) -> np.ndarray:
-    image = np.asarray(image, dtype=np.float64)  # reprolint: disable=dtype-discipline -- documented f64-in/f64-out resampling
+def _check_image(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    image = np.asarray(image, dtype=np.float64)
     if image.ndim not in (2, 3):
         raise ValueError(
             f"expected (H, W) or (H, W, C) image, got shape {image.shape}"
         )
     if image.shape[0] < 1 or image.shape[1] < 1:
         raise ValueError(f"image has empty spatial dims: {image.shape}")
+    if out_h < 1 or out_w < 1:
+        raise ValueError(f"target size must be positive, got ({out_h}, {out_w})")
     return image
 
 
@@ -53,7 +53,7 @@ def bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     Each output element gets the same float operations as the direct
     four-tap form ``(a(1-wx) + b wx)(1-wy) + (c(1-wx) + d wx) wy``.
     """
-    image = _check_image(image)
+    image = _check_image(image, out_h, out_w)
     in_h, in_w = image.shape[:2]
 
     ys = _source_coords(out_h, in_h)
@@ -118,7 +118,7 @@ def _separable_resample(
         idx = np.clip(idx, 0, in_size - 1)
         return idx, w
 
-    image = _check_image(image)
+    image = _check_image(image, out_h, out_w)
     in_h, in_w = image.shape[:2]
 
     yi, yw = _axis_weights(out_h, in_h)
@@ -137,25 +137,3 @@ def _separable_resample(
 def bicubic(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bicubic (Catmull-Rom) resampling."""
     return _separable_resample(image, out_h, out_w, _cubic_kernel, support=2)
-
-
-FILTERS: Dict[str, Callable[[np.ndarray, int, int], np.ndarray]] = {
-    "bilinear": bilinear,
-    "bicubic": bicubic,
-}
-
-
-def resize(image: np.ndarray, out_h: int, out_w: int, method: str = "bilinear") -> np.ndarray:
-    """Resize ``image`` to ``(out_h, out_w)`` with the named filter.
-
-    Works for both up- and down-scaling. For downscaling by large factors the
-    FIR filters are applied at the output rate (standard interpolation, i.e.
-    aliasing is possible) — matching what GPU texture filtering does.
-    """
-    try:
-        fn = FILTERS[method]
-    except KeyError:
-        raise ValueError(f"unknown filter {method!r}; choose from {sorted(FILTERS)}") from None
-    if out_h < 1 or out_w < 1:
-        raise ValueError(f"target size must be positive, got ({out_h}, {out_w})")
-    return fn(image, out_h, out_w)

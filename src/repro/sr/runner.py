@@ -59,7 +59,7 @@ class SRRunner:
         model.eval()
 
     def _to_batch(self, image: np.ndarray) -> np.ndarray:
-        image = np.asarray(image, dtype=np.float64)  # reprolint: disable=dtype-discipline -- seam-normalized before inference-dtype cast
+        image = np.asarray(image, dtype=np.float64)  # seam-normalized before inference-dtype cast
         if image.ndim == 2:
             image = image[:, :, None]
         if image.ndim != 3:
@@ -128,7 +128,7 @@ class SRRunner:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
 
-        image = np.asarray(image, dtype=np.float64)  # reprolint: disable=dtype-discipline -- seam-normalized before inference-dtype cast
+        image = np.asarray(image, dtype=np.float64)  # seam-normalized before inference-dtype cast
         squeeze = image.ndim == 2
         if squeeze:
             image = image[:, :, None]
@@ -220,7 +220,7 @@ class SRRunner:
             raise ValueError(f"halo must be >= 0, got {halo}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        image = np.asarray(image, dtype=np.float64)  # reprolint: disable=dtype-discipline -- seam-normalized before inference-dtype cast
+        image = np.asarray(image, dtype=np.float64)  # seam-normalized before inference-dtype cast
         h, w, c = image.shape
         s = self.scale
         origins = np.asarray(origins, dtype=np.int64)
@@ -254,7 +254,7 @@ class SRRunner:
         self, image: np.ndarray, tile: int, overlap: int
     ) -> np.ndarray:
         """Pre-batching reference implementation: one forward per tile."""
-        image = np.asarray(image, dtype=np.float64)  # reprolint: disable=dtype-discipline -- frozen pre-batching reference path
+        image = np.asarray(image, dtype=np.float64)
         squeeze = image.ndim == 2
         if squeeze:
             image = image[:, :, None]

@@ -18,7 +18,7 @@ from ..neural.layers import Module
 from ..neural.loss import l1_loss
 from ..neural.optim import Adam, clip_grad_norm
 from ..neural.tensor import Tensor
-from .interpolate import resize
+from .interpolate import bilinear
 
 __all__ = ["PatchDataset", "TrainReport", "extract_patches", "train_sr_model"]
 
@@ -79,12 +79,12 @@ def extract_patches(
     hr_list: List[np.ndarray] = []
 
     for frame in hr_frames:
-        frame = np.asarray(frame, dtype=np.float64)  # reprolint: disable=dtype-discipline -- f64 training/state policy
+        frame = np.asarray(frame, dtype=np.float64)
         h, w = frame.shape[:2]
         if h < patch_hr or w < patch_hr:
             raise ValueError(f"frame {h}x{w} smaller than HR patch {patch_hr}")
         lr_h, lr_w = h // scale, w // scale
-        lr_frame = resize(frame, lr_h, lr_w, method="bilinear")
+        lr_frame = bilinear(frame, lr_h, lr_w)
         if codec_quality is not None:
             # Imported lazily: the codec package is independent of repro.sr.
             from ..codec.decoder import VideoDecoder

@@ -31,7 +31,6 @@ from .session import (
     SessionConfig,
     SessionResult,
     energy_from_trace,
-    energy_of_frame,
     run_session,
 )
 
@@ -67,7 +66,6 @@ __all__ = [
     "TransmissionSplit",
     "build_abr",
     "energy_from_trace",
-    "energy_of_frame",
     "modeled_pipeline_schedule",
     "mtp_from_frame",
     "mtp_from_trace",

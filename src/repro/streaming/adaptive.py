@@ -16,7 +16,6 @@ the paper's static sizing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
 
 from ..platform import calibration as cal
 
@@ -49,7 +48,6 @@ class AdaptiveRoIController:
     shrink_factor: float = 0.85
     grow_step: int = 4
     _side: int = field(init=False)
-    _history: List[float] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
         if not 2 <= self.min_side <= self.max_side:
@@ -82,7 +80,6 @@ class AdaptiveRoIController:
         """
         if upscale_latency_ms < 0:
             raise ValueError(f"latency must be >= 0, got {upscale_latency_ms}")
-        self._history.append(upscale_latency_ms)
         if upscale_latency_ms > self.headroom * self.deadline_ms:
             self._side = self._quantize_down(self._side * self.shrink_factor)
         elif upscale_latency_ms < 0.8 * self.deadline_ms:

@@ -49,35 +49,17 @@ __all__ = [
     "SessionConfig",
     "SessionResult",
     "run_session",
-    "energy_of_frame",
     "energy_from_trace",
 ]
-
-
-def energy_of_frame(
-    device: DeviceProfile, client_result: ClientFrameResult
-) -> EnergyBreakdown:
-    """Integrate one frame's energy stages into a Fig. 12 breakdown."""
-    totals = {"decode": 0.0, "upscale": 0.0, "network": 0.0}
-    for category, stages in client_result.energy_stages.items():
-        if category not in totals:
-            raise ValueError(f"unknown energy category {category!r}")
-        for component, ms in stages:
-            totals[category] += stage_energy_mj(device, component, ms)
-    return EnergyBreakdown(
-        decode=totals["decode"],
-        upscale=totals["upscale"],
-        network=totals["network"],
-        display=overhead_mj(device),
-    )
 
 
 def energy_from_trace(device: DeviceProfile, trace: FrameTrace) -> EnergyBreakdown:
     """Integrate a frame trace's energy attributions into a Fig. 12 breakdown.
 
     Walks spans in recording order and accumulates per-category totals in
-    the same order as :func:`energy_of_frame` does over the dict view, so
-    both paths produce bit-identical sums.
+    the same order as the seed's dict-view integration (kept as the
+    equivalence reference in the streaming tests), so both produce
+    bit-identical sums.
     """
     totals = {"decode": 0.0, "upscale": 0.0, "network": 0.0}
     for span in trace.spans:
@@ -557,22 +539,14 @@ def _consume_frame(
         if config.with_lpips and server_frame.index % config.lpips_stride == 0:
             lpips_val = lpips_metric(reference, client_result.hr_frame)
 
-    trace = None
-    if server_frame.trace is not None and client_result.trace is not None:
-        trace = server_frame.trace.extend(client_result.trace)
-        observe_frame_trace(metrics, trace)
-
-    energy = (
-        energy_from_trace(client.device, trace)
-        if trace is not None
-        else energy_of_frame(client.device, client_result)
-    )
+    trace = server_frame.trace.extend(client_result.trace)
+    observe_frame_trace(metrics, trace)
     return FrameRecord(
         index=server_frame.index,
         frame_type=client_result.frame_type,
         upscale_ms=client_result.upscale_ms,
         mtp=mtp_from_frame(server_frame, client_result),
-        energy=energy,
+        energy=energy_from_trace(client.device, trace),
         modeled_size_bytes=server_frame.modeled_size_bytes,
         psnr_db=psnr_db,
         lpips=lpips_val,

@@ -15,16 +15,15 @@ def make_module(
 ) -> ModuleInfo:
     """Build an in-memory ModuleInfo from a source snippet.
 
-    ``name`` places the snippet inside the package tree (hot-path rules
-    key off it); ``name=None`` models a script/benchmark outside any
-    package root.
+    ``name`` places the snippet inside the package tree (both rules key
+    off it); ``name=None`` models a script/benchmark outside any package
+    root.
     """
     if rel is None:
         rel = (name.replace(".", "/") + ".py") if name else "fixture.py"
     return ModuleInfo(
         path=Path(rel),
         rel=rel,
-        source=source,
         tree=ast.parse(source),
         name=name,
     )

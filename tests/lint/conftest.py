@@ -11,11 +11,9 @@ from repro.lint.framework import run_lint
 def lint():
     """Run selected rules over fixture modules, returning the LintResult."""
 
-    def _lint(modules, rules, baseline=None):
+    def _lint(modules, rules):
         if not isinstance(modules, (list, tuple)):
             modules = [modules]
-        return run_lint(
-            [], rule_names=list(rules), baseline=baseline, modules=list(modules)
-        )
+        return run_lint([], rule_names=list(rules), modules=list(modules))
 
     return _lint

@@ -1,9 +1,9 @@
-"""Per-rule fixture snippets: positive, suppressed, and exempt cases.
+"""Single-module fixture snippets for both rules.
 
 Every snippet is linted in memory under a synthetic module name (see
-``conftest.make_module``), so hot-path scoping is exercised without
-touching the real tree. The violating code lives in string literals —
-the self-lint of this test file sees only ``ast.Constant`` strings.
+``_fixtures.make_module``), so layer ranks and worker entry points are
+exercised without touching the real tree. The violating code lives in
+string literals, which the self-lint of this file never sees as calls.
 """
 
 from __future__ import annotations
@@ -12,126 +12,52 @@ from ._fixtures import make_module
 
 
 def rules(result):
-    return [f.rule for f in result.new]
-
-
-class TestDtypeDiscipline:
-    RULE = ("dtype-discipline",)
-
-    def test_implicit_alloc_flagged_in_hot_package(self, lint):
-        mod = make_module(
-            "import numpy as np\nx = np.zeros(4)\n", name="repro.codec.fixture"
-        )
-        result = lint(mod, self.RULE)
-        assert rules(result) == ["dtype-discipline"]
-        assert result.new[0].line == 2
-
-    def test_explicit_dtype_clean(self, lint):
-        mod = make_module(
-            "import numpy as np\nx = np.zeros(4, dtype=np.float64)\n",
-            name="repro.codec.fixture",
-        )
-        assert lint(mod, self.RULE).ok
-
-    def test_outside_hot_packages_ignored(self, lint):
-        mod = make_module(
-            "import numpy as np\nx = np.zeros(4)\n", name="repro.render.fixture"
-        )
-        assert lint(mod, self.RULE).ok
-
-    def test_bare_float_dtype_flagged_bool_exempt(self, lint):
-        src = (
-            "import numpy as np\n"
-            "a = np.empty(3, dtype=float)\n"
-            "b = np.empty(3, dtype=bool)\n"
-        )
-        result = lint(make_module(src, name="repro.core.fixture"), self.RULE)
-        assert [f.line for f in result.new] == [2]
-
-    def test_float64_cast_flagged_literal_alloc_exempt(self, lint):
-        src = (
-            "import numpy as np\n"
-            "def f(x):\n"
-            "    y = x.astype(np.float64)\n"
-            "    table = np.array([[1.0, 2.0]], dtype=np.float64)\n"
-            "    return y, table\n"
-        )
-        result = lint(make_module(src, name="repro.sr.fixture"), self.RULE)
-        assert [f.line for f in result.new] == [3]
-
-    def test_line_suppression(self, lint):
-        src = (
-            "import numpy as np\n"
-            "x = np.zeros(4)  # reprolint: disable=dtype-discipline -- fixture\n"
-        )
-        result = lint(make_module(src, name="repro.codec.fixture"), self.RULE)
-        assert result.ok
-        assert len(result.suppressed) == 1
-
-
-class TestEpsilonComparison:
-    RULE = ("epsilon-comparison",)
-
-    def test_abs_difference_vs_tiny_literal_flagged(self, lint):
-        src = "def f(a, b):\n    return abs(a - b) < 1e-9\n"
-        result = lint(make_module(src, name="repro.core.fixture"), self.RULE)
-        assert rules(result) == ["epsilon-comparison"]
-
-    def test_bumped_bound_flagged(self, lint):
-        src = "def f(a, b):\n    return a <= b + 1e-12\n"
-        result = lint(make_module(src, name="repro.core.fixture"), self.RULE)
-        assert rules(result) == ["epsilon-comparison"]
-
-    def test_plain_threshold_guard_clean(self, lint):
-        # `norm < 1e-12` degenerate guards have no difference on the other
-        # comparator, so they are not the PR-4 bug shape.
-        src = "def f(norm):\n    return norm < 1e-12\n"
-        assert lint(make_module(src, name="repro.core.fixture"), self.RULE).ok
-
-    def test_named_constant_is_the_sanctioned_remediation(self, lint):
-        src = (
-            "_TOL = 1e-9  # documented\n"
-            "def f(a, b):\n"
-            "    return abs(a - b) < _TOL\n"
-        )
-        assert lint(make_module(src, name="repro.core.fixture"), self.RULE).ok
-
-    def test_tests_exempt(self, lint):
-        src = "def f(a, b):\n    assert abs(a - b) < 1e-9\n"
-        mod = make_module(src, name=None, rel="tests/fixture/test_fixture.py")
-        assert lint(mod, self.RULE).ok
+    return [f.rule for f in result.findings]
 
 
 class TestNondeterminism:
-    RULE = ("nondeterminism",)
+    """Unseeded RNG and wall-clock reads in worker entry points.
 
-    def test_unseeded_np_random_flagged(self, lint):
-        src = "import numpy as np\nx = np.random.rand(3)\n"
-        result = lint(make_module(src, name="repro.neural.fixture"), self.RULE)
-        assert rules(result) == ["nondeterminism"]
+    fork-safety holds this check for everything a process-pool worker
+    reaches, whatever its package.
+    """
 
-    def test_argless_default_rng_flagged_seeded_clean(self, lint):
+    RULE = ("fork-safety",)
+
+    @staticmethod
+    def _entry(body, name="repro.neural.fixture", header=""):
         src = (
             "import numpy as np\n"
-            "bad = np.random.default_rng()\n"
-            "good = np.random.default_rng(1234)\n"
+            "from multiprocessing import Process\n"
+            f"{header}"
+            "def _gen():\n"
+            f"{body}"
+            "p = Process(target=_gen)\n"
         )
-        result = lint(make_module(src, name="repro.neural.fixture"), self.RULE)
-        assert [f.line for f in result.new] == [2]
+        return make_module(src, name=name)
+
+    def test_unseeded_np_random_flagged(self, lint):
+        mod = self._entry("    return np.random.rand(3)\n")
+        assert rules(lint(mod, self.RULE)) == ["fork-safety"]
+
+    def test_argless_default_rng_flagged_seeded_clean(self, lint):
+        mod = self._entry(
+            "    bad = np.random.default_rng()\n"
+            "    good = np.random.default_rng(1234)\n"
+        )
+        result = lint(mod, self.RULE)
+        assert [f.line for f in result.findings] == [4]
 
     def test_time_and_stdlib_random_flagged(self, lint):
-        src = (
-            "import random\nimport time\n"
-            "a = random.random()\n"
-            "b = time.time()\n"
-            "c = random.Random(42)\n"
+        mod = self._entry(
+            "    a = random.random()\n"
+            "    b = time.time()\n"
+            "    c = random.Random(42)\n",
+            name="repro.core.fixture",
+            header="import random\nimport time\n",
         )
-        result = lint(make_module(src, name="repro.core.fixture"), self.RULE)
-        assert [f.line for f in result.new] == [3, 4]
-
-    def test_outside_hot_packages_ignored(self, lint):
-        src = "import time\nt = time.time()\n"
-        assert lint(make_module(src, name="repro.analysis.fixture"), self.RULE).ok
+        result = lint(mod, self.RULE)
+        assert [f.line for f in result.findings] == [6, 7]
 
     def test_worker_entry_point_flagged_outside_hot_packages(self, lint):
         """Process targets are checked everywhere: wall-clock or unseeded
@@ -145,24 +71,19 @@ class TestNondeterminism:
             "    mp.Process(target=_worker).start()\n"
         )
         result = lint(make_module(src, name="repro.analysis.fixture"), self.RULE)
-        assert rules(result) == ["nondeterminism"]
-        assert [f.line for f in result.new] == [4]
-        assert "worker entry point" in result.new[0].message
+        assert rules(result) == ["fork-safety"]
+        assert [f.line for f in result.findings] == [4]
+        assert "worker entry point" in result.findings[0].message
 
     def test_worker_entry_unseeded_rng_flagged(self, lint):
-        src = (
-            "import numpy as np\n"
-            "from multiprocessing import Process\n"
-            "def _gen():\n"
-            "    return np.random.default_rng()\n"
-            "p = Process(target=_gen)\n"
+        mod = self._entry(
+            "    return np.random.default_rng()\n", name="repro.streaming.fixture"
         )
-        result = lint(make_module(src, name="repro.streaming.fixture"), self.RULE)
-        assert [f.line for f in result.new] == [4]
+        assert [f.line for f in lint(mod, self.RULE).findings] == [4]
 
     def test_non_entry_function_still_ignored(self, lint):
         """Spawning a process does not make *every* function a worker:
-        only the dispatched targets are held to the worker rules."""
+        only what the dispatched targets reach is held to the rule."""
         src = (
             "import time\n"
             "import multiprocessing as mp\n"
@@ -188,7 +109,7 @@ class TestNondeterminism:
             "        return list(pool.map(partial(_stage, True), items))\n"
         )
         result = lint(make_module(src, name="repro.analysis.fixture"), self.RULE)
-        assert [f.line for f in result.new] == [5]
+        assert [f.line for f in result.findings] == [5]
 
 
 class TestImportHygiene:
@@ -202,7 +123,7 @@ class TestImportHygiene:
         high = make_module("thing = 1\n", name="repro.streaming.fixture_hi")
         result = lint([low, high], self.RULE)
         assert rules(result) == ["import-hygiene"]
-        assert "layering violation" in result.new[0].message
+        assert "layering violation" in result.findings[0].message
 
     def test_legal_downward_import(self, lint):
         hi = make_module(
@@ -219,7 +140,7 @@ class TestImportHygiene:
             "import repro.core.fixture_a\n", name="repro.core.fixture_b"
         )
         result = lint([a, b], self.RULE)
-        assert any("import cycle" in f.message for f in result.new)
+        assert any("import cycle" in f.message for f in result.findings)
 
     def test_function_local_import_breaks_cycle(self, lint):
         a = make_module(
@@ -237,34 +158,4 @@ class TestImportHygiene:
         )
         target = make_module("x = 1\n", name="repro.newpkg.fixture_t")
         result = lint([mod, target], self.RULE)
-        assert any("layer table" in f.message for f in result.new)
-
-
-class TestPublicApi:
-    RULE = ("public-api",)
-
-    def test_missing_all_entry_flagged(self, lint):
-        src = '__all__ = ["ghost"]\n'
-        result = lint(make_module(src, name="repro.core.fixture"), self.RULE)
-        assert rules(result) == ["public-api"]
-
-    def test_unexported_public_symbol_flagged(self, lint):
-        src = '__all__ = ["f"]\n\ndef f():\n    pass\n\ndef g():\n    pass\n'
-        result = lint(make_module(src, name="repro.core.fixture"), self.RULE)
-        assert len(result.new) == 1
-        assert "g" in result.new[0].message
-
-    def test_underscored_and_imported_names_exempt(self, lint):
-        src = (
-            "import os\n"
-            "from pathlib import Path\n"
-            '__all__ = ["f"]\n'
-            "def f():\n    pass\n"
-            "def _helper():\n    pass\n"
-        )
-        assert lint(make_module(src, name="repro.core.fixture"), self.RULE).ok
-
-    def test_non_literal_all_reported(self, lint):
-        src = "__all__ = [n for n in dir() if n.isupper()]\n"
-        result = lint(make_module(src, name="repro.core.fixture"), self.RULE)
-        assert any("statically" in f.message for f in result.new)
+        assert any("layer table" in f.message for f in result.findings)

@@ -1,4 +1,4 @@
-"""The interprocedural fork-safety pass over synthetic fixture trees.
+"""The fork-safety pass over synthetic fixture trees.
 
 Each fixture reproduces the real module layout the pass keys off
 (worker entry points reached across modules) in miniature, then mutates
@@ -65,13 +65,13 @@ def _fork_modules(spawn=FS_SPAWN, work=FS_WORK, state=FS_STATE):
 class TestForkSafety:
     def test_cross_module_unseeded_rng(self, lint):
         result = lint(_fork_modules(), FORK_RULE)
-        assert [f for f in result.new
+        assert [f for f in result.findings
                 if "process-divergent randomness" in f.message
                 and "reachable from worker entry point 'entry'" in f.message]
 
     def test_mutated_container_read(self, lint):
         result = lint(_fork_modules(), FORK_RULE)
-        assert [f for f in result.new
+        assert [f for f in result.findings
                 if "mutable container 'CACHE'" in f.message]
 
     def test_seeded_rng_and_unmutated_state_clean(self, lint):
@@ -79,7 +79,7 @@ class TestForkSafety:
                         "np.random.default_rng(1234)")
         state = _mutate(state, "    CACHE[i] = value\n", "    return (i, value)\n")
         result = lint(_fork_modules(state=state), FORK_RULE)
-        assert result.ok and not result.new
+        assert result.ok and not result.findings
 
     def test_global_rebinding_in_worker(self, lint):
         work = (
@@ -89,7 +89,7 @@ class TestForkSafety:
             "    COUNT = i\n"
         )
         result = lint(_fork_modules(work=work, state="X = 1\n"), FORK_RULE)
-        assert [f for f in result.new
+        assert [f for f in result.findings
                 if "rebinds module global(s) COUNT" in f.message]
 
     def test_initializer_global_rebinding_flagged(self, lint):
@@ -110,7 +110,7 @@ class TestForkSafety:
         )
         result = lint(_fork_modules(spawn=spawn, work=work, state="X = 1\n"),
                       FORK_RULE)
-        assert [f for f in result.new
+        assert [f for f in result.findings
                 if "rebinds module global(s) STATE" in f.message]
 
     def test_local_shadowing_not_flagged(self, lint):
@@ -124,11 +124,9 @@ class TestForkSafety:
             "    return CACHE.get(i)\n",
         )
         result = lint(_fork_modules(state=state), FORK_RULE)
-        assert result.ok and not result.new
+        assert result.ok and not result.findings
 
-    def test_same_module_syntactic_entry_left_to_per_file_rule(self, lint):
-        # When target def and spawn share a module, the nondeterminism
-        # pass already sees it; fork-safety must not double-report.
+    def test_same_module_syntactic_entry_flagged(self, lint):
         spawn = (
             "import multiprocessing as mp\n"
             "import numpy as np\n\n\n"
@@ -138,11 +136,34 @@ class TestForkSafety:
             "    mp.Process(target=entry).start()\n"
         )
         result = lint([make_module(spawn, name="repro.fixt.spawn")], FORK_RULE)
-        assert result.ok and not result.new
+        assert [f.line for f in result.findings] == [6]
+        assert "is a worker entry point" in result.findings[0].message
+
+    def test_hot_package_callee_flagged(self, lint):
+        # Codec/neural/sr/core code reached by a worker is checked like
+        # any other module: there is no per-package exemption.
+        work = (
+            "from repro.codec.fixt_noise import noise\n\n\n"
+            "def entry(i):\n"
+            "    return noise(i)\n"
+        )
+        codec = (
+            "import numpy as np\n\n\n"
+            "def noise(i):\n"
+            "    return np.random.default_rng().standard_normal(i)\n"
+        )
+        modules = _fork_modules(work=work, state="X = 1\n") + [
+            make_module(codec, name="repro.codec.fixt_noise")
+        ]
+        result = lint(modules, FORK_RULE)
+        assert [(f.path, f.line) for f in result.findings] == [
+            ("repro/codec/fixt_noise.py", 5)
+        ]
+        assert "reachable from worker entry point 'entry'" in result.findings[0].message
 
     def test_no_spawns_no_findings(self, lint):
         result = lint([make_module(FS_STATE, name="repro.fixt.state")], FORK_RULE)
-        assert result.ok and not result.new
+        assert result.ok and not result.findings
 
     def test_partial_alias_target_resolved(self, lint):
         spawn = (
@@ -154,5 +175,5 @@ class TestForkSafety:
             "    mp.Process(target=build).start()\n"
         )
         result = lint(_fork_modules(spawn=spawn), FORK_RULE)
-        assert [f for f in result.new
+        assert [f for f in result.findings
                 if "reachable from worker entry point 'entry'" in f.message]

@@ -67,11 +67,11 @@ class TestExtractPatches:
 
     def test_lr_is_downsample_of_hr(self, hr_frames):
         """Without codec round-trip, each LR patch ~ downsampled HR patch."""
-        from repro.sr.interpolate import resize
+        from repro.sr.interpolate import bilinear
 
         ds = extract_patches(hr_frames, scale=2, patch_lr=12, per_frame=4, seed=5)
         for lr, hr in zip(ds.lr[:4], ds.hr[:4]):
-            expected = resize(hr.transpose(1, 2, 0), 12, 12, "bilinear")
+            expected = bilinear(hr.transpose(1, 2, 0), 12, 12)
             np.testing.assert_allclose(lr.transpose(1, 2, 0), expected, atol=1e-9)
 
     def test_codec_quality_degrades_lr(self, hr_frames):
@@ -146,10 +146,10 @@ class TestPretrained:
         """Even the tiny profile must not be worse than its bilinear skip."""
         from repro.metrics.psnr import psnr
         from repro.render.games import build_game
-        from repro.sr.interpolate import bilinear, resize
+        from repro.sr.interpolate import bilinear
 
         hr = build_game("G5").render_frame(1, 128, 96).color
-        lr = resize(hr, 48, 64, "bilinear")
+        lr = bilinear(hr, 48, 64)
         sr = tiny_runner.upscale(lr)
         bl = bilinear(lr, 96, 128)
         assert psnr(hr, sr) > psnr(hr, bl) - 0.3

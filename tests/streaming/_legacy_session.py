@@ -19,7 +19,12 @@ from repro.core.roi_search import RoIBox
 from repro.core.upscaler import RoIAssistedUpscaler
 from repro.platform import latency as lat
 from repro.platform.device import DeviceProfile
-from repro.platform.energy import Component
+from repro.platform.energy import (
+    Component,
+    EnergyBreakdown,
+    overhead_mj,
+    stage_energy_mj,
+)
 from repro.sr.interpolate import bicubic, bilinear
 from repro.sr.runner import SRRunner
 from repro.streaming.client import StreamingClient
@@ -31,6 +36,24 @@ from repro.streaming.frames import (
 from repro.streaming.server import GameStreamServer
 
 EnergyStages = Dict[str, List[Tuple[Component, float]]]
+
+
+def energy_of_frame(
+    device: DeviceProfile, client_result: ClientFrameResult
+) -> EnergyBreakdown:
+    """The seed's dict-view energy integration of one frame (Fig. 12)."""
+    totals = {"decode": 0.0, "upscale": 0.0, "network": 0.0}
+    for category, stages in client_result.energy_stages.items():
+        if category not in totals:
+            raise ValueError(f"unknown energy category {category!r}")
+        for component, ms in stages:
+            totals[category] += stage_energy_mj(device, component, ms)
+    return EnergyBreakdown(
+        decode=totals["decode"],
+        upscale=totals["upscale"],
+        network=totals["network"],
+        display=overhead_mj(device),
+    )
 
 
 def legacy_next_frame(server: GameStreamServer) -> ServerFrame:

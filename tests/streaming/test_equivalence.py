@@ -24,7 +24,7 @@ from repro.streaming.client import (
 from repro.streaming.frames import StreamGeometry
 from repro.streaming.mtp import mtp_from_frame
 from repro.streaming.server import GameStreamServer
-from repro.streaming.session import energy_of_frame, run_session
+from repro.streaming.session import run_session
 
 from ._legacy_session import (
     LegacyBilinearClient,
@@ -32,6 +32,7 @@ from ._legacy_session import (
     LegacyGameStreamSRClient,
     LegacyNemoClient,
     LegacySRIntegratedDecoderClient,
+    energy_of_frame,
     legacy_next_frame,
 )
 

@@ -233,6 +233,9 @@ class TestSkipDropped:
         controller = AdaptiveRoIController(
             initial_side=plan.side, min_side=plan.min_side, max_side=720
         )
+        observed = []
+        observe = controller.observe
+        controller.observe = lambda ms: observed.append(ms) or observe(ms)
         client = GameStreamSRClient(device, default_runner(), modeled_roi_side=plan.side)
         result = run_session(
             _server(plan.side_for_frame(64), gop=self.GOP),
@@ -245,7 +248,7 @@ class TestSkipDropped:
         )
         n_skipped = sum(1 for r in result.records if _is_skipped(r))
         assert 0 < n_skipped < N_FRAMES
-        assert len(controller._history) == N_FRAMES - n_skipped
+        assert len(observed) == N_FRAMES - n_skipped
 
 
 class TestAdaptiveSession:

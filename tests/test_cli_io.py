@@ -76,11 +76,15 @@ class TestCLI:
             (["render", "G99"], "game"),
             (["detect", "G99"], "game"),
             (["stream", "G99"], "game"),
+            (["stream", "G3", "--device", "nope"], "--device"),
+            (["render", "G3", "--width", "1", "--height", "1"], "--width"),
+            (["detect", "G3", "--height", "1"], "--height"),
         ],
         ids=[
             "stream-frames", "render-frames", "render-width", "render-height",
             "detect-side", "detect-frame", "render-game", "detect-game",
-            "stream-game",
+            "stream-game", "stream-device", "render-viewport",
+            "detect-viewport",
         ],
     )
     def test_bad_input_is_a_usage_error(self, argv, flag, tmp_path, capsys):

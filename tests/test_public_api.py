@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 import pkgutil
 
 import numpy as np
@@ -41,6 +42,11 @@ ALL_MODULES = tuple(
     )
 )
 
+#: The modules whose own name has no leading underscore.
+PUBLIC_MODULES = tuple(
+    name for name in ALL_MODULES if not name.rsplit(".", 1)[-1].startswith("_")
+)
+
 
 class TestImports:
     @pytest.mark.parametrize("module_name", ALL_MODULES)
@@ -57,6 +63,27 @@ class TestImports:
         module = importlib.import_module(module_name)
         for name in getattr(module, "__all__", []):
             assert hasattr(module, name), f"{module_name}.__all__ lists missing {name}"
+
+    @pytest.mark.parametrize("module_name", PUBLIC_MODULES)
+    def test_all_is_complete(self, module_name):
+        """A public module declares ``__all__``, every entry resolves, and
+        every public function or class it defines is listed. Private
+        helpers take a leading underscore; module-level constants are
+        not checked."""
+        module = importlib.import_module(module_name)
+        assert hasattr(module, "__all__"), f"{module_name} has no __all__"
+        exported = set(module.__all__)
+        missing = sorted(name for name in exported if not hasattr(module, name))
+        assert not missing, f"{module_name}.__all__ lists missing {missing}"
+        unlisted = sorted(
+            name
+            for name, value in vars(module).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(value) or inspect.isclass(value))
+            and value.__module__ == module_name
+            and name not in exported
+        )
+        assert not unlisted, f"{module_name} defines public {unlisted} not in __all__"
 
     def test_version(self):
         assert repro.__version__ == "1.0.0"
