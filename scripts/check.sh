@@ -30,7 +30,9 @@ python -m pytest -q -m tier1
 
 echo "== session-pipeline + server-memo replay smoke (REPRO_CONTRACTS=1) =="
 # Streams each design through run_session with seam contracts on and
-# validates every trace export against the pinned schema. Every
+# validates every trace export against the pinned schema. The RoI designs'
+# default frames must name the "edsr" backend: the paper path runs through
+# the same priced RoI pass as every zoo backend. Every
 # pipeline_smoke.py leg streams each design twice over one shared G3:
 # the second pass replays the in-process server-stream memo and fails
 # unless its bitstream digests and canonical traces equal the first's.

@@ -19,10 +19,12 @@ pass must still render no frame an earlier pass rendered (the memo keeps
 renders whatever the knobs), which the script checks by counting the
 shared G3's ``render_frame`` calls.
 
-``--gop-reuse``, ``--sr-backend NAME`` and ``--dispatch`` (mutually
-exclusive) restrict the matrix to the RoI designs and stream them with
-the corresponding SR-execution knob on, asserting its per-frame ledger
-(reuse decisions / backend name / dispatch counters) is recorded.
+Every RoI-SR frame names the backend that ran it: ``edsr`` (the session
+EDSR) by default. ``--gop-reuse``, ``--sr-backend NAME`` and
+``--dispatch`` (mutually exclusive) restrict the matrix to the RoI
+designs and stream them with the corresponding SR-execution knob on,
+asserting its per-frame ledger (reuse decisions / backend name /
+dispatch counters) is recorded.
 
 ``--scenario NAME`` streams over a trace-driven time-varying link
 (skip-dropped transport, 100 ms delivery budget) and asserts the
@@ -52,6 +54,8 @@ os.environ.setdefault("REPRO_CONTRACTS", "1")
 
 N_FRAMES = 5
 GOP = 4  # both reference and dependent frames inside 5 streamed frames
+#: The designs whose RoI pass runs on a zoo backend.
+ROI_DESIGNS = ("gamestreamsr", "sr_integrated_decoder")
 
 
 def build_clients(device, runner, plan, roi_only=False):
@@ -301,17 +305,20 @@ def main(argv=None) -> int:
                 assert result.metrics.counter("sr.reuse/refreshes").value >= 1, (
                     f"no sr.reuse refresh recorded for {result.design}"
                 )
-            if sr_backend is not None:
-                # Every RoI-SR frame must carry the backend's name in its span.
+            if result.design in ROI_DESIGNS and not (
+                args.gop_reuse or dispatch is not None or args.abr
+            ):
+                # Every RoI-SR frame must carry its backend's name in its
+                # span: the zoo member asked for, else the session EDSR.
+                expected = "edsr" if sr_backend is None else sr_backend.name
                 named = [
-                    r.trace.span("upscale").metadata.get("sr_backend")
-                    for r in result.records
-                    if r.trace.span("upscale").metadata.get("path") != (
-                        "in_decoder_reconstruction"
-                    )
+                    meta.get("sr_backend")
+                    for meta in (r.trace.span("upscale").metadata for r in result.records)
+                    if meta.get("path") != "in_decoder_reconstruction"
+                    and not meta.get("skipped", False)
                 ]
-                assert named and all(n == sr_backend.name for n in named), (
-                    f"sr_backend={sr_backend.name} not recorded for {result.design}"
+                assert named and all(n == expected for n in named), (
+                    f"sr_backend={expected} not recorded for {result.design}"
                 )
             if dispatch is not None:
                 assert result.metrics.counter("sr.dispatch/frames").value >= 1, (

@@ -49,9 +49,10 @@ SessionTask = Tuple[str, Dict[str, Any]]
 #: registry attached; v3: slotted ``StageSpan``/``EnergyAttribution``,
 #: which dict-state pickles cannot be restored into; v4: sessions stream
 #: live float renders instead of replaying uint8-quantized ones, so every
-#: pixel-derived number moves). Part of the cache key, so stale pickles
-#: are never loaded into the new code.
-SESSION_CACHE_SCHEMA = 4
+#: pixel-derived number moves; v5: RoI upscale spans name their SR
+#: backend, ``sr_backend``/``sr_ms`` in place of ``npu_ms``). Part of the
+#: cache key, so stale pickles are never loaded into the new code.
+SESSION_CACHE_SCHEMA = 5
 
 _MAX_DEFAULT_WORKERS = 8
 

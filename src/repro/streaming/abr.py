@@ -258,7 +258,8 @@ class ABRController(AdaptiveRoIController):
             "quality": rung.quality,
             "gop_size": rung.gop_size,
             "roi_side": self.side,
-            "sr_backend": rung.sr_backend,
+            # Only a controller with a backend pool switches the client.
+            "sr_backend": rung.sr_backend if self.backends is not None else None,
             "force_idr": bool(knobs["force_idr"]),
             "switched": switched,
         }

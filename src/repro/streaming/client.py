@@ -48,8 +48,8 @@ from ..core.upscaler import RoIAssistedUpscaler
 from ..platform import latency as lat
 from ..platform.device import DeviceProfile
 from ..platform.energy import Component
-from ..sr.backends import SRBackend
-from ..sr.dispatch import DifficultyDispatcher, DispatchPlan
+from ..sr.backends import SRBackend, build_backend
+from ..sr.dispatch import DifficultyDispatcher
 from ..sr.gop_reuse import (
     REUSE_DIRTY_THRESHOLD,
     GOPSRCache,
@@ -153,7 +153,6 @@ class StreamingClient:
             frame_type=frame.encoded.frame_type,
             hr_frame=hr,
             client_timings_ms=trace.timings_ms(CLIENT_STAGES),
-            energy_stages=trace.energy_stages(),
             trace=trace,
         )
 
@@ -196,31 +195,56 @@ def _refresh_reuse_meta(geometry, roi: RoIBox, reason: str, block: int) -> Dict:
     )
 
 
-class _ZooSRExecution:
-    """Mixin: the per-session SR execution knobs of the RoI-SR clients.
+def _dirty_mask(
+    decoded: DecodedFrame, geometry, block: int, threshold: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """GOP-reuse dirty blocks of a P-frame and their eval-LR pixel mask.
 
+    Both reuse consumers read the decoder's residual summary the same
+    way: per-block residual energy against ``threshold``, then the block
+    grid expanded to pixels and cropped to the frame.
+    """
+    h, w = geometry.eval_lr_height, geometry.eval_lr_width
+    energy = decoded.residual_block_energy(block)
+    dirty = dirty_block_mask(energy, block_pixel_counts(h, w, block), threshold)
+    dirty_px = np.repeat(np.repeat(dirty, block, axis=0), block, axis=1)[:h, :w]
+    return dirty, dirty_px
+
+
+class _ZooSRExecution:
+    """Mixin: the RoI SR pass of the RoI-SR clients and its session knobs.
+
+    The RoI always runs on an :class:`~repro.sr.backends.SRBackend`. By
+    default that is the ``edsr`` zoo member over the client's own runner,
+    built once, so the paper configuration is one backend among the zoo.
     Three knobs, mutually exclusive (the rule lives on
     :class:`~repro.streaming.session.SessionConfig`):
 
     * ``gop_reuse`` — the compressed-domain SR cache; each design
       implements its own warp-and-refresh path.
-    * ``sr_backend`` — swap the RoI DNN for any
-      :class:`~repro.sr.backends.SRBackend`; the modeled RoI pass rides
-      the backend's own latency/energy anchors (same-engine work
-      serializes with the GPU bilinear rest, distinct engines run in
-      parallel, as in Sec. IV-C).
+    * ``sr_backend`` — swap the session EDSR for any zoo backend.
     * ``dispatch`` — a :class:`~repro.sr.dispatch.DifficultyDispatcher`
-      routes RoI tiles across a backend pool per frame; engine times
-      come from the plan, evaluated at the *modeled* per-tile pixel
-      load so budgets compare against the real-time deadline.
+      routes RoI tiles across a backend pool per frame, planned at the
+      *modeled* per-tile pixel load so budgets compare against the
+      real-time deadline.
 
-    All default off: the default path stays byte-identical to the paper
-    configuration.
+    :meth:`_roi_pass` prices every whole-RoI pass: same-engine work
+    serializes (with the GPU bilinear rest too), distinct engines run in
+    parallel (Sec. IV-C). Its span records ``sr_backend`` and ``sr_ms``
+    (or ``dispatch``), ``gpu_ms``, ``merge_ms`` and
+    ``modeled_roi_pixels``.
     """
 
     gop_reuse: bool = False
-    sr_backend: Optional[SRBackend] = None
     dispatch: Optional[DifficultyDispatcher] = None
+
+    def __init__(self, device: DeviceProfile, runner: SRRunner) -> None:
+        super().__init__(device)
+        self.runner = runner
+        self._session_backend = build_backend(
+            "edsr", scale=runner.scale, runner=runner
+        )
+        self.set_sr_backend(self._session_backend)
 
     def configure_sr(
         self,
@@ -233,38 +257,36 @@ class _ZooSRExecution:
 
         ``run_session`` calls this at every session start, so neither a
         knob nor a backend an ABR ladder switched to carries over into
-        the client's next session; the RoI pass returns to the
-        session runner unless ``sr_backend`` replaces it.
+        the client's next session; ``sr_backend=None`` restores the
+        session EDSR.
         """
         self.gop_reuse = gop_reuse
-        self.sr_backend = None
         self.dispatch = None
-        self.upscaler = RoIAssistedUpscaler(self.runner)
-        if sr_backend is not None:
-            self.set_sr_backend(sr_backend)
+        self.set_sr_backend(
+            self._session_backend if sr_backend is None else sr_backend
+        )
         if dispatch is not None:
             self.set_dispatch(dispatch)
 
     def set_sr_backend(self, backend: SRBackend) -> None:
         """Route the RoI SR pass through a model-zoo backend."""
-        if backend.scale != self.upscaler.scale:
+        if backend.scale != self.runner.scale:
             raise ValueError(
                 f"backend scale {backend.scale} != client scale "
-                f"{self.upscaler.scale}"
+                f"{self.runner.scale}"
             )
-        self.sr_backend = backend
+        self.backend = backend
         self.upscaler = RoIAssistedUpscaler(backend)
 
     def set_dispatch(self, dispatcher: DifficultyDispatcher) -> None:
         """Route RoI tiles across a backend pool under a latency budget."""
-        if dispatcher.scale != self.upscaler.scale:
+        if dispatcher.scale != self.runner.scale:
             raise ValueError(
                 f"dispatcher scale {dispatcher.scale} != client scale "
-                f"{self.upscaler.scale}"
+                f"{self.runner.scale}"
             )
         self.dispatch = dispatcher
 
-    # -- execution --------------------------------------------------------
     def _roi_residual_energy(
         self, decoded: DecodedFrame, roi: RoIBox
     ) -> Optional[np.ndarray]:
@@ -281,77 +303,63 @@ class _ZooSRExecution:
             return None
         return block_energy(roi.extract(residual), self.dispatch.tile)
 
-    def _dispatch_upscale(
-        self, frame: ServerFrame, decoded: DecodedFrame, modeled_roi_px: float
-    ) -> Tuple[np.ndarray, DispatchPlan]:
-        """Run the dispatcher over the RoI; bilinear everywhere else."""
-        geometry = frame.geometry
-        roi = frame.roi
-        s = geometry.scale
-        lr = decoded.rgb
-        hr = bilinear(
-            lr, geometry.eval_lr_height * s, geometry.eval_lr_width * s
-        )
-        tile = self.dispatch.tile
-        n_tiles = (-(-roi.height // tile)) * (-(-roi.width // tile))
-        hr_roi, plan = self.dispatch.run(
-            roi.extract(lr),
-            self.device,
-            extra_energy=self._roi_residual_energy(decoded, roi),
-            tile_pixels=modeled_roi_px / n_tiles,
-        )
-        roi_hr = roi.scaled(s)
-        hr[roi_hr.y : roi_hr.y_end, roi_hr.x : roi_hr.x_end] = hr_roi
-        return hr, plan
-
-    # -- modeling ---------------------------------------------------------
-    def _model_backend_roi(
-        self, st, roi_px: float, gpu_ms: float, merge_ms: float,
+    def _roi_pass(
+        self,
+        frame: ServerFrame,
+        decoded: DecodedFrame,
+        roi_px: float,
+        st,
         merge_serial: bool = False,
-    ) -> None:
-        """Model the RoI pass on ``sr_backend`` beside the GPU bilinear.
+    ) -> np.ndarray:
+        """Upscale the whole RoI on its backend(s), bilinear elsewhere,
+        and price the pass on ``st`` at ``roi_px`` modeled RoI pixels.
 
-        Same-engine work serializes, distinct engines run in parallel.
         ``merge_serial`` keeps each design's merge convention: the
         SR-integrated decoder folds the merge into the upscale span
         (latency only), GameStreamSR defers it to display but charges
         its GPU energy here (Fig. 12).
         """
-        b = self.sr_backend
-        sr_ms = b.latency_ms(roi_px, self.device)
-        stage_ms = sr_ms + gpu_ms if b.engine == "gpu" else max(sr_ms, gpu_ms)
-        st.modeled_ms = stage_ms + (merge_ms if merge_serial else 0.0)
-        st.add_energy(b.component, b.energy_charged_ms(sr_ms, self.device))
-        st.add_energy(
-            Component.GPU, gpu_ms if merge_serial else gpu_ms + merge_ms
-        )
-        st.meta(
-            sr_backend=b.name, sr_ms=sr_ms, gpu_ms=gpu_ms, merge_ms=merge_ms,
-            modeled_roi_pixels=roi_px,
-        )
-
-    def _model_dispatch_roi(
-        self, st, plan: DispatchPlan, roi_px: float, gpu_ms: float,
-        merge_ms: float, merge_serial: bool = False,
-    ) -> None:
-        """Model the dispatched RoI pass: engines run concurrently, the
-        non-RoI bilinear joins the plan's GPU engine total."""
-        engine_ms = dict(plan.engine_ms)
+        geometry = frame.geometry
+        roi = frame.roi
+        if self.dispatch is not None:
+            s = geometry.scale
+            hr = bilinear(
+                decoded.rgb, geometry.eval_lr_height * s, geometry.eval_lr_width * s
+            )
+            tile = self.dispatch.tile
+            n_tiles = (-(-roi.height // tile)) * (-(-roi.width // tile))
+            hr_roi, plan = self.dispatch.run(
+                roi.extract(decoded.rgb),
+                self.device,
+                extra_energy=self._roi_residual_energy(decoded, roi),
+                tile_pixels=roi_px / n_tiles,
+            )
+            roi_hr = roi.scaled(s)
+            hr[roi_hr.y : roi_hr.y_end, roi_hr.x : roi_hr.x_end] = hr_roi
+            runs = [(b, plan.backend_ms[b.name]) for b in self.dispatch.backends]
+            st.meta(dispatch=plan.meta())
+        else:
+            hr = self.upscaler.upscale(decoded.rgb, roi).frame
+            sr_ms = self.backend.latency_ms(roi_px, self.device)
+            runs = [(self.backend, sr_ms)]
+            st.meta(sr_backend=self.backend.name, sr_ms=sr_ms)
+        gpu_ms = lat.gpu_bilinear_ms(geometry.modeled_lr_pixels - roi_px, self.device)
+        merge_ms = lat.merge_ms(geometry.modeled_hr_pixels, self.device)
+        # Summed per engine from 0.0 in backend order, as the dispatcher's
+        # plan sums them; the non-RoI bilinear joins the GPU engine.
+        engine_ms: Dict[str, float] = {}
+        for b, ms in runs:
+            engine_ms[b.engine] = engine_ms.get(b.engine, 0.0) + ms
         engine_ms["gpu"] = engine_ms.get("gpu", 0.0) + gpu_ms
-        st.modeled_ms = max(engine_ms.values()) + (
-            merge_ms if merge_serial else 0.0
-        )
-        for b in self.dispatch.backends:
-            ms = plan.backend_ms.get(b.name, 0.0)
+        st.modeled_ms = max(engine_ms.values()) + (merge_ms if merge_serial else 0.0)
+        for b, ms in runs:
             if ms > 0.0:
                 st.add_energy(b.component, b.energy_charged_ms(ms, self.device))
         st.add_energy(
             Component.GPU, gpu_ms if merge_serial else gpu_ms + merge_ms
         )
-        st.meta(
-            gpu_ms=gpu_ms, merge_ms=merge_ms, modeled_roi_pixels=roi_px,
-            dispatch=plan.meta(),
-        )
+        st.meta(gpu_ms=gpu_ms, merge_ms=merge_ms, modeled_roi_pixels=roi_px)
+        return hr
 
 
 class GameStreamSRClient(_ZooSRExecution, StreamingClient):
@@ -383,9 +391,7 @@ class GameStreamSRClient(_ZooSRExecution, StreamingClient):
         """``modeled_roi_side`` pins the RoI side at the modeled geometry
         (the negotiated plan side, e.g. ~300 px on 720p); by default the
         eval-scale RoI area is extrapolated by the area ratio."""
-        super().__init__(device)
-        self.runner = runner
-        self.upscaler = RoIAssistedUpscaler(runner)
+        super().__init__(device, runner)
         self.modeled_roi_side = modeled_roi_side
         self._reuse = GOPSRCache(threshold=reuse_threshold)
 
@@ -402,50 +408,16 @@ class GameStreamSRClient(_ZooSRExecution, StreamingClient):
         if frame.roi is None:
             raise ValueError("GameStreamSRClient requires server-side RoI data")
 
-    def _full_roi_sr(self, frame: ServerFrame, decoded: DecodedFrame, st) -> np.ndarray:
-        """The paper's full per-frame path: DNN RoI + bilinear rest."""
-        geometry = frame.geometry
-        result = self.upscaler.upscale(decoded.rgb, frame.roi)
-
-        roi_px = self._modeled_roi_pixels(frame)
-        non_roi_px = geometry.modeled_lr_pixels - roi_px
-        if self.sr_backend is not None:
-            gpu_ms = lat.gpu_bilinear_ms(non_roi_px, self.device)
-            merge_ms = lat.merge_ms(geometry.modeled_hr_pixels, self.device)
-            self._model_backend_roi(st, roi_px, gpu_ms, merge_ms)
-            return result.frame
-        npu_ms = lat.npu_sr_latency_ms(roi_px, self.device)
-        gpu_ms = lat.gpu_bilinear_ms(non_roi_px, self.device)
-        merge_ms = lat.merge_ms(geometry.modeled_hr_pixels, self.device)
-        # NPU and GPU run in parallel (Sec. IV-C); the RoI merge is a
-        # composition copy and lands in the display stage, while its
-        # GPU energy belongs to the upscale category (Fig. 12).
-        st.modeled_ms = max(npu_ms, gpu_ms)
-        st.add_energy(Component.NPU, npu_ms)
-        st.add_energy(Component.GPU, gpu_ms + merge_ms)
-        st.meta(
-            npu_ms=npu_ms, gpu_ms=gpu_ms, merge_ms=merge_ms,
-            modeled_roi_pixels=roi_px,
-        )
-        return result.frame
-
     def _upscale_stage(
         self, frame: ServerFrame, decoded: DecodedFrame, trace: FrameTrace
     ) -> np.ndarray:
-        if self.dispatch is not None:
-            geometry = frame.geometry
-            roi_px = self._modeled_roi_pixels(frame)
-            with trace.stage("upscale") as st:
-                hr, plan = self._dispatch_upscale(frame, decoded, roi_px)
-                gpu_ms = lat.gpu_bilinear_ms(
-                    geometry.modeled_lr_pixels - roi_px, self.device
-                )
-                merge_ms = lat.merge_ms(geometry.modeled_hr_pixels, self.device)
-                self._model_dispatch_roi(st, plan, roi_px, gpu_ms, merge_ms)
-            return hr
+        # The paper's full per-frame path: SR on the RoI + bilinear rest,
+        # with the RoI merge deferred to the display stage.
         if not self.gop_reuse:
             with trace.stage("upscale") as st:
-                hr = self._full_roi_sr(frame, decoded, st)
+                hr = self._roi_pass(
+                    frame, decoded, self._modeled_roi_pixels(frame), st
+                )
             return hr
         return self._upscale_stage_reuse(frame, decoded, trace)
 
@@ -453,16 +425,12 @@ class GameStreamSRClient(_ZooSRExecution, StreamingClient):
     def _upscale_stage_reuse(
         self, frame: ServerFrame, decoded: DecodedFrame, trace: FrameTrace
     ) -> np.ndarray:
-        geometry = frame.geometry
         block = frame.encoded.block
         reason = self._reuse.refresh_reason(frame.index, decoded.is_reference)
-        dirty = None
         if reason is None:
-            energy = decoded.residual_block_energy(block)
-            counts = block_pixel_counts(
-                geometry.eval_lr_height, geometry.eval_lr_width, block
+            dirty, dirty_px = _dirty_mask(
+                decoded, frame.geometry, block, self._reuse.threshold
             )
-            dirty = dirty_block_mask(energy, counts, self._reuse.threshold)
             if bool(dirty.all()):
                 # Every block dirty: the partial path would recompute the
                 # whole frame anyway — collapse to the exact full path so
@@ -470,12 +438,16 @@ class GameStreamSRClient(_ZooSRExecution, StreamingClient):
                 reason = "all_dirty"
         with trace.stage("upscale") as st:
             if reason is not None:
-                hr = self._full_roi_sr(frame, decoded, st)
+                hr = self._roi_pass(
+                    frame, decoded, self._modeled_roi_pixels(frame), st
+                )
                 reuse_meta = _refresh_reuse_meta(
                     frame.geometry, frame.roi, reason, block
                 )
             else:
-                hr, reuse_meta = self._warp_and_refresh(frame, decoded, dirty, st)
+                hr, reuse_meta = self._warp_and_refresh(
+                    frame, decoded, dirty, dirty_px, st
+                )
             st.meta(reuse=reuse_meta)
         if reason is None:
             # Observability-only sub-span: the warp time is already part
@@ -490,6 +462,7 @@ class GameStreamSRClient(_ZooSRExecution, StreamingClient):
         frame: ServerFrame,
         decoded: DecodedFrame,
         dirty: np.ndarray,
+        dirty_px: np.ndarray,
         st,
     ) -> Tuple[np.ndarray, Dict]:
         """Warp the cached SR canvas and recompute only the dirty blocks."""
@@ -540,9 +513,6 @@ class GameStreamSRClient(_ZooSRExecution, StreamingClient):
         # Modeled costs: dirty-pixel accounting at the eval geometry,
         # rescaled to the modeled (720p) geometry by area fraction —
         # honoring a pinned modeled RoI side exactly like the full path.
-        dirty_px = np.repeat(np.repeat(dirty, block, axis=0), block, axis=1)[
-            :h_lr, :w_lr
-        ]
         roi_mask = np.zeros_like(dirty_px)
         roi_mask[roi.y : roi.y_end, roi.x : roi.x_end] = True
         dirty_lr = int(dirty_px.sum())
@@ -556,7 +526,7 @@ class GameStreamSRClient(_ZooSRExecution, StreamingClient):
         nonroi_frac = dirty_nonroi_lr / nonroi_area if nonroi_area else 0.0
 
         warp_ms = lat.gpu_warp_ms(geometry.modeled_hr_pixels, self.device)
-        npu_ms = lat.npu_sr_latency_ms(modeled_roi_px * roi_frac, self.device)
+        sr_ms = lat.npu_sr_latency_ms(modeled_roi_px * roi_frac, self.device)
         gpu_ms = lat.gpu_bilinear_ms(modeled_nonroi_px * nonroi_frac, self.device)
         merge_ms = lat.merge_ms(
             geometry.modeled_hr_pixels * dirty_lr / (h_lr * w_lr), self.device
@@ -564,11 +534,11 @@ class GameStreamSRClient(_ZooSRExecution, StreamingClient):
         # The warp precedes the parallel NPU/GPU refresh of dirty tiles;
         # the (now partial) merge copy still lands in the display stage
         # with its GPU energy in the upscale category, as in the full path.
-        st.modeled_ms = warp_ms + max(npu_ms, gpu_ms)
-        st.add_energy(Component.NPU, npu_ms)
+        st.modeled_ms = warp_ms + max(sr_ms, gpu_ms)
+        st.add_energy(Component.NPU, sr_ms)
         st.add_energy(Component.GPU, warp_ms + gpu_ms + merge_ms)
         st.meta(
-            npu_ms=npu_ms, gpu_ms=gpu_ms, merge_ms=merge_ms,
+            sr_ms=sr_ms, gpu_ms=gpu_ms, merge_ms=merge_ms,
             modeled_roi_pixels=modeled_roi_px,
         )
         reuse_meta = dict(
@@ -720,9 +690,7 @@ class SRIntegratedDecoderClient(_ZooSRExecution, StreamingClient):
         runner: SRRunner,
         reuse_threshold: float = REUSE_DIRTY_THRESHOLD,
     ) -> None:
-        super().__init__(device)
-        self.runner = runner
-        self.upscaler = RoIAssistedUpscaler(runner)
+        super().__init__(device, runner)
         self.reuse_threshold = reuse_threshold
         self._hr_reference: Optional[np.ndarray] = None
 
@@ -752,37 +720,10 @@ class SRIntegratedDecoderClient(_ZooSRExecution, StreamingClient):
         s = geometry.scale
         with trace.stage("upscale") as st:
             if decoded.is_reference or self._hr_reference is None:
-                roi_px = geometry.modeled_roi_pixels(frame.roi)
-                if self.dispatch is not None:
-                    hr, plan = self._dispatch_upscale(frame, decoded, roi_px)
-                    gpu_ms = lat.gpu_bilinear_ms(
-                        geometry.modeled_lr_pixels - roi_px, self.device
-                    )
-                    merge_ms = lat.merge_ms(geometry.modeled_hr_pixels, self.device)
-                    self._model_dispatch_roi(
-                        st, plan, roi_px, gpu_ms, merge_ms, merge_serial=True
-                    )
-                elif self.sr_backend is not None:
-                    hr = self.upscaler.upscale(decoded.rgb, frame.roi).frame
-                    gpu_ms = lat.gpu_bilinear_ms(
-                        geometry.modeled_lr_pixels - roi_px, self.device
-                    )
-                    merge_ms = lat.merge_ms(geometry.modeled_hr_pixels, self.device)
-                    self._model_backend_roi(
-                        st, roi_px, gpu_ms, merge_ms, merge_serial=True
-                    )
-                else:
-                    result = self.upscaler.upscale(decoded.rgb, frame.roi)
-                    hr = result.frame
-                    npu_ms = lat.npu_sr_latency_ms(roi_px, self.device)
-                    gpu_ms = lat.gpu_bilinear_ms(
-                        geometry.modeled_lr_pixels - roi_px, self.device
-                    )
-                    st.modeled_ms = max(npu_ms, gpu_ms) + lat.merge_ms(
-                        geometry.modeled_hr_pixels, self.device
-                    )
-                    st.add_energy(Component.NPU, npu_ms)
-                    st.add_energy(Component.GPU, gpu_ms)
+                hr = self._roi_pass(
+                    frame, decoded, geometry.modeled_roi_pixels(frame.roi), st,
+                    merge_serial=True,
+                )
                 st.meta(path="roi_sr")
                 if self.gop_reuse:
                     reason = (
@@ -808,19 +749,11 @@ class SRIntegratedDecoderClient(_ZooSRExecution, StreamingClient):
                 residual = decoded.residual_rgb
                 dirty = None
                 if self.gop_reuse:
-                    # Shared decoder summary (satellite: computed once in
-                    # the decoder, consumed by both reuse consumers): the
-                    # residual-interpolation engine only processes dirty
-                    # blocks; clean blocks contribute zero residual.
-                    block = frame.encoded.block
-                    energy = decoded.residual_block_energy(block)
-                    counts = block_pixel_counts(
-                        geometry.eval_lr_height, geometry.eval_lr_width, block
+                    # The residual-interpolation engine only processes
+                    # dirty blocks; clean blocks contribute zero residual.
+                    dirty, dirty_px = _dirty_mask(
+                        decoded, geometry, frame.encoded.block, self.reuse_threshold
                     )
-                    dirty = dirty_block_mask(energy, counts, self.reuse_threshold)
-                    dirty_px = np.repeat(
-                        np.repeat(dirty, block, axis=0), block, axis=1
-                    )[: geometry.eval_lr_height, : geometry.eval_lr_width]
                     residual = residual * dirty_px[:, :, None]
                 residual_hr = self._roi_guided_residual(
                     residual, frame.roi, h_hr, w_hr

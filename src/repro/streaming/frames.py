@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -107,7 +107,7 @@ class ServerFrame:
     #: Eval-scale encoded payload extrapolated to modeled-scale bytes.
     modeled_size_bytes: int
     #: Structured per-stage trace recorded by the server pipeline.
-    trace: Optional[FrameTrace] = None
+    trace: FrameTrace
 
 
 @dataclass(frozen=True)
@@ -120,11 +120,9 @@ class ClientFrameResult:
     #: Client stage latencies at modeled scale: decode, upscale, display.
     #: A materialized view of ``trace`` (``trace.timings_ms(CLIENT_STAGES)``).
     client_timings_ms: Dict[str, float]
-    #: (component, ms) pairs for energy integration, by Fig. 12 category.
-    #: A materialized view of ``trace`` (``trace.energy_stages()``).
-    energy_stages: Dict[str, list] = field(default_factory=dict)
-    #: Structured per-stage trace recorded by the client pipeline.
-    trace: Optional[FrameTrace] = None
+    #: Structured per-stage trace recorded by the client pipeline; energy
+    #: attributions are read from it (``trace.energy_stages()``).
+    trace: FrameTrace
 
     @property
     def upscale_ms(self) -> float:

@@ -62,18 +62,9 @@ class MTPBreakdown:
 
 
 def mtp_from_frame(server: ServerFrame, client: ClientFrameResult) -> MTPBreakdown:
-    """Assemble the end-to-end MTP breakdown for one frame.
-
-    When both halves carry a structured trace (the staged pipeline always
-    attaches one) the breakdown is computed from the merged trace; the
-    timing dicts are views of the same spans, so either path yields the
-    same numbers — the dict fallback keeps hand-built frames working.
-    """
-    if server.trace is not None and client.trace is not None:
-        return mtp_from_trace(server.trace.extend(client.trace))
-    stages = dict(server.server_timings_ms)
-    stages.update(client.client_timings_ms)
-    return MTPBreakdown({s: stages.get(s, 0.0) for s in MTP_STAGES})
+    """Assemble the end-to-end MTP breakdown for one frame from the
+    merged server + client trace."""
+    return mtp_from_trace(server.trace.extend(client.trace))
 
 
 def mtp_from_trace(trace: FrameTrace) -> MTPBreakdown:

@@ -11,7 +11,7 @@ explicit runtime representation:
   simulation work (ms), zero or more energy attributions, and free-form
   payload metadata (byte counts, RoI geometry, retransmissions, ...).
 * :class:`FrameTrace` — the ordered span list for one frame, with views
-  that derive the legacy ``server_timings_ms`` / ``client_timings_ms`` /
+  that derive the ``server_timings_ms`` / ``client_timings_ms`` /
   ``energy_stages`` dictionaries, so MTP and energy aggregation consume
   the trace instead of ad-hoc dicts.
 

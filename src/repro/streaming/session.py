@@ -40,7 +40,7 @@ from .abr import ABRController
 from .adaptive import AdaptiveRoIController
 from .client import StreamingClient
 from .frames import ClientFrameResult, ServerFrame, StreamGeometry
-from .mtp import MTPBreakdown, mtp_from_frame
+from .mtp import MTPBreakdown, mtp_from_trace
 from .pipeline import FrameTrace, split_transmission
 from .server import GameStreamServer
 
@@ -286,7 +286,8 @@ class SessionConfig:
     #: reference-chain breaks. RoI-SR designs only.
     gop_reuse: bool = False
     #: Swap the RoI SR executor for a model-zoo
-    #: :class:`~repro.sr.backends.SRBackend`. RoI-SR designs only.
+    #: :class:`~repro.sr.backends.SRBackend`; ``None`` runs the session's
+    #: EDSR as the ``edsr`` backend. RoI-SR designs only.
     sr_backend: Optional[SRBackend] = None
     #: Route RoI tiles across a backend pool with a
     #: :class:`~repro.sr.dispatch.DifficultyDispatcher`. RoI-SR designs
@@ -373,18 +374,17 @@ def _transport_stage(
     )
     scenario_meta = getattr(link, "last_transmit_meta", None)
     extra = {"scenario": dict(scenario_meta)} if scenario_meta else {}
-    if server_frame.trace is not None:
-        server_frame.trace.amend_span(
-            "network",
-            modeled_ms=outcome.latency_ms,
-            n_packets=outcome.n_packets,
-            n_retransmissions=outcome.n_retransmissions,
-            dropped=outcome.dropped,
-            transport="lossy_link",
-            **extra,
-        )
+    server_frame.trace.amend_span(
+        "network",
+        modeled_ms=outcome.latency_ms,
+        n_packets=outcome.n_packets,
+        n_retransmissions=outcome.n_retransmissions,
+        dropped=outcome.dropped,
+        transport="lossy_link",
+        **extra,
+    )
     # server_timings_ms is a materialized view of the trace: keep it in
-    # sync so dict consumers (mtp fallback, reports) see the transport.
+    # sync so dict consumers see the transport.
     server_frame.server_timings_ms["network"] = outcome.latency_ms
     return outcome
 
@@ -437,9 +437,12 @@ def _apply_abr_knobs(
     if knobs["force_idr"]:
         server.encoder.reset()
     backend = abr.client_backend()
-    if backend is not None and hasattr(client, "set_sr_backend"):
-        if getattr(client, "sr_backend", None) is not backend:
-            client.set_sr_backend(backend)
+    if (
+        backend is not None
+        and hasattr(client, "set_sr_backend")
+        and client.backend is not backend
+    ):
+        client.set_sr_backend(backend)
 
 
 def _skipped_client_result(frame: ServerFrame, reason: str) -> ClientFrameResult:
@@ -478,7 +481,6 @@ def _skipped_client_result(frame: ServerFrame, reason: str) -> ClientFrameResult
         frame_type=frame.encoded.frame_type,
         hr_frame=hr,
         client_timings_ms=trace.timings_ms(("decode", "upscale", "display")),
-        energy_stages=trace.energy_stages(),
         trace=trace,
     )
 
@@ -509,7 +511,7 @@ def _consume_frame(
         )
         dropped, retransmissions = outcome.dropped, outcome.n_retransmissions
         if abr is not None:
-            if server_frame.trace is not None and abr.frame_meta:
+            if abr.frame_meta:
                 server_frame.trace.amend_span("network", abr=dict(abr.frame_meta))
             abr.observe_network(
                 outcome, server_frame.modeled_size_bytes, at_ms=at_ms
@@ -545,7 +547,7 @@ def _consume_frame(
         index=server_frame.index,
         frame_type=client_result.frame_type,
         upscale_ms=client_result.upscale_ms,
-        mtp=mtp_from_frame(server_frame, client_result),
+        mtp=mtp_from_trace(trace),
         energy=energy_from_trace(client.device, trace),
         modeled_size_bytes=server_frame.modeled_size_bytes,
         psnr_db=psnr_db,

@@ -6,14 +6,20 @@ decomposed into the staged :mod:`repro.streaming.pipeline` architecture.
 The equivalence test streams the same session through both implementations
 and asserts exact float equality of every record. Do NOT "modernize" this
 file — its whole value is that it does not change with the production code.
+The seed's frame types carried timing and energy dicts and no trace; they
+live on here as :class:`LegacyServerFrame` / :class:`LegacyClientResult`,
+with the seed's dict-based MTP (:func:`legacy_mtp`) and energy
+(:func:`energy_of_frame`) arithmetic.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.codec.encoder import EncodedFrame
 from repro.codec.motion import compensate, upscale_motion_vectors
 from repro.core.roi_search import RoIBox
 from repro.core.upscaler import RoIAssistedUpscaler
@@ -28,18 +34,51 @@ from repro.platform.energy import (
 from repro.sr.interpolate import bicubic, bilinear
 from repro.sr.runner import SRRunner
 from repro.streaming.client import StreamingClient
-from repro.streaming.frames import (
-    ClientFrameResult,
-    ROI_METADATA_BYTES,
-    ServerFrame,
-)
+from repro.streaming.frames import ROI_METADATA_BYTES, StreamGeometry
+from repro.streaming.mtp import MTP_STAGES, MTPBreakdown
 from repro.streaming.server import GameStreamServer
 
 EnergyStages = Dict[str, List[Tuple[Component, float]]]
 
 
+@dataclass(frozen=True)
+class LegacyServerFrame:
+    """The seed's server frame: payload, RoI and a timing dict."""
+
+    index: int
+    encoded: EncodedFrame
+    roi: Optional[RoIBox]
+    geometry: StreamGeometry
+    server_timings_ms: Dict[str, float]
+    modeled_size_bytes: int
+
+
+@dataclass(frozen=True)
+class LegacyClientResult:
+    """The seed's client result: pixels plus timing and energy dicts."""
+
+    index: int
+    frame_type: str
+    hr_frame: np.ndarray
+    client_timings_ms: Dict[str, float]
+    energy_stages: EnergyStages
+
+    @property
+    def upscale_ms(self) -> float:
+        return self.client_timings_ms["upscale"]
+
+
+def legacy_mtp(
+    server_frame: LegacyServerFrame, client_result: LegacyClientResult
+) -> MTPBreakdown:
+    """The seed's dict-based MTP assembly of one frame."""
+    stages = dict(server_frame.server_timings_ms)
+    stages.update(client_result.client_timings_ms)
+    return MTPBreakdown({s: stages.get(s, 0.0) for s in MTP_STAGES})
+
+
 def energy_of_frame(
-    device: DeviceProfile, client_result: ClientFrameResult
+    device: DeviceProfile, client_result: LegacyClientResult
 ) -> EnergyBreakdown:
     """The seed's dict-view energy integration of one frame (Fig. 12)."""
     totals = {"decode": 0.0, "upscale": 0.0, "network": 0.0}
@@ -56,7 +95,7 @@ def energy_of_frame(
     )
 
 
-def legacy_next_frame(server: GameStreamServer) -> ServerFrame:
+def legacy_next_frame(server: GameStreamServer) -> LegacyServerFrame:
     """The seed server pipeline: hand-assembled timing dict, no trace."""
     index = server._index
     server._index += 1
@@ -81,7 +120,7 @@ def legacy_next_frame(server: GameStreamServer) -> ServerFrame:
         "encode": lat.server_encode_ms(server.geometry.modeled_lr_pixels),
         "network": lat.transmission_ms(modeled_bytes),
     }
-    return ServerFrame(
+    return LegacyServerFrame(
         index=index,
         encoded=encoded,
         roi=roi,
@@ -105,7 +144,7 @@ class _LegacyClientBase(StreamingClient):
         rx_ms = lat.transmission_ms(frame.modeled_size_bytes) - lat.transmission_ms(0)
         return rx_ms, {"network": [(Component.NETWORK_RX, rx_ms)]}
 
-    def process(self, frame: ServerFrame) -> ClientFrameResult:
+    def process(self, frame: LegacyServerFrame) -> LegacyClientResult:
         raise NotImplementedError
 
 
@@ -122,12 +161,12 @@ class LegacyGameStreamSRClient(_LegacyClientBase):
         self.upscaler = RoIAssistedUpscaler(runner)
         self.modeled_roi_side = modeled_roi_side
 
-    def _modeled_roi_pixels(self, frame: ServerFrame) -> int:
+    def _modeled_roi_pixels(self, frame: LegacyServerFrame) -> int:
         if self.modeled_roi_side is not None:
             return self.modeled_roi_side**2
         return frame.geometry.modeled_roi_pixels(frame.roi)
 
-    def process(self, frame: ServerFrame) -> ClientFrameResult:
+    def process(self, frame: LegacyServerFrame) -> LegacyClientResult:
         if frame.roi is None:
             raise ValueError("GameStreamSRClient requires server-side RoI data")
         geometry = frame.geometry
@@ -146,7 +185,7 @@ class LegacyGameStreamSRClient(_LegacyClientBase):
             (Component.NPU, npu_ms),
             (Component.GPU, gpu_ms + merge_ms),
         ]
-        return ClientFrameResult(
+        return LegacyClientResult(
             index=frame.index,
             frame_type=frame.encoded.frame_type,
             hr_frame=result.frame,
@@ -172,7 +211,7 @@ class LegacyNemoClient(_LegacyClientBase):
         super().reset()
         self._hr_reference = None
 
-    def process(self, frame: ServerFrame) -> ClientFrameResult:
+    def process(self, frame: LegacyServerFrame) -> LegacyClientResult:
         geometry = frame.geometry
         decoded, decode_ms = self._decode(frame, hardware=False)
         scale = geometry.scale
@@ -206,7 +245,7 @@ class LegacyNemoClient(_LegacyClientBase):
             ]
             energy["upscale"] = [(Component.CPU, cpu_up_ms)]
 
-        return ClientFrameResult(
+        return LegacyClientResult(
             index=frame.index,
             frame_type=frame.encoded.frame_type,
             hr_frame=hr,
@@ -222,7 +261,7 @@ class LegacyNemoClient(_LegacyClientBase):
 class LegacyBilinearClient(_LegacyClientBase):
     design = "bilinear"
 
-    def process(self, frame: ServerFrame) -> ClientFrameResult:
+    def process(self, frame: LegacyServerFrame) -> LegacyClientResult:
         geometry = frame.geometry
         decoded, decode_ms = self._decode(frame, hardware=True)
         s = geometry.scale
@@ -233,7 +272,7 @@ class LegacyBilinearClient(_LegacyClientBase):
         rx_ms, energy = self._network_stage(frame)
         energy["decode"] = [(Component.HW_DECODER, decode_ms)]
         energy["upscale"] = [(Component.GPU, gpu_ms)]
-        return ClientFrameResult(
+        return LegacyClientResult(
             index=frame.index,
             frame_type=frame.encoded.frame_type,
             hr_frame=hr,
@@ -254,7 +293,7 @@ class LegacyFullFrameSRClient(_LegacyClientBase):
         self.runner = runner
         self.sr_tile = sr_tile
 
-    def process(self, frame: ServerFrame) -> ClientFrameResult:
+    def process(self, frame: LegacyServerFrame) -> LegacyClientResult:
         geometry = frame.geometry
         decoded, decode_ms = self._decode(frame, hardware=True)
         hr = self.runner.upscale_tiled(decoded.rgb, tile=self.sr_tile)
@@ -262,7 +301,7 @@ class LegacyFullFrameSRClient(_LegacyClientBase):
         rx_ms, energy = self._network_stage(frame)
         energy["decode"] = [(Component.HW_DECODER, decode_ms)]
         energy["upscale"] = [(Component.NPU, npu_ms)]
-        return ClientFrameResult(
+        return LegacyClientResult(
             index=frame.index,
             frame_type=frame.encoded.frame_type,
             hr_frame=hr,
@@ -301,7 +340,7 @@ class LegacySRIntegratedDecoderClient(_LegacyClientBase):
         )
         return upscaled
 
-    def process(self, frame: ServerFrame) -> ClientFrameResult:
+    def process(self, frame: LegacyServerFrame) -> LegacyClientResult:
         if frame.roi is None:
             raise ValueError("SRIntegratedDecoderClient requires RoI data")
         geometry = frame.geometry
@@ -347,7 +386,7 @@ class LegacySRIntegratedDecoderClient(_LegacyClientBase):
             energy["upscale"] = []
         self._hr_reference = hr
 
-        return ClientFrameResult(
+        return LegacyClientResult(
             index=frame.index,
             frame_type=frame.encoded.frame_type,
             hr_frame=hr,

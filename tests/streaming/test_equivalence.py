@@ -22,7 +22,6 @@ from repro.streaming.client import (
     SRIntegratedDecoderClient,
 )
 from repro.streaming.frames import StreamGeometry
-from repro.streaming.mtp import mtp_from_frame
 from repro.streaming.server import GameStreamServer
 from repro.streaming.session import run_session
 
@@ -33,6 +32,7 @@ from ._legacy_session import (
     LegacyNemoClient,
     LegacySRIntegratedDecoderClient,
     energy_of_frame,
+    legacy_mtp,
     legacy_next_frame,
 )
 
@@ -120,8 +120,7 @@ def test_staged_pipeline_matches_seed_exactly(design, tiny_runner):
         assert record.upscale_ms == client_result.upscale_ms
 
         # MTP: trace-derived breakdown == seed dict-derived breakdown.
-        legacy_mtp = mtp_from_frame(server_frame, client_result)
-        assert record.mtp.stages_ms == legacy_mtp.stages_ms
+        assert record.mtp.stages_ms == legacy_mtp(server_frame, client_result).stages_ms
 
         # Energy: trace integration == seed dict integration, field-exact.
         legacy_energy = energy_of_frame(device, client_result)
@@ -141,24 +140,9 @@ def _psnr_against(server, index, client_result):
     return psnr(server.render_hr_reference(index), client_result.hr_frame)
 
 
-def test_energy_dict_view_matches_trace_integration(tiny_runner):
-    """The ClientFrameResult.energy_stages view and the trace carry the
-    same attributions, so both energy paths integrate identically."""
-    from repro.streaming.session import energy_from_trace
-
-    device = get_device("samsung_tab_s8")
-    plan = plan_roi_window(device)
-    client = NemoClient(device, tiny_runner)
-    result = run_session(_make_server(None), client, n_frames=N_FRAMES)
-    for record in result.records:
-        assert record.trace is not None
-        via_trace = energy_from_trace(device, record.trace)
-        assert via_trace.total == record.energy.total
-
-
 def test_client_timings_view_has_only_client_stages(tiny_runner):
     """The client timing dict must not contain a network key (it would
-    shadow the server's network stage in the dict-based MTP fallback)."""
+    shadow the server's network stage in a dict-based MTP assembly)."""
     device = get_device("samsung_tab_s8")
     client = BilinearClient(device)
     result = run_session(_make_server(None), client, n_frames=2)

@@ -152,6 +152,32 @@ class TestABRBehavior:
         assert abr.n_downshifts == 0
         assert result.drop_rate() == 0.0
 
+    def test_no_backend_named_without_a_pool(self, tiny_runner):
+        """A controller built without a runner has no backend pool: it
+        switches no client backend, so its spans name none."""
+        device = get_device("samsung_tab_s8")
+        plan = plan_roi_window(device)
+        abr = build_abr(plan.side, plan.min_side, 720, net_budget_ms=NET_BUDGET_MS)
+        result = run_session(
+            _server(plan.side_for_frame(64)),
+            GameStreamSRClient(device, tiny_runner, modeled_roi_side=plan.side),
+            n_frames=N_FRAMES,
+            scenario="lte_drive",
+            abr=abr,
+            link_deadline_ms=NET_BUDGET_MS,
+            skip_dropped=True,
+        )
+        assert abr.n_downshifts > 0
+        assert [
+            r.trace.span("network").metadata["abr"]["sr_backend"]
+            for r in result.records
+        ] == [None] * N_FRAMES
+        named = {
+            r.trace.span("upscale").metadata.get("sr_backend")
+            for r in result.records
+        }
+        assert named - {None} == {"edsr"}
+
     def test_conformance_rate_bounds(self, tiny_runner):
         result = _run_serial(tiny_runner)
         rate = result.conformance_rate()

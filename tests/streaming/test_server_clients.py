@@ -101,7 +101,7 @@ class TestClients:
         results = self.run_one(NemoClient(device, tiny_runner), roi_side=None)
         nonref = results[1]
         # NEMO's warp energy is charged to decode (calibration note).
-        components = [c for c, _ in nonref.energy_stages["decode"]]
+        components = [c for c, _ in nonref.trace.energy_stages()["decode"]]
         assert len(components) == 2
 
     def test_bilinear_fastest(self, device):
@@ -117,7 +117,7 @@ class TestClients:
         ref, nonref = results[0], results[1]
         assert ref.upscale_ms > 0
         assert nonref.upscale_ms == 0.0
-        assert nonref.energy_stages["upscale"] == []
+        assert nonref.trace.energy_stages()["upscale"] == []
 
     def test_reset_clears_reference_state(self, device, tiny_runner):
         client = NemoClient(device, tiny_runner)

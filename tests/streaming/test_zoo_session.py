@@ -72,8 +72,30 @@ def canonical(result) -> str:
     return json.dumps(canonicalize_session_trace(export), sort_keys=True)
 
 
+def roi_client(client_cls, device, runner):
+    if client_cls is GameStreamSRClient:
+        return GameStreamSRClient(device, runner, modeled_roi_side=300)
+    return client_cls(device, runner)
+
+
+def run_keeping_pixels(client, **knobs):
+    """``run_session`` plus every frame's HR output."""
+    frames = []
+    inner = client.process
+
+    def process(frame):
+        result = inner(frame)
+        frames.append(result.hr_frame)
+        return result
+
+    client.process = process
+    result = run_session(make_server(), client, n_frames=N, **knobs)
+    return result, frames
+
+
 class TestDefaultPathUntouched:
-    """sr_backend=None, dispatch=None must leave the paper path alone."""
+    """sr_backend=None, dispatch=None: the session EDSR as the ``edsr``
+    backend, through the same priced RoI pass as every zoo member."""
 
     @pytest.mark.parametrize("client_cls", [GameStreamSRClient, SRIntegratedDecoderClient])
     def test_no_zoo_artifacts_in_default_traces(
@@ -83,28 +105,33 @@ class TestDefaultPathUntouched:
         for record in result.records:
             meta = record.trace.span("upscale").metadata
             assert "dispatch" not in meta
-            assert "sr_backend" not in meta
+            if meta.get("path") != "in_decoder_reconstruction":
+                assert meta["sr_backend"] == "edsr"
         assert not any(
             name.startswith("sr.dispatch") for name in result.metrics.names()
         )
 
-    def test_explicit_edsr_backend_reproduces_default(self, device, tiny_runner):
+    @pytest.mark.parametrize("client_cls", [GameStreamSRClient, SRIntegratedDecoderClient])
+    def test_explicit_edsr_backend_reproduces_default(
+        self, client_cls, device, tiny_runner
+    ):
         """The zero-cost zoo member: wrapping the session runner in the
         EDSR backend must not move a single modeled number or pixel."""
-        base = run_session(
-            make_server(),
-            GameStreamSRClient(device, tiny_runner, modeled_roi_side=300),
-            n_frames=N, evaluate_quality=True,
+        base, base_hr = run_keeping_pixels(
+            roi_client(client_cls, device, tiny_runner), evaluate_quality=True
         )
-        zoo = run_session(
-            make_server(),
-            GameStreamSRClient(device, tiny_runner, modeled_roi_side=300),
-            n_frames=N, evaluate_quality=True,
+        zoo, zoo_hr = run_keeping_pixels(
+            roi_client(client_cls, device, tiny_runner), evaluate_quality=True,
             sr_backend=build_backend("edsr", runner=tiny_runner),
         )
         assert [r.psnr_db for r in zoo.records] == [r.psnr_db for r in base.records]
         for a, b in zip(base.records, zoo.records):
-            assert a.trace.span("upscale").modeled_ms == b.trace.span("upscale").modeled_ms
+            span_a, span_b = a.trace.span("upscale"), b.trace.span("upscale")
+            assert span_a.modeled_ms == span_b.modeled_ms
+            assert span_a.energy == span_b.energy
+        assert upscale_spans(base) == upscale_spans(zoo)
+        for a, b in zip(base_hr, zoo_hr):
+            assert np.array_equal(a, b)
         assert base.mean_mtp().total_ms == zoo.mean_mtp().total_ms
         assert base.mean_energy().total == zoo.mean_energy().total
 
@@ -148,6 +175,26 @@ class TestBackendKnob:
         meta = result.records[0].trace.span("upscale").metadata
         span = result.records[0].trace.span("upscale")
         assert span.modeled_ms == pytest.approx(meta["sr_ms"] + meta["gpu_ms"])
+
+    def test_gpu_backend_serializes_merge_in_sr_integrated_decoder(
+        self, device, tiny_runner
+    ):
+        # The SR-integrated decoder folds the merge into its upscale span
+        # (merge_serial): on reference frames the GPU backend, the
+        # bilinear rest and the merge all run one after another.
+        result = run_session(
+            make_server(), SRIntegratedDecoderClient(device, tiny_runner),
+            n_frames=N, sr_backend=build_backend("bilinear_gpu"),
+        )
+        reference = [
+            r.trace.span("upscale") for r in result.records
+            if r.trace.span("upscale").metadata["path"] == "roi_sr"
+        ]
+        assert reference
+        for span in reference:
+            meta = span.metadata
+            assert meta["sr_backend"] == "bilinear_gpu"
+            assert span.modeled_ms == meta["sr_ms"] + meta["gpu_ms"] + meta["merge_ms"]
 
 
 class TestKnobValidation:
@@ -225,7 +272,10 @@ class TestReusedClient:
         self.run_knob_sessions(client)
         result = run_session(make_server(), client, n_frames=N, gop_reuse=True)
         for meta in (r.trace.span("upscale").metadata for r in result.records):
-            assert "reuse" in meta and "sr_backend" not in meta
+            assert "reuse" in meta
+            # Full refreshes run the session EDSR again, not the last
+            # session's backend; partial refreshes name no backend.
+            assert meta.get("sr_backend", "edsr") == "edsr"
 
 
 class TestDispatchSessions:
