@@ -1,10 +1,13 @@
-"""Rasterizer trajectory benchmark: batched whole-frame pass vs per-triangle loop.
+"""Rasterizer trajectory benchmark: a game's render call vs the per-triangle loop.
 
-Renders every game scene through the live batched rasterizer
-(``repro.render.rasterizer``) and through the frozen per-triangle
-reference it replaced (``tests/render/_legacy_rasterizer.py``), checks
-that color and depth are byte-identical, and writes per-scene wall
-ms/frame for both to ``BENCH_render.json`` at the repo root. Run::
+Renders every game scene through ``GameWorkload.render_frame``, the call
+the streaming server makes (its scene keeps a static draw list and
+transforms only animated objects per frame, then runs the batched
+rasterizer ``repro.render.rasterizer``), and the same world through the
+frozen per-triangle reference the batched pass replaced
+(``tests/render/_legacy_rasterizer.py``). It checks that color and depth
+are byte-identical and writes per-scene wall ms/frame for both to
+``BENCH_render.json`` at the repo root. Run::
 
     PYTHONPATH=src python benchmarks/bench_render.py          # full run
     PYTHONPATH=src python benchmarks/bench_render.py --smoke  # seconds, CI
@@ -33,8 +36,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from repro.render.games import GAME_TABLE, build_game  # noqa: E402
-from repro.render.rasterizer import render  # noqa: E402
+from repro.render.games import GAME_TABLE, GameWorkload, build_game  # noqa: E402
 
 from conftest import write_bench_json  # noqa: E402
 from tests.render._legacy_rasterizer import render as legacy_render  # noqa: E402
@@ -42,33 +44,34 @@ from tests.render._legacy_rasterizer import render as legacy_render  # noqa: E40
 GEOMETRIES = ((112, 64), (448, 256))
 #: Minimum all-scene speedup per geometry in the full run.
 SPEEDUP_FLOORS = {"112x64": 4.0, "448x256": 1.5}
+FPS = 60.0
 
 
-def _frames(game_id: str, frames) -> list[tuple]:
-    """``render`` arguments of each frame: world objects, camera, light, background."""
-    scene = build_game(game_id).scene
+def _legacy_frames(game: GameWorkload, frames) -> list[tuple]:
+    """Legacy ``render`` arguments of each frame: world objects, camera, light, background."""
+    scene = game.scene
     calls = []
     for frame in frames:
-        t = frame / 60.0
+        t = frame / FPS
         world = [(obj.world_mesh(t), obj.material) for obj in scene.objects]
         calls.append((world, scene.camera_at(t), scene.light, scene.background))
     return calls
 
 
-def _ms_per_frame(fn, calls, width: int, height: int, repeats: int) -> float:
-    """Best-of-N wall ms per frame of rendering ``calls`` with ``fn``."""
+def _best_ms(render_one, n_frames: int, repeats: int) -> float:
+    """Best-of-N wall ms per frame of ``render_one(i)`` over ``n_frames`` frames."""
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        for world, camera, light, background in calls:
-            fn(world, camera, width, height, light=light, background=background)
+        for i in range(n_frames):
+            render_one(i)
         best = min(best, time.perf_counter() - t0)
-    return 1000.0 * best / len(calls)
+    return 1000.0 * best / n_frames
 
 
-def _identical(calls, width: int, height: int) -> bool:
-    for world, camera, light, background in calls:
-        new = render(world, camera, width, height, light=light, background=background)
+def _identical(game: GameWorkload, frames, legacy: list, width: int, height: int) -> bool:
+    for frame, (world, camera, light, background) in zip(frames, legacy):
+        new = game.render_frame(frame, width, height, FPS)
         old = legacy_render(
             world, camera, width, height, light=light, background=background
         )
@@ -79,16 +82,27 @@ def _identical(calls, width: int, height: int) -> bool:
     return True
 
 
-def _bench_geometry(scenes: dict, width: int, height: int, repeats: int) -> dict:
+def _bench_geometry(
+    scenes: dict, frames, width: int, height: int, repeats: int
+) -> dict:
     per_scene = {}
-    for game_id, calls in scenes.items():
-        legacy_ms = _ms_per_frame(legacy_render, calls, width, height, repeats)
-        batched_ms = _ms_per_frame(render, calls, width, height, repeats)
+    for game_id, (game, legacy) in scenes.items():
+
+        def legacy_one(i):
+            world, camera, light, background = legacy[i]
+            legacy_render(world, camera, width, height, light=light, background=background)
+
+        legacy_ms = _best_ms(legacy_one, len(frames), repeats)
+        batched_ms = _best_ms(
+            lambda i: game.render_frame(frames[i], width, height, FPS),
+            len(frames),
+            repeats,
+        )
         per_scene[game_id] = {
             "legacy_ms_per_frame": round(legacy_ms, 2),
             "batched_ms_per_frame": round(batched_ms, 2),
             "speedup": round(legacy_ms / batched_ms, 2),
-            "byte_identical": _identical(calls, width, height),
+            "byte_identical": _identical(game, frames, legacy, width, height),
         }
     legacy_total = sum(s["legacy_ms_per_frame"] for s in per_scene.values())
     batched_total = sum(s["batched_ms_per_frame"] for s in per_scene.values())
@@ -112,9 +126,11 @@ def main(argv: list[str] | None = None) -> int:
 
     frames = (0,) if args.smoke else (0, 15, 30)
     repeats = 1 if args.smoke else 3
-    scenes = {row[0]: _frames(row[0], frames) for row in GAME_TABLE}
+    games = [build_game(row[0]) for row in GAME_TABLE]
+    scenes = {game.game_id: (game, _legacy_frames(game, frames)) for game in games}
     geometries = {
-        f"{w}x{h}": _bench_geometry(scenes, w, h, repeats) for w, h in GEOMETRIES
+        f"{w}x{h}": _bench_geometry(scenes, frames, w, h, repeats)
+        for w, h in GEOMETRIES
     }
 
     report = {

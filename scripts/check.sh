@@ -69,8 +69,10 @@ python benchmarks/bench_codec.py --smoke >/dev/null
 echo "ok: wrote BENCH_codec.smoke.json"
 
 echo "== render bench (smoke) =="
-# Batched rasterizer vs the frozen per-triangle reference on every scene
-# at both geometries; fails unless color and depth are byte-identical.
+# Each game's render_frame (the server's call: the scene's static draw
+# list plus the batched rasterizer) vs the frozen per-triangle reference
+# on every scene at both geometries; fails unless color and depth are
+# byte-identical.
 python benchmarks/bench_render.py --smoke >/dev/null
 echo "ok: wrote BENCH_render.smoke.json"
 

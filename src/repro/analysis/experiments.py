@@ -19,7 +19,7 @@ from ..metrics.psnr import psnr as psnr_metric
 from ..platform import calibration as cal
 from ..platform import latency as lat
 from ..platform.device import DeviceProfile, get_device
-from ..render.games import GAME_TABLE, build_game
+from ..render.games import GAME_TABLE, GameWorkload, build_game
 from ..sr.interpolate import bilinear
 from ..sr.pretrained import default_sr_model
 from ..sr.runner import SRRunner
@@ -72,6 +72,14 @@ def default_runner() -> SRRunner:
     return SRRunner(default_sr_model())
 
 
+@lru_cache(maxsize=None)
+def _game(game_id: str) -> GameWorkload:
+    """One game per id per process. The server-stream memo's render key
+    holds the scene by identity, so only cells streaming the same game
+    object share its renders (:mod:`repro.streaming.server`)."""
+    return build_game(game_id)
+
+
 def perf_geometry() -> StreamGeometry:
     """Small native-LR geometry for latency/energy sessions (pixels are
     irrelevant to the modeled timings)."""
@@ -117,7 +125,7 @@ def _run_one_session(
     plan = plan_roi_window(device)
     needs_roi = design in ("gamestreamsr", "sr_integrated_decoder")
     server = GameStreamServer(
-        build_game(game_id),
+        _game(game_id),
         geometry,
         roi_side=plan.side_for_frame(geometry.eval_lr_height) if needs_roi else None,
         gop_size=gop_size,
@@ -161,6 +169,8 @@ def performance_sessions(
     Uncached cells of the (design, game) matrix are built in parallel
     across ``workers`` processes (see :mod:`repro.analysis.parallel`);
     the artifacts are identical to what the serial path would produce.
+    Cells are listed game by game, so a serial build streams each game's
+    designs back to back and renders each frame once.
     """
     tasks = [
         (
@@ -174,23 +184,13 @@ def performance_sessions(
                 quality=STREAM_QUALITY,
             ),
         )
-        for design in designs
         for game_id in game_ids
+        for design in designs
     ]
     run_session_matrix(tasks, workers=workers)
-    out: Dict[str, Dict[str, SessionResult]] = {}
-    for design in designs:
-        out[design] = {}
-        for game_id in game_ids:
-            out[design][game_id] = _cached_session(
-                "perf",
-                game_id=game_id,
-                device_name=device_name,
-                design=design,
-                n_frames=n_frames,
-                gop_size=n_frames,
-                quality=STREAM_QUALITY,
-            )
+    out: Dict[str, Dict[str, SessionResult]] = {design: {} for design in designs}
+    for kind, kwargs in tasks:
+        out[kwargs["design"]][kwargs["game_id"]] = _cached_session(kind, **kwargs)
     return out
 
 

@@ -50,9 +50,11 @@ SessionTask = Tuple[str, Dict[str, Any]]
 #: which dict-state pickles cannot be restored into; v4: sessions stream
 #: live float renders instead of replaying uint8-quantized ones, so every
 #: pixel-derived number moves; v5: RoI upscale spans name their SR
-#: backend, ``sr_backend``/``sr_ms`` in place of ``npu_ms``). Part of the
+#: backend, ``sr_backend``/``sr_ms`` in place of ``npu_ms``; v6: GOP-reuse
+#: partial-refresh upscale spans name their SR backend too, and server
+#: frames no longer carry a ``server_timings_ms`` dict). Part of the
 #: cache key, so stale pickles are never loaded into the new code.
-SESSION_CACHE_SCHEMA = 5
+SESSION_CACHE_SCHEMA = 6
 
 _MAX_DEFAULT_WORKERS = 8
 

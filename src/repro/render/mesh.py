@@ -13,7 +13,29 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Mesh", "box", "plane", "sphere", "cylinder", "cone", "terrain"]
+from .math3d import transform_points
+
+__all__ = [
+    "Mesh",
+    "face_normals",
+    "box",
+    "plane",
+    "sphere",
+    "cylinder",
+    "cone",
+    "terrain",
+]
+
+
+def face_normals(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """(F, 3) unit normals of ``faces`` (degenerate faces get a +Y normal)."""
+    tri = vertices[faces]
+    normals = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    lengths = np.linalg.norm(normals, axis=1, keepdims=True)
+    bad = lengths[:, 0] < 1e-12
+    normals[bad] = (0.0, 1.0, 0.0)
+    lengths[bad] = 1.0
+    return normals / lengths
 
 
 @dataclass
@@ -47,10 +69,7 @@ class Mesh:
 
     def transformed(self, matrix: np.ndarray) -> "Mesh":
         """A copy with vertices transformed by a 4x4 ``matrix``."""
-        homo = np.concatenate(
-            [self.vertices, np.ones((len(self.vertices), 1))], axis=1
-        )
-        verts = (homo @ matrix.T)[:, :3]
+        verts = transform_points(matrix, self.vertices)[:, :3]
         return Mesh(verts, self.faces.copy(), self.uvs.copy())
 
     def merged_with(self, other: "Mesh") -> "Mesh":
@@ -64,13 +83,7 @@ class Mesh:
 
     def face_normals(self) -> np.ndarray:
         """(F, 3) unit normals (degenerate faces get a +Y normal)."""
-        tri = self.vertices[self.faces]
-        normals = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        lengths = np.linalg.norm(normals, axis=1, keepdims=True)
-        bad = lengths[:, 0] < 1e-12
-        normals[bad] = (0.0, 1.0, 0.0)
-        lengths[bad] = 1.0
-        return normals / lengths
+        return face_normals(self.vertices, self.faces)
 
 
 def box(sx: float = 1.0, sy: float = 1.0, sz: float = 1.0) -> Mesh:

@@ -36,7 +36,7 @@ from .math3d import transform_points
 from .mesh import Mesh
 from .shading import DirectionalLight, Material
 
-__all__ = ["RenderOutput", "render", "sky_gradient"]
+__all__ = ["DrawCall", "RenderOutput", "render", "render_draw_calls", "sky_gradient"]
 
 #: Triangles whose doubled signed screen-space area is below this are
 #: treated as degenerate (edge-on or collapsed) and skipped.
@@ -81,6 +81,32 @@ def sky_gradient(
     horizon = np.asarray(horizon, dtype=np.float64)
     zenith = np.asarray(zenith, dtype=np.float64)
     return np.broadcast_to(zenith * (1 - t) + horizon * t, (height, width, 3)).copy()
+
+
+@dataclass(frozen=True)
+class DrawCall:
+    """World-space faces of one material, with the per-face tables shading reads.
+
+    ``face_uvs`` and ``normals`` depend on the geometry alone, not on the
+    camera, so a caller that draws the same geometry every frame (a
+    scene's static objects) builds its draw call once.
+    """
+
+    vertices: np.ndarray  # (V, 3) world space
+    faces: np.ndarray  # (F, 3)
+    face_uvs: np.ndarray  # (F, 3, 2) texture coordinates of each face's corners
+    normals: np.ndarray  # (F, 3) unit face normals
+    material: Material
+
+    @classmethod
+    def of(cls, mesh: Mesh, material: Material) -> "DrawCall":
+        return cls(
+            mesh.vertices,
+            mesh.faces,
+            mesh.uvs[mesh.faces],
+            mesh.face_normals(),
+            material,
+        )
 
 
 @dataclass(frozen=True)
@@ -214,16 +240,16 @@ def _tiles(tris: _Triangles) -> tuple[np.ndarray, np.ndarray]:
     x1 = np.minimum(x0 + _TILE - 1, max_x[tri])
     y1 = np.minimum(y0 + _TILE - 1, max_y[tri])
 
-    corner_x = np.stack([x0, x1, x0, x1], axis=1).astype(np.float64)
-    corner_y = np.stack([y0, y0, y1, y1], axis=1).astype(np.float64)
-    xs, ys = tris.xs[:, tri, None], tris.ys[:, tri, None]
-    orient = np.sign(tris.area)[tri, None]
+    xs, ys = tris.xs[:, tri], tris.ys[:, tri]
+    orient = np.sign(tris.area)[tri]
     keep = np.ones(len(tri), dtype=bool)
     for a, b in ((1, 2), (2, 0), (0, 1)):
-        length = np.hypot(xs[b] - xs[a], ys[b] - ys[a])[:, 0]
-        # Affine in the pixel, so its maximum over a tile is at a corner.
-        edge = _edge(xs[a], ys[a], xs[b], ys[b], corner_x, corner_y)
-        reach = (orient * edge).max(axis=1)
+        length = np.hypot(xs[b] - xs[a], ys[b] - ys[a])
+        # Affine in the pixel, so its maximum over a tile is at the corner
+        # its gradient, orient * (ya - yb, xb - xa), points to.
+        corner_x = np.where(orient * (ys[a] - ys[b]) > 0, x1, x0).astype(np.float64)
+        corner_y = np.where(orient * (xs[b] - xs[a]) > 0, y1, y0).astype(np.float64)
+        reach = orient * _edge(xs[a], ys[a], xs[b], ys[b], corner_x, corner_y)
         keep &= (length < _MIN_CULL_EDGE_PX) | (reach >= -_CULL_MARGIN_PX * length)
     return tri[keep], np.stack([x0, x1, y0, y1], axis=1)[keep]
 
@@ -264,26 +290,34 @@ def _resolve(tris: _Triangles, far: float, depth: np.ndarray) -> np.ndarray:
     owner = np.full(zbuf.size, none, dtype=np.intp)
     tile_tri, rects = _tiles(tris)
     step = max(1, _MAX_CHUNK_FRAGMENTS // _TILE**2)
-    offset = np.arange(_TILE)
+    offset = np.arange(_TILE)[:, None]
     for start in range(0, len(tile_tri), step):
         # Each tile is a (_TILE, _TILE) block of candidate pixels; its
         # triangle's values broadcast over the block, and the x (y) terms
-        # of the edge functions are computed once per column (row).
-        tri = tile_tri[start : start + step, None, None]
-        x0, x1, y0, y1 = (edge[:, None, None] for edge in rects[start : start + step].T)
-        px, py = x0 + offset, y0 + offset[:, None]
+        # of the edge functions are computed once per column (row). The
+        # tiles run along the last axis, so every elementwise loop is as
+        # long as the chunk; fragment order within a chunk does not
+        # change what the scatter-min keeps.
+        tri = tile_tri[start : start + step]
+        x0, x1, y0, y1 = rects[start : start + step].T
+        px, py = x0 + offset, (y0 + offset)[:, None]
         b0, b1, b2 = _barycentrics(tris, tri, px, py)
-        inside = (
+        inside = np.flatnonzero(
             (px <= x1)
             & (py <= y1)
             & (b0 >= -_INSIDE_TOLERANCE)
             & (b1 >= -_INSIDE_TOLERANCE)
             & (b2 >= -_INSIDE_TOLERANCE)
         )
-        one_over_w = _one_over_w(tris, tri, b0, b1, b2)[inside]
+        # Flat index (dy * _TILE + dx) * tiles + tile of each inside pixel.
+        slot, tile = np.divmod(inside, len(tri))
+        dy, dx = np.divmod(slot, _TILE)
+        tri = tri[tile]
+        one_over_w = _one_over_w(
+            tris, tri, *(b.reshape(-1)[inside] for b in (b0, b1, b2))
+        )
         frag_depth = np.clip((1.0 / one_over_w) / far, 0.0, 1.0)
-        pixel = (py * width + px)[inside]
-        tri = np.broadcast_to(tri, inside.shape)[inside]
+        pixel = (y0[tile] + dy) * width + x0[tile] + dx
 
         closer = frag_depth < zbuf[pixel]
         tri, pixel, frag_depth = tri[closer], pixel[closer], frag_depth[closer]
@@ -344,6 +378,25 @@ def render(
     :meth:`Mesh.transformed`). Objects draw in order and faces in mesh
     order; where two fragments tie exactly in depth the earlier one wins.
     """
+    return render_draw_calls(
+        [DrawCall.of(mesh, material) for mesh, material in objects],
+        camera,
+        width,
+        height,
+        light=light,
+        background=background,
+    )
+
+
+def render_draw_calls(
+    calls: Sequence[DrawCall],
+    camera: Camera,
+    width: int,
+    height: int,
+    light: DirectionalLight | None = None,
+    background: np.ndarray | tuple[float, float, float] | None = None,
+) -> RenderOutput:
+    """:func:`render` of draw calls whose per-face tables are already built."""
     if width < 2 or height < 2:
         raise ValueError(f"viewport too small: {width}x{height}")
     light = light or DirectionalLight()
@@ -361,20 +414,21 @@ def render(
             np.asarray(background, dtype=np.float64), (height, width, 3)
         ).copy()
     depth = np.ones((height, width), dtype=np.float64)
-    if not objects:
+    if not calls:
         return RenderOutput(color=color, depth=depth)
 
-    # Gather every face of every mesh in draw order, tagged by material.
+    # Gather every face of every draw call in order, tagged by material.
     mvp = camera.view_projection(width, height)
     materials: dict[int, tuple[int, Material]] = {}
-    clip, uvs, normals, groups = [], [], [], []
-    for mesh, material in objects:
-        clip.append(transform_points(mvp, mesh.vertices)[mesh.faces])
-        uvs.append(mesh.uvs[mesh.faces])
-        normals.append(mesh.face_normals())
-        group, _ = materials.setdefault(id(material), (len(materials), material))
-        groups.append(np.full(len(mesh.faces), group))
-    normals = np.concatenate(normals)
+    clip, uvs, groups = [], [], []
+    for call in calls:
+        clip.append(transform_points(mvp, call.vertices)[call.faces])
+        uvs.append(call.face_uvs)
+        group, _ = materials.setdefault(
+            id(call.material), (len(materials), call.material)
+        )
+        groups.append(np.full(len(call.faces), group))
+    normals = np.concatenate([call.normals for call in calls])
 
     tris = _assemble(
         np.concatenate(clip), np.concatenate(uvs), camera.near, width, height

@@ -31,17 +31,30 @@ __all__ = [
 TextureFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _hash01(ix: np.ndarray, iy: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Deterministic integer-lattice hash into [0, 1)."""
-    with np.errstate(over="ignore"):
-        h = (
-            ix.astype(np.int64).astype(np.uint64) * np.uint64(374761393)
-            + iy.astype(np.int64).astype(np.uint64) * np.uint64(668265263)
-            + np.uint64(seed % (1 << 32)) * np.uint64(1442695040888963407)
-        )
-        h = (h ^ (h >> np.uint64(13))) * np.uint64(1274126177)
-        h = h ^ (h >> np.uint64(16))
-    return (h & np.uint64(0x7FFFFFFF)) / np.float64(0x7FFFFFFF)
+def _lattice(
+    i: np.ndarray, multiplier: int, offset: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hash terms ``i * multiplier + offset`` and ``(i + 1) * multiplier + offset``.
+
+    uint64 arithmetic wraps mod 2**64 exactly, so the second term is the
+    first plus ``multiplier``.
+    """
+    lo = i.astype(np.int64).view(np.uint64) * np.uint64(multiplier)
+    if offset:
+        lo += np.uint64(offset)
+    return lo, lo + np.uint64(multiplier)
+
+
+def _hash01(h: np.ndarray) -> np.ndarray:
+    """Deterministic hash into [0, 1) of a lattice point's summed terms.
+
+    Mixes ``h`` (uint64) in place.
+    """
+    h ^= h >> np.uint64(13)
+    h *= np.uint64(1274126177)
+    h ^= h >> np.uint64(16)
+    h &= np.uint64(0x7FFFFFFF)
+    return h / np.float64(0x7FFFFFFF)
 
 
 def value_noise(u: np.ndarray, v: np.ndarray, seed: int = 0) -> np.ndarray:
@@ -53,12 +66,20 @@ def value_noise(u: np.ndarray, v: np.ndarray, seed: int = 0) -> np.ndarray:
     # Smoothstep interpolation weights.
     wu = fu * fu * (3 - 2 * fu)
     wv = fv * fv * (3 - 2 * fv)
-    n00 = _hash01(iu, iv, seed)
-    n10 = _hash01(iu + 1, iv, seed)
-    n01 = _hash01(iu, iv + 1, seed)
-    n11 = _hash01(iu + 1, iv + 1, seed)
-    top = n00 * (1 - wu) + n10 * wu
-    bot = n01 * (1 - wu) + n11 * wu
+    # The four corners share two hash terms per axis; the seed's term
+    # rides on the v axis.
+    seed_term = (seed % (1 << 32)) * 1442695040888963407 % (1 << 64)
+    # uint64 wraparound is the hash; numpy warns of it on scalars only.
+    with np.errstate(over="ignore"):
+        hu0, hu1 = _lattice(iu, 374761393)
+        hv0, hv1 = _lattice(iv, 668265263, seed_term)
+        n00 = _hash01(hu0 + hv0)
+        n10 = _hash01(hu1 + hv0)
+        n01 = _hash01(hu0 + hv1)
+        n11 = _hash01(hu1 + hv1)
+    mu = 1 - wu
+    top = n00 * mu + n10 * wu
+    bot = n01 * mu + n11 * wu
     return top * (1 - wv) + bot * wv
 
 

@@ -11,7 +11,7 @@ from .client import (
     StreamingClient,
 )
 from .frames import ClientFrameResult, ROI_METADATA_BYTES, ServerFrame, StreamGeometry
-from .mtp import MTP_STAGES, MTPBreakdown, mtp_from_frame, mtp_from_trace
+from .mtp import MTP_STAGES, MTPBreakdown, mtp_from_trace
 from .pipeline import (
     CLIENT_STAGES,
     ENERGY_CATEGORIES,
@@ -67,7 +67,6 @@ __all__ = [
     "build_abr",
     "energy_from_trace",
     "modeled_pipeline_schedule",
-    "mtp_from_frame",
     "mtp_from_trace",
     "run_session",
     "split_transmission",

@@ -538,8 +538,8 @@ class GameStreamSRClient(_ZooSRExecution, StreamingClient):
         st.add_energy(Component.NPU, sr_ms)
         st.add_energy(Component.GPU, warp_ms + gpu_ms + merge_ms)
         st.meta(
-            sr_ms=sr_ms, gpu_ms=gpu_ms, merge_ms=merge_ms,
-            modeled_roi_pixels=modeled_roi_px,
+            sr_backend=self.backend.name, sr_ms=sr_ms, gpu_ms=gpu_ms,
+            merge_ms=merge_ms, modeled_roi_pixels=modeled_roi_px,
         )
         reuse_meta = dict(
             refresh=False, reason="", warp_ms=warp_ms,

@@ -100,10 +100,6 @@ class ServerFrame:
     encoded: EncodedFrame
     roi: Optional[RoIBox]
     geometry: StreamGeometry
-    #: Server MTP-stage latencies — a materialized view of ``trace``
-    #: (``trace.timings_ms(SERVER_STAGES)``); kept as a field so direct
-    #: constructors and pickled artifacts stay valid.
-    server_timings_ms: Dict[str, float]
     #: Eval-scale encoded payload extrapolated to modeled-scale bytes.
     modeled_size_bytes: int
     #: Structured per-stage trace recorded by the server pipeline.

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable
 
-from .frames import ClientFrameResult, ServerFrame
 from .pipeline import FrameTrace
 
-__all__ = ["MTP_STAGES", "MTPBreakdown", "mtp_from_frame", "mtp_from_trace"]
+__all__ = ["MTP_STAGES", "MTPBreakdown", "mtp_from_trace"]
 
 #: Pipeline stages in order, matching Fig. 10c's x-axis.
 MTP_STAGES = (
@@ -59,12 +58,6 @@ class MTPBreakdown:
             for stage in MTP_STAGES:
                 acc[stage] += item.stage(stage)
         return MTPBreakdown({s: v / len(items) for s, v in acc.items()})
-
-
-def mtp_from_frame(server: ServerFrame, client: ClientFrameResult) -> MTPBreakdown:
-    """Assemble the end-to-end MTP breakdown for one frame from the
-    merged server + client trace."""
-    return mtp_from_trace(server.trace.extend(client.trace))
 
 
 def mtp_from_trace(trace: FrameTrace) -> MTPBreakdown:

@@ -11,7 +11,7 @@ explicit runtime representation:
   simulation work (ms), zero or more energy attributions, and free-form
   payload metadata (byte counts, RoI geometry, retransmissions, ...).
 * :class:`FrameTrace` — the ordered span list for one frame, with views
-  that derive the ``server_timings_ms`` / ``client_timings_ms`` /
+  that derive the per-stage latency (``timings_ms``) and
   ``energy_stages`` dictionaries, so MTP and energy aggregation consume
   the trace instead of ad-hoc dicts.
 
@@ -262,8 +262,8 @@ class FrameTrace:
         """MTP-stage latency dict over ``stages`` (absent stages are 0).
 
         Only spans recorded with ``mtp=True`` contribute; duplicate names
-        sum. This is the view that replaces the hand-assembled
-        ``server_timings_ms`` / ``client_timings_ms`` dicts.
+        sum. ``ClientFrameResult.client_timings_ms`` is this view over
+        ``CLIENT_STAGES``.
         """
         out: Dict[str, float] = {name: 0.0 for name in stages}
         for span in self.spans:

@@ -10,6 +10,7 @@ from repro.analysis.experiments import (
     _make_client,
     _run_one_session,
     perf_geometry,
+    performance_sessions,
     quality_geometry,
     upscale_factor_tradeoff,
 )
@@ -92,3 +93,35 @@ class TestSessionDriver:
         assert server.game.game_id == "G3"
         assert server.roi_side is not None
         assert server_module._memo_keys(server)[1] is not None
+
+    @pytest.mark.parametrize("cache", ["disabled", "fresh"])
+    def test_cells_of_one_game_render_each_frame_once(
+        self, cache, tiny_runner, tmp_path, monkeypatch
+    ):
+        import repro.analysis.experiments as exp
+
+        if cache == "disabled":
+            monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
+        else:
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(exp, "default_runner", lambda: tiny_runner)
+        exp._game.cache_clear()
+        calls = []
+        render_frame = GameWorkload.render_frame
+
+        def counting(game, index, *args, **kwargs):
+            calls.append((game.game_id, index))
+            return render_frame(game, index, *args, **kwargs)
+
+        monkeypatch.setattr(GameWorkload, "render_frame", counting)
+        out = performance_sessions(
+            "samsung_tab_s8", game_ids=("G1", "G3"), n_frames=4, workers=1
+        )
+        exp._game.cache_clear()
+        assert {design: sorted(cells) for design, cells in out.items()} == {
+            "gamestreamsr": ["G1", "G3"],
+            "nemo": ["G1", "G3"],
+        }
+        # Both designs of a game stream one game object back to back, so
+        # the second replays the first's renders from the server memo.
+        assert len(calls) == len(set(calls)) == 2 * 4

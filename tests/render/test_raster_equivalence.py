@@ -133,6 +133,17 @@ def test_games_match_legacy_and_golden(game_id, width, height):
         assert _digest(new) == GOLDEN[(game_id, width, height, frame)]
 
 
+@pytest.mark.parametrize("width,height", GEOMETRIES)
+@pytest.mark.parametrize("game_id", GAME_IDS)
+def test_scene_render_frame_matches_golden(game_id, width, height):
+    """The scene path (static draw list built once, animated objects per
+    frame) renders the golden bytes, through one instance out of order."""
+    game = build_game(game_id)
+    for frame in (29, 0, 7):
+        out = game.render_frame(frame, width, height)
+        assert _digest(out) == GOLDEN[(game_id, width, height, frame)]
+
+
 # -- random triangle soups ----------------------------------------------------
 
 CAMERA = Camera(position=np.zeros(3), target=np.array([0.0, 0.0, -1.0]), far=60.0)

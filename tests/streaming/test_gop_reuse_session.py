@@ -132,6 +132,14 @@ class TestRefreshBoundaries:
                 == ledger["tiles_total"]
             )
 
+    def test_every_upscale_span_names_its_backend(self, device, tiny_runner):
+        client = GameStreamSRClient(device, tiny_runner, modeled_roi_side=300)
+        result = run_session(make_server(), client, n_frames=N, gop_reuse=True)
+        refreshes = {reuse_meta(r)["refresh"] for r in result.records}
+        assert refreshes == {True, False}
+        for record in result.records:
+            assert record.trace.span("upscale").metadata["sr_backend"] == "edsr"
+
     def test_index_gap_breaks_chain(self, device, tiny_runner):
         frames = make_frames(n=3, gop=10)  # I P P, one GOP
         client = GameStreamSRClient(device, tiny_runner, modeled_roi_side=300)

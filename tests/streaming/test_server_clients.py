@@ -16,6 +16,7 @@ from repro.streaming.client import (
     SRIntegratedDecoderClient,
 )
 from repro.streaming.frames import StreamGeometry
+from repro.streaming.pipeline import SERVER_STAGES
 from repro.streaming.server import GameStreamServer
 
 GEO = StreamGeometry(eval_lr_height=48, eval_lr_width=80, lr_source="native")
@@ -47,13 +48,13 @@ class TestServer:
         server = make_server(roi_side=None)
         frame = server.next_frame()
         assert frame.roi is None
-        assert frame.server_timings_ms["roi_detect"] == 0.0
+        assert frame.trace.timings_ms(SERVER_STAGES)["roi_detect"] == 0.0
 
     def test_server_timing_stages(self):
-        frame = make_server().next_frame()
+        timings = make_server().next_frame().trace.timings_ms(SERVER_STAGES)
         for stage in ("input", "game_logic", "render", "encode", "network"):
-            assert frame.server_timings_ms[stage] > 0
-        assert frame.server_timings_ms["roi_detect"] == cal.SERVER_ROI_DETECT_MS
+            assert timings[stage] > 0
+        assert timings["roi_detect"] == cal.SERVER_ROI_DETECT_MS
 
     def test_modeled_bytes_extrapolated(self):
         frame = make_server().next_frame()

@@ -32,6 +32,7 @@ from repro.streaming import (
     GameStreamServer,
     GameStreamSRClient,
     NemoClient,
+    SERVER_STAGES,
     SRIntegratedDecoderClient,
     StreamGeometry,
     build_abr,
@@ -195,9 +196,11 @@ class TestSlotIsNotPolluted:
         first = stream(shared, BilinearClient(DEVICE))
         second = stream(shared, BilinearClient(DEVICE))
         for a, b in zip(first.frames, second.frames):
-            assert a.server_timings_ms == b.server_timings_ms
-            assert a.server_timings_ms is not b.server_timings_ms
+            assert a.trace is not b.trace
             assert a.trace.spans[0] is not b.trace.spans[0]
+            assert a.trace.timings_ms(SERVER_STAGES) == b.trace.timings_ms(
+                SERVER_STAGES
+            )
 
 
 def _resize(server, index):
