@@ -44,9 +44,10 @@ echo "== GOP-reuse smoke (REPRO_CONTRACTS=1) =="
 REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py --gop-reuse
 
 echo "== model-zoo backend smoke (REPRO_CONTRACTS=1) =="
-# RoI designs driven by a non-default zoo backend and by the
-# difficulty-aware tile dispatcher.
-REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py --sr-backend quicksrnet
+# RoI designs driven by a non-default zoo backend under GOP reuse (both
+# the reuse ledger and the backend name on every RoI-SR span, partial
+# refreshes included), and by the difficulty-aware tile dispatcher.
+REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py --gop-reuse --sr-backend quicksrnet
 REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py --dispatch
 
 echo "== network-scenario + ABR smoke (REPRO_CONTRACTS=1) =="

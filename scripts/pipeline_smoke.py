@@ -21,10 +21,12 @@ shared G3's ``render_frame`` calls.
 
 Every RoI-SR frame names the backend that ran it: ``edsr`` (the session
 EDSR) by default. ``--gop-reuse``, ``--sr-backend NAME`` and
-``--dispatch`` (mutually exclusive) restrict the matrix to the RoI
-designs and stream them with the corresponding SR-execution knob on,
-asserting its per-frame ledger (reuse decisions / backend name /
-dispatch counters) is recorded.
+``--dispatch`` restrict the matrix to the RoI designs and stream them
+with the corresponding SR-execution knob on, asserting its per-frame
+ledger (reuse decisions / backend name / dispatch counters) is
+recorded. ``--gop-reuse --sr-backend NAME`` asserts both ledgers: the
+partial refresh runs on the named backend. ``--dispatch`` excludes the
+other two.
 
 ``--scenario NAME`` streams over a trace-driven time-varying link
 (skip-dropped transport, 100 ms delivery budget) and asserts the
@@ -33,7 +35,7 @@ the bitrate control loop on the RoI designs and asserts the ``abr/*``
 ledger.
 
 Usage: PYTHONPATH=src python scripts/pipeline_smoke.py [--out DIR]
-           [--gop-reuse | --sr-backend NAME | --dispatch]
+           [--gop-reuse] [--sr-backend NAME | --dispatch]
            [--scenario NAME [--abr]]
 """
 
@@ -162,7 +164,8 @@ def main(argv=None) -> int:
         "--gop-reuse",
         action="store_true",
         help="smoke only the GOP-reuse designs with gop_reuse=True "
-        "(warp-and-refresh SR cache) instead of the default matrix",
+        "(warp-and-refresh SR cache, its partial refresh on the RoI "
+        "backend; combines with --sr-backend) instead of the default matrix",
     )
     parser.add_argument(
         "--sr-backend",
@@ -192,8 +195,8 @@ def main(argv=None) -> int:
         "--scenario; subsumes the static SR-execution knobs)",
     )
     args = parser.parse_args(argv)
-    if sum(map(bool, (args.gop_reuse, args.sr_backend, args.dispatch))) > 1:
-        parser.error("--gop-reuse, --sr-backend and --dispatch are exclusive")
+    if args.dispatch and (args.gop_reuse or args.sr_backend):
+        parser.error("--dispatch excludes --gop-reuse and --sr-backend")
     if args.abr and not args.scenario:
         parser.error("--abr requires --scenario")
     if args.abr and (args.gop_reuse or args.sr_backend or args.dispatch):
@@ -306,10 +309,11 @@ def main(argv=None) -> int:
                     f"no sr.reuse refresh recorded for {result.design}"
                 )
             if result.design in ROI_DESIGNS and not (
-                args.gop_reuse or dispatch is not None or args.abr
+                dispatch is not None or args.abr
             ):
-                # Every RoI-SR frame must carry its backend's name in its
-                # span: the zoo member asked for, else the session EDSR.
+                # Every RoI-SR frame, GOP-reuse partial refreshes included,
+                # must carry its backend's name in its span: the zoo member
+                # asked for, else the session EDSR.
                 expected = "edsr" if sr_backend is None else sr_backend.name
                 named = [
                     meta.get("sr_backend")

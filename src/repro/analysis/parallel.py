@@ -52,9 +52,11 @@ SessionTask = Tuple[str, Dict[str, Any]]
 #: pixel-derived number moves; v5: RoI upscale spans name their SR
 #: backend, ``sr_backend``/``sr_ms`` in place of ``npu_ms``; v6: GOP-reuse
 #: partial-refresh upscale spans name their SR backend too, and server
-#: frames no longer carry a ``server_timings_ms`` dict). Part of the
-#: cache key, so stale pickles are never loaded into the new code.
-SESSION_CACHE_SCHEMA = 6
+#: frames no longer carry a ``server_timings_ms`` dict; v7: partial
+#: refreshes with no dirty RoI pixel drop their zero-ms NPU attribution,
+#: and client frames no longer carry a ``client_timings_ms`` dict). Part
+#: of the cache key, so stale pickles are never loaded into the new code.
+SESSION_CACHE_SCHEMA = 7
 
 _MAX_DEFAULT_WORKERS = 8
 

@@ -41,9 +41,6 @@ def reconstruct_nonreference(
             f"({h_hr // scale}, {w_hr // scale})"
         )
     mv_hr = upscale_motion_vectors(motion_vectors, scale)
-    prediction = np.stack(
-        [compensate(hr_reference[..., c], mv_hr, block * scale) for c in range(3)],
-        axis=-1,
-    )
+    prediction = compensate(hr_reference, mv_hr, block * scale)
     residual_hr = bilinear(residual_rgb, h_hr, w_hr)
     return np.clip(prediction + residual_hr, 0.0, 1.0)

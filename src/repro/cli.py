@@ -254,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--gop-reuse",
         action="store_true",
         help="warp-and-refresh SR reuse across the GOP for designs that "
-        "support it (re-runs the DNN only on residual-dirty tiles)",
+        "support it (re-runs the RoI SR backend only on residual-dirty "
+        "tiles; combines with --sr-backend)",
     )
     stream.add_argument(
         "--sr-backend",

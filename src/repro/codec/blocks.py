@@ -15,16 +15,19 @@ def block_grid_shape(height: int, width: int, block: int) -> tuple[int, int]:
 
 
 def pad_to_blocks(plane: np.ndarray, block: int) -> np.ndarray:
-    """Edge-pad a 2-D plane so both dims are multiples of ``block``."""
+    """Edge-pad an (H, W) or (H, W, C) plane so H and W are multiples of
+    ``block``."""
     plane = np.asarray(plane)
-    if plane.ndim != 2:
-        raise ValueError(f"expected a 2-D plane, got shape {plane.shape}")
-    h, w = plane.shape
+    if plane.ndim not in (2, 3):
+        raise ValueError(f"expected an (H, W) or (H, W, C) plane, got shape {plane.shape}")
+    h, w = plane.shape[:2]
     pad_h = (-h) % block
     pad_w = (-w) % block
     if pad_h == 0 and pad_w == 0:
         return plane
-    return np.pad(plane, ((0, pad_h), (0, pad_w)), mode="edge")
+    return np.pad(
+        plane, ((0, pad_h), (0, pad_w)) + ((0, 0),) * (plane.ndim - 2), mode="edge"
+    )
 
 
 def split_blocks(plane: np.ndarray, block: int) -> np.ndarray:

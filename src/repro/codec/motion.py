@@ -182,20 +182,22 @@ def compensate(
 ) -> np.ndarray:
     """Build the motion-compensated prediction of the current frame.
 
-    One fancy-indexed gather over the whole plane: each output pixel reads
-    ``ref[clip(y + dy), clip(x + dx)]`` with its block's displacement
-    broadcast across the block — bit-identical to the per-block loop it
-    replaces.
+    ``reference`` is an (H, W) plane or an (H, W, C) frame. One
+    fancy-indexed gather over the whole frame: each output pixel reads
+    ``ref[clip(y + dy), clip(x + dx)]`` (every channel at once) with its
+    block's displacement broadcast across the block — bit-identical to
+    the per-block loop it replaces. On an HR frame with ``scale``-times
+    the vectors and the block side this is NEMO's HR warp.
     """
     reference = np.asarray(reference, dtype=np.float64)
-    h, w = reference.shape
+    h, w = reference.shape[:2]
     nby, nbx = block_grid_shape(h, w, block)
     if motion_vectors.shape != (nby, nbx, 2):
         raise ValueError(
             f"expected motion vectors {(nby, nbx, 2)}, got {motion_vectors.shape}"
         )
     ref = pad_to_blocks(reference, block)
-    ph, pw = ref.shape
+    ph, pw = ref.shape[:2]
     mv = np.asarray(motion_vectors, dtype=np.int64)
     dy = np.repeat(np.repeat(mv[:, :, 0], block, axis=0), block, axis=1)
     dx = np.repeat(np.repeat(mv[:, :, 1], block, axis=0), block, axis=1)

@@ -13,7 +13,6 @@ from .gop_reuse import (
     GOPSRCache,
     composite_blocks,
     dirty_block_mask,
-    warp_hr,
 )
 from .interpolate import bicubic, bilinear
 from .pretrained import (
@@ -50,6 +49,5 @@ __all__ = [
     "tile_difficulty",
     "training_frames",
     "train_sr_model",
-    "warp_hr",
     "zoo_sr_model",
 ]

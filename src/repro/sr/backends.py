@@ -93,6 +93,13 @@ class SRBackend(abc.ABC):
     def upscale_batch(self, tiles: np.ndarray) -> np.ndarray:
         """Upscale an (N, h, w, C) tile stack to (N, h*s, w*s, C)."""
 
+    #: Upscale caller-chosen halo windows of one image through
+    #: :meth:`upscale_batch` and crop the HR cores (the GOP-reuse partial
+    #: refresh). One implementation with
+    #: :meth:`SRRunner.upscale_windows <repro.sr.runner.SRRunner.upscale_windows>`:
+    #: it needs only ``scale`` and ``upscale_batch``.
+    upscale_windows = SRRunner.upscale_windows
+
     @abc.abstractmethod
     def latency_ms(self, lr_pixels: float, device: DeviceProfile) -> float:
         """Modeled latency for one batched invocation over ``lr_pixels``."""

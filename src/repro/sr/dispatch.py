@@ -47,7 +47,7 @@ import numpy as np
 from ..contracts import shaped
 from ..platform.device import DeviceProfile
 from .backends import SRBackend
-from .runner import _pad_reflect2d
+from .runner import _gather_windows
 
 __all__ = [
     "DispatchPlan",
@@ -312,20 +312,8 @@ class DifficultyDispatcher:
         # Gather halo windows once (shared by every backend group), the
         # same reflect-pad convention as SRRunner tiled inference.
         tile, halo = self.tile, self.halo
-        padded = _pad_reflect2d(
-            patch,
-            halo,
-            ny * tile - h + halo,
-            halo,
-            nx * tile - w + halo,
-        )
-        win = tile + 2 * halo
-        windows = np.empty((ny * nx, win, win, patch.shape[2]), dtype=padded.dtype)
-        for iy in range(ny):
-            for ix in range(nx):
-                windows[iy * nx + ix] = padded[
-                    iy * tile : iy * tile + win, ix * tile : ix * tile + win
-                ]
+        origins = np.indices((ny, nx)).reshape(2, -1).T * tile
+        windows = _gather_windows(patch, origins, (tile, tile), halo)
 
         out = np.empty((ny * tile * s, nx * tile * s, patch.shape[2]), dtype=np.float64)
         for idx, backend in enumerate(self.backends):

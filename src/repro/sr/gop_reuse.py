@@ -6,7 +6,8 @@ the compressed-domain warp-and-refresh cache (NEMO-style anchor reuse,
 specialized to the RoI client):
 
 1. the decoded luma-grid motion field, upscaled to HR, warps the previous
-   frame's SR canvas with one vectorized gather (:func:`warp_hr`);
+   frame's SR canvas with one vectorized gather (the streaming client
+   calls ``repro.codec.motion.compensate`` on the (H, W, 3) canvas);
 2. the decoder's per-block residual-energy summary marks the *dirty*
    blocks — where the codec itself had to transmit a correction
    (:func:`dirty_block_mask`);
@@ -20,9 +21,8 @@ index continuity), mirroring the decoder's own GOP semantics.
 
 Layering note: ``repro.sr`` sits below ``repro.codec``, so everything
 here works on plain arrays (motion-vector grids, block-energy grids) that
-the streaming client extracts from ``DecodedFrame``; the HR warp mirrors
-``repro.codec.motion.compensate`` (same clip-and-gather convention,
-generalized to (H, W, 3)) rather than importing it.
+the streaming client extracts from ``DecodedFrame``, and the warp itself
+is the codec's ``compensate``, called by the client that sits above both.
 """
 
 from __future__ import annotations
@@ -53,38 +53,15 @@ __all__ = [
 REUSE_DIRTY_THRESHOLD = 1e-5
 
 
-@shaped(reference="H W 3:f64", motion_vectors="BY BX 2:i")
 def warp_hr(reference: np.ndarray, motion_vectors: np.ndarray, block: int) -> np.ndarray:
-    """Warp an HR frame by a block motion field with one vectorized gather.
+    """``repro.codec.motion.compensate`` on an (H, W, 3) HR frame.
 
-    ``motion_vectors`` is the decoded luma-grid field already scaled to HR
-    units (``mv * scale``) and ``block`` the HR block side
-    (``lr_block * scale``); the grid must cover the frame
-    (``ceil`` division, exactly the codec's layout). Each output pixel
-    reads ``reference[clip(y + dy), clip(x + dx)]`` with its block's
-    displacement broadcast across the block — the same edge-clamped
-    convention as ``repro.codec.motion.compensate``, per-pixel over all
-    three channels at once.
+    The pipeline calls ``compensate`` itself; this name stays only
+    because ``e2ebench/tracing.py`` binds ``repro.sr.gop_reuse:warp_hr``.
     """
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
-    h, w = reference.shape[:2]
-    nby, nbx = motion_vectors.shape[:2]
-    ph, pw = nby * block, nbx * block
-    if ph < h or pw < w:
-        raise ValueError(
-            f"motion grid {nby}x{nbx} (block {block}) does not cover "
-            f"frame {h}x{w}"
-        )
-    ref = reference
-    if ph > h or pw > w:
-        ref = np.pad(reference, ((0, ph - h), (0, pw - w), (0, 0)), mode="edge")
-    mv = np.asarray(motion_vectors, dtype=np.int64)
-    dy = np.repeat(np.repeat(mv[:, :, 0], block, axis=0), block, axis=1)
-    dx = np.repeat(np.repeat(mv[:, :, 1], block, axis=0), block, axis=1)
-    ys = np.clip(np.arange(ph, dtype=np.int64)[:, None] + dy, 0, ph - 1)
-    xs = np.clip(np.arange(pw, dtype=np.int64)[None, :] + dx, 0, pw - 1)
-    return ref[ys, xs][:h, :w]
+    from ..codec.motion import compensate  # deferred: repro.codec sits above repro.sr
+
+    return compensate(reference, motion_vectors, block)
 
 
 @shaped(energy="BY BX:f64", pixel_counts="BY BX:i")

@@ -19,7 +19,10 @@ bench can keep measuring the speedup against it.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..contracts import shaped
 from ..neural.layers import Module
@@ -46,6 +49,35 @@ def _pad_reflect2d(
         return np.pad(image, ((top, bottom), (left, right), (0, 0)), mode=mode_y)
     padded = np.pad(image, ((top, bottom), (0, 0), (0, 0)), mode=mode_y)
     return np.pad(padded, ((0, 0), (left, right), (0, 0)), mode=mode_x)
+
+
+def _gather_windows(
+    image: np.ndarray, origins: np.ndarray, core: Tuple[int, int], halo: int
+) -> np.ndarray:
+    """The ``(core_h, core_w)`` cells of an (H, W, C) image at ``origins``
+    (``(N, 2)`` top-left ``(y, x)``), each with ``halo`` pixels of
+    reflect-padded context (:func:`_pad_reflect2d`; cells may run past
+    the frame edge). Returns ``(N, core_h + 2*halo, core_w + 2*halo, C)``
+    in origin order and the image's dtype.
+    """
+    h, w, c = image.shape
+    core_h, core_w = core
+    win = (core_h + 2 * halo, core_w + 2 * halo)
+    origins = np.asarray(origins, dtype=np.int64).reshape(-1, 2)
+    if len(origins) == 0:
+        return np.empty((0, *win, c), dtype=image.dtype)
+    if origins.min() < 0:
+        raise ValueError("window origins must be >= 0")
+    padded = _pad_reflect2d(
+        image,
+        halo,
+        halo + max(0, int(origins[:, 0].max()) + core_h - h),
+        halo,
+        halo + max(0, int(origins[:, 1].max()) + core_w - w),
+    )
+    # Image coords (y - halo ..) == padded coords (y ..).
+    windows = sliding_window_view(padded, win, axis=(0, 1))
+    return windows[origins[:, 0], origins[:, 1]].transpose(0, 2, 3, 1)
 
 
 class SRRunner:
@@ -138,33 +170,21 @@ class SRRunner:
         # Clamp the tile per axis so a tile larger than the frame degrades
         # to whole-frame inference instead of padding up to (tile x tile)
         # and wasting forward compute on reflection filler.
-        tile_h = min(tile, h + 2 * overlap)
-        tile_w = min(tile, w + 2 * overlap)
-        step_h = tile_h - 2 * overlap
-        step_w = tile_w - 2 * overlap
+        step_h = min(tile, h + 2 * overlap) - 2 * overlap
+        step_w = min(tile, w + 2 * overlap) - 2 * overlap
         ny = -(-h // step_h)  # ceil division
         nx = -(-w // step_w)
-        # Halo on every side; bottom/right additionally fill the last
-        # partial tile so all windows are exactly (tile_h x tile_w).
-        padded = _pad_reflect2d(
-            image,
-            overlap,
-            ny * step_h - h + overlap,
-            overlap,
-            nx * step_w - w + overlap,
-        )
+        origins = np.indices((ny, nx)).reshape(2, -1).T * (step_h, step_w)
         # Gather straight into the active inference dtype (float32 under
-        # the default policy) so the forward never re-casts per chunk.
-        padded = padded.astype(get_inference_dtype(), copy=False)
-
-        tiles = np.empty((ny * nx, c, tile_h, tile_w), dtype=padded.dtype)
-        for iy in range(ny):
-            for ix in range(nx):
-                window = padded[
-                    iy * step_h : iy * step_h + tile_h,
-                    ix * step_w : ix * step_w + tile_w,
-                ]
-                tiles[iy * nx + ix] = window.transpose(2, 0, 1)
+        # the default policy) as the C-contiguous NCHW batch the model's
+        # convs read, so the forward never re-casts per chunk.
+        windows = _gather_windows(
+            image.astype(get_inference_dtype(), copy=False),
+            origins,
+            (step_h, step_w),
+            overlap,
+        )
+        tiles = np.ascontiguousarray(windows.transpose(0, 3, 1, 2))
 
         with no_grad():
             chunks = [
@@ -194,61 +214,32 @@ class SRRunner:
 
     @shaped(image="H W 3:n", origins="N 2:i")
     def upscale_windows(
-        self,
-        image: np.ndarray,
-        origins: np.ndarray,
-        tile: int,
-        halo: int = 8,
-        batch_size: int = 64,
+        self, image: np.ndarray, origins: np.ndarray, tile: int, halo: int = 8
     ) -> np.ndarray:
-        """Upscale caller-chosen aligned (tile x tile) windows in one batch.
+        """Upscale caller-chosen (tile x tile) windows in one batch.
 
         Unlike :meth:`upscale_tiled` this does not cover the frame: the
         caller names the LR window origins (``(N, 2)`` of ``(y, x)``,
         e.g. the dirty blocks of the GOP-reuse mask). Each window is
-        forwarded with ``halo`` pixels of surrounding frame context (the
-        same reflect-pad convention as tiled inference) and the HR core —
+        forwarded through ``self.upscale_batch`` with ``halo`` pixels of
+        reflect-padded frame context and the HR core —
         ``(tile*s, tile*s, 3)`` per window, origin order preserved — is
         returned as an ``(N, tile*s, tile*s, 3)`` stack. Windows may
         start at any non-negative origin; those running past the frame
         edge read reflect/edge padding, like the last partial tile of
-        :meth:`upscale_tiled`.
+        :meth:`upscale_tiled`. Every :class:`~repro.sr.backends.SRBackend`
+        shares this method over its own ``upscale_batch``.
         """
         if tile < 1:
             raise ValueError(f"tile must be >= 1, got {tile}")
         if halo < 0:
             raise ValueError(f"halo must be >= 0, got {halo}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        image = np.asarray(image, dtype=np.float64)  # seam-normalized before inference-dtype cast
-        h, w, c = image.shape
         s = self.scale
-        origins = np.asarray(origins, dtype=np.int64)
-        n = len(origins)
-        if n == 0:
-            return np.empty((0, tile * s, tile * s, c), dtype=get_inference_dtype())
-        if origins.min() < 0:
-            raise ValueError("window origins must be >= 0")
-
-        pad_bottom = halo + max(0, int(origins[:, 0].max()) + tile - h)
-        pad_right = halo + max(0, int(origins[:, 1].max()) + tile - w)
-        padded = _pad_reflect2d(image, halo, pad_bottom, halo, pad_right)
-        padded = padded.astype(get_inference_dtype(), copy=False)
-
-        win = tile + 2 * halo
-        tiles = np.empty((n, c, win, win), dtype=padded.dtype)
-        for i, (oy, ox) in enumerate(origins):
-            # Image coords (oy - halo ..) == padded coords (oy ..).
-            tiles[i] = padded[oy : oy + win, ox : ox + win].transpose(2, 0, 1)
-
-        with no_grad():
-            chunks = [
-                self.model(Tensor(tiles[start : start + batch_size])).numpy()
-                for start in range(0, n, batch_size)
-            ]
-        out = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        core = out[:, :, halo * s : (halo + tile) * s, halo * s : (halo + tile) * s]
-        return np.clip(core.transpose(0, 2, 3, 1), 0.0, 1.0)
+        windows = _gather_windows(
+            np.asarray(image, dtype=np.float64), origins, (tile, tile), halo
+        )
+        hr = self.upscale_batch(windows)
+        return hr[:, halo * s : (halo + tile) * s, halo * s : (halo + tile) * s]
 
     def _upscale_tiled_loop(
         self, image: np.ndarray, tile: int, overlap: int

@@ -35,7 +35,7 @@ Designs:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -55,12 +55,11 @@ from ..sr.gop_reuse import (
     GOPSRCache,
     composite_blocks,
     dirty_block_mask,
-    warp_hr,
 )
 from ..sr.interpolate import bicubic, bilinear
 from ..sr.runner import SRRunner
 from .frames import ClientFrameResult, ServerFrame
-from .pipeline import CLIENT_STAGES, FrameTrace, split_transmission
+from .pipeline import FrameTrace, split_transmission
 
 __all__ = [
     "StreamingClient",
@@ -69,10 +68,7 @@ __all__ = [
     "BilinearClient",
     "FullFrameSRClient",
     "SRIntegratedDecoderClient",
-    "EnergyStages",
 ]
-
-EnergyStages = Dict[str, List[Tuple[Component, float]]]
 
 
 class StreamingClient:
@@ -152,7 +148,6 @@ class StreamingClient:
             index=frame.index,
             frame_type=frame.encoded.frame_type,
             hr_frame=hr,
-            client_timings_ms=trace.timings_ms(CLIENT_STAGES),
             trace=trace,
         )
 
@@ -217,22 +212,23 @@ class _ZooSRExecution:
     The RoI always runs on an :class:`~repro.sr.backends.SRBackend`. By
     default that is the ``edsr`` zoo member over the client's own runner,
     built once, so the paper configuration is one backend among the zoo.
-    Three knobs, mutually exclusive (the rule lives on
+    Three knobs; ``dispatch`` excludes the other two (the rule lives on
     :class:`~repro.streaming.session.SessionConfig`):
 
     * ``gop_reuse`` — the compressed-domain SR cache; each design
-      implements its own warp-and-refresh path.
+      implements its own warp-and-refresh path, and GameStreamSR's
+      partial refresh upscales its dirty RoI windows on the backend.
     * ``sr_backend`` — swap the session EDSR for any zoo backend.
     * ``dispatch`` — a :class:`~repro.sr.dispatch.DifficultyDispatcher`
       routes RoI tiles across a backend pool per frame, planned at the
       *modeled* per-tile pixel load so budgets compare against the
       real-time deadline.
 
-    :meth:`_roi_pass` prices every whole-RoI pass: same-engine work
-    serializes (with the GPU bilinear rest too), distinct engines run in
-    parallel (Sec. IV-C). Its span records ``sr_backend`` and ``sr_ms``
-    (or ``dispatch``), ``gpu_ms``, ``merge_ms`` and
-    ``modeled_roi_pixels``.
+    :meth:`_price_pass` prices every RoI SR pass, whole-RoI
+    (:meth:`_roi_pass`) or partial refresh: same-engine work serializes
+    (with the GPU bilinear rest too), distinct engines run in parallel
+    (Sec. IV-C). Its span records ``sr_backend`` and ``sr_ms`` (or
+    ``dispatch``), ``gpu_ms``, ``merge_ms`` and ``modeled_roi_pixels``.
     """
 
     gop_reuse: bool = False
@@ -312,13 +308,7 @@ class _ZooSRExecution:
         merge_serial: bool = False,
     ) -> np.ndarray:
         """Upscale the whole RoI on its backend(s), bilinear elsewhere,
-        and price the pass on ``st`` at ``roi_px`` modeled RoI pixels.
-
-        ``merge_serial`` keeps each design's merge convention: the
-        SR-integrated decoder folds the merge into the upscale span
-        (latency only), GameStreamSR defers it to display but charges
-        its GPU energy here (Fig. 12).
-        """
+        and price the pass on ``st`` at ``roi_px`` modeled RoI pixels."""
         geometry = frame.geometry
         roi = frame.roi
         if self.dispatch is not None:
@@ -343,23 +333,52 @@ class _ZooSRExecution:
             sr_ms = self.backend.latency_ms(roi_px, self.device)
             runs = [(self.backend, sr_ms)]
             st.meta(sr_backend=self.backend.name, sr_ms=sr_ms)
-        gpu_ms = lat.gpu_bilinear_ms(geometry.modeled_lr_pixels - roi_px, self.device)
-        merge_ms = lat.merge_ms(geometry.modeled_hr_pixels, self.device)
+        self._price_pass(
+            st, runs, roi_px,
+            bilinear_px=geometry.modeled_lr_pixels - roi_px,
+            merge_px=geometry.modeled_hr_pixels,
+            merge_serial=merge_serial,
+        )
+        return hr
+
+    def _price_pass(
+        self,
+        st,
+        runs,
+        roi_px: float,
+        bilinear_px: float,
+        merge_px: float,
+        merge_serial: bool = False,
+        warp_ms: float = 0.0,
+    ) -> None:
+        """Price one RoI SR pass on ``st``: ``runs`` of (backend, ms), the
+        GPU bilinear over ``bilinear_px`` modeled LR pixels and the merge
+        over ``merge_px`` HR pixels, after a GOP-reuse warp of ``warp_ms``.
+
+        ``merge_serial`` keeps each design's merge convention: the
+        SR-integrated decoder folds the merge into the upscale span
+        (latency only), GameStreamSR defers it to display but charges
+        its GPU energy here (Fig. 12).
+        """
+        gpu_ms = lat.gpu_bilinear_ms(bilinear_px, self.device)
+        merge_ms = lat.merge_ms(merge_px, self.device)
         # Summed per engine from 0.0 in backend order, as the dispatcher's
         # plan sums them; the non-RoI bilinear joins the GPU engine.
         engine_ms: Dict[str, float] = {}
         for b, ms in runs:
             engine_ms[b.engine] = engine_ms.get(b.engine, 0.0) + ms
         engine_ms["gpu"] = engine_ms.get("gpu", 0.0) + gpu_ms
-        st.modeled_ms = max(engine_ms.values()) + (merge_ms if merge_serial else 0.0)
+        st.modeled_ms = (
+            warp_ms + max(engine_ms.values()) + (merge_ms if merge_serial else 0.0)
+        )
         for b, ms in runs:
             if ms > 0.0:
                 st.add_energy(b.component, b.energy_charged_ms(ms, self.device))
         st.add_energy(
-            Component.GPU, gpu_ms if merge_serial else gpu_ms + merge_ms
+            Component.GPU,
+            warp_ms + gpu_ms if merge_serial else warp_ms + gpu_ms + merge_ms,
         )
         st.meta(gpu_ms=gpu_ms, merge_ms=merge_ms, modeled_roi_pixels=roi_px)
-        return hr
 
 
 class GameStreamSRClient(_ZooSRExecution, StreamingClient):
@@ -369,8 +388,8 @@ class GameStreamSRClient(_ZooSRExecution, StreamingClient):
     byte-identical to the paper configuration) the client keeps a
     :class:`~repro.sr.gop_reuse.GOPSRCache`: on P-frames whose warp chain
     is intact it warps the previous frame's SR output by the decoded
-    motion field and re-runs the DNN/bilinear paths only on the blocks
-    the residual-energy mask marks dirty. I-frames, a cold cache, a
+    motion field and re-runs the SR backend / bilinear paths only on the
+    blocks the residual-energy mask marks dirty. I-frames, a cold cache, a
     broken reference chain (frame-index gap left by ``skip_dropped``), or
     an all-dirty mask fall back to the exact full per-frame path.
     """
@@ -477,12 +496,12 @@ class GameStreamSRClient(_ZooSRExecution, StreamingClient):
         roi_hr = roi.scaled(s)
 
         mv_hr = upscale_motion_vectors(decoded.motion_vectors, s)
-        canvas = warp_hr(self._reuse.hr, mv_hr, block_hr)
+        canvas = compensate(self._reuse.hr, mv_hr, block_hr)
 
         # Real pixels: bilinear-refresh every dirty block, then overwrite
-        # the dirty pixels inside the RoI with DNN tiles — matching the
-        # full path's pixel-granularity DNN-inside / bilinear-outside
-        # composition at the RoI boundary.
+        # the dirty pixels inside the RoI with the backend's tiles —
+        # matching the full path's pixel-granularity SR-inside /
+        # bilinear-outside composition at the RoI boundary.
         hr_bilinear = bilinear(lr, h_hr, w_hr)
         composite_blocks(canvas, hr_bilinear, dirty, block_hr)
 
@@ -497,7 +516,7 @@ class GameStreamSRClient(_ZooSRExecution, StreamingClient):
             origins = np.array(
                 [[by * block, bx * block] for by, bx in in_roi], dtype=np.int64
             )
-            tiles = self.runner.upscale_windows(
+            tiles = self.backend.upscale_windows(
                 lr, origins, tile=block, halo=self.REUSE_TILE_HALO
             )
             for tile_hr, (by, bx) in zip(tiles, in_roi):
@@ -525,21 +544,17 @@ class GameStreamSRClient(_ZooSRExecution, StreamingClient):
         nonroi_area = h_lr * w_lr - roi.area
         nonroi_frac = dirty_nonroi_lr / nonroi_area if nonroi_area else 0.0
 
-        warp_ms = lat.gpu_warp_ms(geometry.modeled_hr_pixels, self.device)
-        sr_ms = lat.npu_sr_latency_ms(modeled_roi_px * roi_frac, self.device)
-        gpu_ms = lat.gpu_bilinear_ms(modeled_nonroi_px * nonroi_frac, self.device)
-        merge_ms = lat.merge_ms(
-            geometry.modeled_hr_pixels * dirty_lr / (h_lr * w_lr), self.device
-        )
-        # The warp precedes the parallel NPU/GPU refresh of dirty tiles;
+        # The warp precedes the parallel SR/GPU refresh of dirty tiles;
         # the (now partial) merge copy still lands in the display stage
         # with its GPU energy in the upscale category, as in the full path.
-        st.modeled_ms = warp_ms + max(sr_ms, gpu_ms)
-        st.add_energy(Component.NPU, sr_ms)
-        st.add_energy(Component.GPU, warp_ms + gpu_ms + merge_ms)
-        st.meta(
-            sr_backend=self.backend.name, sr_ms=sr_ms, gpu_ms=gpu_ms,
-            merge_ms=merge_ms, modeled_roi_pixels=modeled_roi_px,
+        warp_ms = lat.gpu_warp_ms(geometry.modeled_hr_pixels, self.device)
+        sr_ms = self.backend.latency_ms(modeled_roi_px * roi_frac, self.device)
+        st.meta(sr_backend=self.backend.name, sr_ms=sr_ms)
+        self._price_pass(
+            st, [(self.backend, sr_ms)], modeled_roi_px,
+            bilinear_px=modeled_nonroi_px * nonroi_frac,
+            merge_px=geometry.modeled_hr_pixels * dirty_lr / (h_lr * w_lr),
+            warp_ms=warp_ms,
         )
         reuse_meta = dict(
             refresh=False, reason="", warp_ms=warp_ms,
@@ -568,11 +583,12 @@ class NemoClient(StreamingClient):
     design = "nemo"
     decode_hardware = False
     decode_component = Component.CPU
+    #: Tile side of the full-frame tiled SR on reference frames.
+    SR_TILE = 72
 
-    def __init__(self, device: DeviceProfile, runner: SRRunner, sr_tile: int = 72) -> None:
+    def __init__(self, device: DeviceProfile, runner: SRRunner) -> None:
         super().__init__(device)
         self.runner = runner
-        self.sr_tile = sr_tile
         self._hr_reference: Optional[np.ndarray] = None
 
     def reset(self) -> None:
@@ -585,7 +601,7 @@ class NemoClient(StreamingClient):
         geometry = frame.geometry
         with trace.stage("upscale") as st:
             if decoded.is_reference or self._hr_reference is None:
-                hr = self.runner.upscale_tiled(decoded.rgb, tile=self.sr_tile)
+                hr = self.runner.upscale_tiled(decoded.rgb, tile=self.SR_TILE)
                 npu_ms = lat.npu_sr_latency_ms(geometry.modeled_lr_pixels, self.device)
                 st.modeled_ms = npu_ms
                 st.add_energy(Component.NPU, npu_ms)
@@ -637,17 +653,18 @@ class FullFrameSRClient(StreamingClient):
     """DNN SR on every frame — the quality ceiling, far from real time."""
 
     design = "fullframe_sr"
+    #: Tile side of the full-frame tiled SR.
+    SR_TILE = 72
 
-    def __init__(self, device: DeviceProfile, runner: SRRunner, sr_tile: int = 72) -> None:
+    def __init__(self, device: DeviceProfile, runner: SRRunner) -> None:
         super().__init__(device)
         self.runner = runner
-        self.sr_tile = sr_tile
 
     def _upscale_stage(
         self, frame: ServerFrame, decoded: DecodedFrame, trace: FrameTrace
     ) -> np.ndarray:
         with trace.stage("upscale") as st:
-            hr = self.runner.upscale_tiled(decoded.rgb, tile=self.sr_tile)
+            hr = self.runner.upscale_tiled(decoded.rgb, tile=self.SR_TILE)
             npu_ms = lat.npu_sr_latency_ms(
                 frame.geometry.modeled_lr_pixels, self.device
             )
@@ -739,13 +756,7 @@ class SRIntegratedDecoderClient(_ZooSRExecution, StreamingClient):
                 block_hr = frame.encoded.block * s
                 h_hr = geometry.eval_lr_height * s
                 w_hr = geometry.eval_lr_width * s
-                prediction = np.stack(
-                    [
-                        compensate(self._hr_reference[..., c], mv_hr, block_hr)
-                        for c in range(3)
-                    ],
-                    axis=-1,
-                )
+                prediction = compensate(self._hr_reference, mv_hr, block_hr)
                 residual = decoded.residual_rgb
                 dirty = None
                 if self.gop_reuse:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -113,13 +113,11 @@ class ClientFrameResult:
     index: int
     frame_type: str
     hr_frame: np.ndarray
-    #: Client stage latencies at modeled scale: decode, upscale, display.
-    #: A materialized view of ``trace`` (``trace.timings_ms(CLIENT_STAGES)``).
-    client_timings_ms: Dict[str, float]
-    #: Structured per-stage trace recorded by the client pipeline; energy
-    #: attributions are read from it (``trace.energy_stages()``).
+    #: Structured per-stage trace recorded by the client pipeline: stage
+    #: latencies at modeled scale (``trace.timings_ms(CLIENT_STAGES)``)
+    #: and energy attributions (``trace.energy_stages()``).
     trace: FrameTrace
 
     @property
     def upscale_ms(self) -> float:
-        return self.client_timings_ms["upscale"]
+        return self.trace.stage_ms("upscale")

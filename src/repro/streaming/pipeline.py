@@ -262,7 +262,7 @@ class FrameTrace:
         """MTP-stage latency dict over ``stages`` (absent stages are 0).
 
         Only spans recorded with ``mtp=True`` contribute; duplicate names
-        sum. ``ClientFrameResult.client_timings_ms`` is this view over
+        sum. A client's stage latencies are this view over
         ``CLIENT_STAGES``.
         """
         out: Dict[str, float] = {name: 0.0 for name in stages}

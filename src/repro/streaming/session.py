@@ -290,8 +290,8 @@ class SessionConfig:
     #: EDSR as the ``edsr`` backend. RoI-SR designs only.
     sr_backend: Optional[SRBackend] = None
     #: Route RoI tiles across a backend pool with a
-    #: :class:`~repro.sr.dispatch.DifficultyDispatcher`. RoI-SR designs
-    #: only.
+    #: :class:`~repro.sr.dispatch.DifficultyDispatcher`; excludes
+    #: ``gop_reuse`` and ``sr_backend``. RoI-SR designs only.
     dispatch: Optional[DifficultyDispatcher] = None
     #: Stream over a lossy link in place of the flat bandwidth model: a
     #: canned trace name (``"lte_drive"``), a ``"synthetic:<seed>"``
@@ -341,7 +341,9 @@ class SessionConfig:
                 raise ValueError(
                     "abr= needs a link to observe: pass scenario= as well"
                 )
-        if len(sr_knobs) > 1:
+        if self.dispatch is not None and len(sr_knobs) > 1:
+            # The dispatcher brings its own backend pool, and GOP reuse's
+            # dirty windows are not planned under its budget.
             raise ValueError(
                 "mutually exclusive SR execution knobs enabled together: "
                 + ", ".join(sr_knobs)
@@ -477,7 +479,6 @@ def _skipped_client_result(frame: ServerFrame, reason: str) -> ClientFrameResult
         index=frame.index,
         frame_type=frame.encoded.frame_type,
         hr_frame=hr,
-        client_timings_ms=trace.timings_ms(("decode", "upscale", "display")),
         trace=trace,
     )
 

@@ -23,7 +23,7 @@ from repro.streaming.client import (
 )
 from repro.streaming.frames import StreamGeometry
 from repro.streaming.mtp import mtp_from_trace
-from repro.streaming.pipeline import SERVER_STAGES
+from repro.streaming.pipeline import CLIENT_STAGES, SERVER_STAGES
 from repro.streaming.server import GameStreamServer
 from repro.streaming.session import run_session
 
@@ -139,5 +139,5 @@ class TestCrossDevice:
         mtp = mtp_from_trace(frame.trace.extend(result.trace))
         assert mtp.total_ms == pytest.approx(
             sum(frame.trace.timings_ms(SERVER_STAGES).values())
-            + sum(result.client_timings_ms.values())
+            + sum(result.trace.timings_ms(CLIENT_STAGES).values())
         )

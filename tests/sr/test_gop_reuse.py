@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.codec.motion import compensate
+from repro.sr.backends import build_backend
 from repro.sr.gop_reuse import (
     REUSE_DIRTY_THRESHOLD,
     GOPSRCache,
@@ -16,9 +17,11 @@ from repro.sr.gop_reuse import (
 
 
 class TestWarpHR:
+    """The GOP-reuse HR warp is ``compensate`` on an (H, W, 3) frame."""
+
     @pytest.mark.parametrize("shape", [(32, 48), (27, 41)])
     def test_matches_per_channel_compensate(self, rng, shape):
-        """warp_hr is codec motion compensation, vectorized over channels."""
+        """One (H, W, 3) gather equals per-channel compensation."""
         h, w = shape
         block = 8
         nby, nbx = -(-h // block), -(-w // block)
@@ -28,25 +31,27 @@ class TestWarpHR:
             [compensate(reference[:, :, c], mv, block) for c in range(3)],
             axis=-1,
         )
+        np.testing.assert_array_equal(compensate(reference, mv, block), expected)
+        # The retired mirror still agrees while it exists.
         np.testing.assert_array_equal(warp_hr(reference, mv, block), expected)
 
     def test_zero_motion_is_identity(self, rng):
         reference = rng.random((24, 24, 3))
         mv = np.zeros((3, 3, 2), dtype=np.int64)
-        np.testing.assert_array_equal(warp_hr(reference, mv, 8), reference)
+        np.testing.assert_array_equal(compensate(reference, mv, 8), reference)
 
     def test_displacement_clamps_at_edges(self, rng):
         reference = rng.random((8, 8, 3))
         mv = np.full((1, 1, 2), 100, dtype=np.int64)
-        out = warp_hr(reference, mv, 8)
+        out = compensate(reference, mv, 8)
         # Every read clamps to the bottom-right pixel.
         np.testing.assert_array_equal(out, np.broadcast_to(reference[-1, -1], out.shape))
 
     def test_rejects_undersized_grid(self, rng):
         with pytest.raises(ValueError):
-            warp_hr(rng.random((32, 32, 3)), np.zeros((2, 2, 2), dtype=np.int64), 8)
+            compensate(rng.random((32, 32, 3)), np.zeros((2, 2, 2), dtype=np.int64), 8)
         with pytest.raises(ValueError):
-            warp_hr(rng.random((8, 8, 3)), np.zeros((1, 1, 2), dtype=np.int64), 0)
+            compensate(rng.random((8, 8, 3)), np.zeros((1, 1, 2), dtype=np.int64), 0)
 
 
 class TestDirtyBlockMask:
@@ -141,53 +146,57 @@ class TestGOPSRCache:
 
 
 class TestUpscaleWindows:
-    def test_whole_image_window_matches_upscale(self, tiny_runner, rng):
+    """``SRBackend.upscale_windows`` on the ``edsr`` backend."""
+
+    @pytest.fixture
+    def backend(self, tiny_runner):
+        return build_backend("edsr", scale=tiny_runner.scale, runner=tiny_runner)
+
+    def test_whole_image_window_matches_upscale(self, backend, tiny_runner, rng):
         """One halo-0 window covering the frame == plain full inference."""
         image = rng.random((16, 16, 3))
-        tiles = tiny_runner.upscale_windows(
+        tiles = backend.upscale_windows(
             image, np.zeros((1, 2), dtype=np.int64), tile=16, halo=0
         )
         np.testing.assert_array_equal(tiles[0], tiny_runner.upscale(image))
 
-    def test_empty_origins(self, tiny_runner, rng):
-        out = tiny_runner.upscale_windows(
+    def test_empty_origins(self, backend, rng):
+        out = backend.upscale_windows(
             rng.random((16, 16, 3)), np.empty((0, 2), dtype=np.int64), tile=8
         )
-        s = tiny_runner.scale
+        s = backend.scale
         assert out.shape == (0, 8 * s, 8 * s, 3)
 
-    def test_window_stack_shape_and_order(self, tiny_runner, rng):
+    def test_window_stack_shape_and_order(self, backend, rng):
         image = rng.random((24, 32, 3))
         origins = np.array([[8, 16], [0, 0], [16, 24]], dtype=np.int64)
-        s = tiny_runner.scale
-        tiles = tiny_runner.upscale_windows(image, origins, tile=8, halo=4)
+        s = backend.scale
+        tiles = backend.upscale_windows(image, origins, tile=8, halo=4)
         assert tiles.shape == (3, 8 * s, 8 * s, 3)
         # Order preserved: each window's halo-padded forward individually.
-        solo = tiny_runner.upscale_windows(
-            image, origins[1:2], tile=8, halo=4
-        )
+        solo = backend.upscale_windows(image, origins[1:2], tile=8, halo=4)
         np.testing.assert_array_equal(tiles[1], solo[0])
 
-    def test_edge_window_reads_padding(self, tiny_runner, rng):
+    def test_edge_window_reads_padding(self, backend, rng):
         image = rng.random((20, 20, 3))
         # Window runs 4 px past the bottom-right corner.
-        tiles = tiny_runner.upscale_windows(
+        tiles = backend.upscale_windows(
             image, np.array([[16, 16]], dtype=np.int64), tile=8, halo=2
         )
-        s = tiny_runner.scale
+        s = backend.scale
         assert tiles.shape == (1, 8 * s, 8 * s, 3)
         assert np.isfinite(tiles).all()
 
-    def test_rejects_bad_args(self, tiny_runner, rng):
+    def test_rejects_bad_args(self, backend, tiny_runner, rng):
         image = rng.random((16, 16, 3))
         origins = np.zeros((1, 2), dtype=np.int64)
         with pytest.raises(ValueError):
-            tiny_runner.upscale_windows(image, origins, tile=0)
+            backend.upscale_windows(image, origins, tile=0)
         with pytest.raises(ValueError):
-            tiny_runner.upscale_windows(image, origins, tile=8, halo=-1)
+            backend.upscale_windows(image, origins, tile=8, halo=-1)
         with pytest.raises(ValueError):
-            tiny_runner.upscale_windows(image, origins, tile=8, batch_size=0)
+            tiny_runner.upscale_batch(np.zeros((1, 8, 8, 3)), batch_size=0)
         with pytest.raises(ValueError):
-            tiny_runner.upscale_windows(
+            backend.upscale_windows(
                 image, np.array([[-1, 0]], dtype=np.int64), tile=8
             )

@@ -7,6 +7,8 @@ import pytest
 
 from repro.metrics.psnr import psnr
 from repro.neural.tensor import set_inference_dtype
+from repro.sr.backends import SRBackend, build_backend
+from repro.sr.runner import SRRunner
 
 
 @pytest.fixture
@@ -98,21 +100,27 @@ class TestBatchedInterface:
 
 
 class TestUpscaleWindowsEdgeCases:
-    def test_empty_window_list(self, tiny_runner, frame):
-        out = tiny_runner.upscale_windows(
+    """``SRBackend.upscale_windows`` on the ``edsr`` backend."""
+
+    @pytest.fixture
+    def backend(self, tiny_runner):
+        return build_backend("edsr", scale=tiny_runner.scale, runner=tiny_runner)
+
+    def test_empty_window_list(self, backend, frame):
+        out = backend.upscale_windows(
             frame, np.empty((0, 2), dtype=np.int64), tile=16
         )
-        s = tiny_runner.scale
+        s = backend.scale
         assert out.shape == (0, 16 * s, 16 * s, 3)
 
-    def test_interior_window_matches_whole_frame(self, tiny_runner, frame):
+    def test_interior_window_matches_whole_frame(self, backend, tiny_runner, frame):
         # A window whose halo'd receptive field stays inside the frame
         # sees exactly the same context as whole-frame inference.
-        s = tiny_runner.scale
+        s = backend.scale
         whole = tiny_runner.upscale(frame)
         tile = 16
         oy, ox = 12, 20
-        out = tiny_runner.upscale_windows(
+        out = backend.upscale_windows(
             frame, np.array([[oy, ox]]), tile=tile, halo=8
         )
         np.testing.assert_allclose(
@@ -121,46 +129,49 @@ class TestUpscaleWindowsEdgeCases:
             rtol=0, atol=1e-5,
         )
 
-    def test_windows_flush_against_borders(self, tiny_runner, frame):
+    def test_windows_flush_against_borders(self, backend, frame):
         # Origins at every corner, including the bottom-right where the
         # halo (and for the last one, part of the tile) reads padding.
         h, w = frame.shape[:2]
-        tile, s = 16, tiny_runner.scale
+        tile, s = 16, backend.scale
         origins = np.array(
             [[0, 0], [0, w - tile], [h - tile, 0], [h - tile, w - tile]]
         )
-        out = tiny_runner.upscale_windows(frame, origins, tile=tile, halo=8)
+        out = backend.upscale_windows(frame, origins, tile=tile, halo=8)
         assert out.shape == (4, tile * s, tile * s, 3)
         assert np.isfinite(out).all()
         assert out.min() >= 0.0 and out.max() <= 1.0
 
-    def test_window_overhanging_frame_edge(self, tiny_runner, frame):
+    def test_window_overhanging_frame_edge(self, backend, frame):
         # Tile size not dividing the RoI: the last window starts inside
         # the frame but runs past its edge and must read reflect/edge
         # padding instead of raising.
         h, w = frame.shape[:2]
-        tile, s = 16, tiny_runner.scale
+        tile, s = 16, backend.scale
         origins = np.array([[h - 7, w - 5]])  # 9 + 11 px of overhang
-        out = tiny_runner.upscale_windows(frame, origins, tile=tile, halo=4)
+        out = backend.upscale_windows(frame, origins, tile=tile, halo=4)
         assert out.shape == (1, tile * s, tile * s, 3)
         assert np.isfinite(out).all()
 
-    def test_origin_order_preserved_and_chunking_equivalent(
-        self, tiny_runner, frame
-    ):
+    def test_origin_order_preserved_and_chunking_equivalent(self, backend, frame):
         origins = np.array([[8, 8], [0, 24], [20, 4]])
-        a = tiny_runner.upscale_windows(frame, origins, tile=12, halo=4)
-        b = tiny_runner.upscale_windows(
-            frame, origins, tile=12, halo=4, batch_size=1
+        a = backend.upscale_windows(frame, origins, tile=12, halo=4)
+        # One forward per window (batches of one) gives the same cores.
+        b = np.concatenate(
+            [backend.upscale_windows(frame, o[None], tile=12, halo=4) for o in origins]
         )
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-6)
         # Reversing the origins reverses the output stack.
-        c = tiny_runner.upscale_windows(frame, origins[::-1], tile=12, halo=4)
+        c = backend.upscale_windows(frame, origins[::-1], tile=12, halo=4)
         np.testing.assert_allclose(c, a[::-1], rtol=0, atol=1e-6)
 
-    def test_negative_origin_rejected(self, tiny_runner, frame):
+    def test_negative_origin_rejected(self, backend, frame):
         with pytest.raises(ValueError, match=">= 0"):
-            tiny_runner.upscale_windows(frame, np.array([[-1, 0]]), tile=8)
+            backend.upscale_windows(frame, np.array([[-1, 0]]), tile=8)
+
+    def test_runner_shares_the_backend_method(self):
+        # SRRunner keeps the same window path over its own upscale_batch.
+        assert SRRunner.upscale_windows is SRBackend.upscale_windows
 
 
 class TestUpscaleBatch:

@@ -114,8 +114,6 @@ class TestSessionConfig:
              ValueError, "abr= is mutually exclusive with sr_backend"),
             (dict(abr=ABR, scenario="wifi_stable", dispatch=DISPATCH),
              ValueError, "abr= is mutually exclusive with dispatch"),
-            (dict(gop_reuse=True, sr_backend=BACKEND),
-             ValueError, "mutually exclusive SR execution knobs"),
             (dict(gop_reuse=True, dispatch=DISPATCH),
              ValueError, "mutually exclusive SR execution knobs"),
             (dict(sr_backend=BACKEND, dispatch=DISPATCH),
@@ -128,7 +126,7 @@ class TestSessionConfig:
         ],
         ids=[
             "abr+adaptive", "abr+gop_reuse", "abr+sr_backend", "abr+dispatch",
-            "gop_reuse+sr_backend", "gop_reuse+dispatch", "sr_backend+dispatch",
+            "gop_reuse+dispatch", "sr_backend+dispatch",
             "lpips_stride=0", "scenario=42", "abr-without-scenario",
             "removed-link-knob",
         ],
@@ -136,6 +134,10 @@ class TestSessionConfig:
     def test_rejected(self, knobs, error, match):
         with pytest.raises(error, match=match):
             SessionConfig(**knobs)
+
+    def test_gop_reuse_composes_with_sr_backend(self):
+        config = SessionConfig(gop_reuse=True, sr_backend=self.BACKEND)
+        assert config.gop_reuse and config.sr_backend is self.BACKEND
 
     def test_holds_the_callers_objects(self):
         link = NetworkLink(bandwidth_mbps=20.0, propagation_ms=8.0)

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.codec.decoder import VideoDecoder
 from repro.neural.models import QuickSRNet
 from repro.observability import (
     MetricsRegistry,
@@ -15,16 +16,19 @@ from repro.observability import (
     validate_session_trace,
 )
 from repro.platform.device import samsung_tab_s8
+from repro.platform.energy import Component
 from repro.render.games import build_game
 from repro.sr.backends import build_backend
 from repro.sr.dispatch import DifficultyDispatcher
 from repro.sr.backends import NeuralBackend
 from repro.sr.runner import SRRunner
+from repro.sr.gop_reuse import REUSE_DIRTY_THRESHOLD
 from repro.streaming.client import (
     BilinearClient,
     GameStreamSRClient,
     NemoClient,
     SRIntegratedDecoderClient,
+    _dirty_mask,
 )
 from repro.streaming.frames import StreamGeometry
 from repro.streaming.server import GameStreamServer
@@ -198,14 +202,16 @@ class TestBackendKnob:
 
 
 class TestKnobValidation:
-    def test_mutually_exclusive_with_gop_reuse(
+    def test_gop_reuse_composes_with_backend(
         self, device, tiny_runner, quicksrnet_backend
     ):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            run_session(
-                make_server(), GameStreamSRClient(device, tiny_runner),
-                n_frames=2, gop_reuse=True, sr_backend=quicksrnet_backend,
-            )
+        result = run_session(
+            make_server(), GameStreamSRClient(device, tiny_runner),
+            n_frames=N, gop_reuse=True, sr_backend=quicksrnet_backend,
+        )
+        metas = [r.trace.span("upscale").metadata for r in result.records]
+        assert any(not meta["reuse"]["refresh"] for meta in metas)
+        assert all(meta["sr_backend"] == "quicksrnet" for meta in metas)
 
     def test_dispatch_exclusive_with_backend(
         self, device, tiny_runner, quicksrnet_backend
@@ -273,9 +279,74 @@ class TestReusedClient:
         result = run_session(make_server(), client, n_frames=N, gop_reuse=True)
         for meta in (r.trace.span("upscale").metadata for r in result.records):
             assert "reuse" in meta
-            # Full refreshes run the session EDSR again, not the last
-            # session's backend; partial refreshes name no backend.
-            assert meta.get("sr_backend", "edsr") == "edsr"
+            # Full and partial refreshes run the session EDSR again, not
+            # the last session's backend.
+            assert meta["sr_backend"] == "edsr"
+
+
+class TestGOPReuseOnBackend:
+    """GOP reuse's partial refresh runs and is priced on the session's
+    SR backend: a GPU-engine filter and a power-derated NPU net."""
+
+    @pytest.fixture(params=["bilinear_gpu", "edsr_int8"])
+    def backend(self, request, tiny_runner):
+        if request.param == "bilinear_gpu":
+            return build_backend("bilinear_gpu")
+        # The int8 EDSR's latency and power fields over the tiny weights.
+        return NeuralBackend(
+            "edsr_int8", tiny_runner, quality_rank=1,
+            latency_scale_field="edsr_int8_npu_latency_scale",
+            power_scale_field="edsr_int8_npu_power_scale",
+        )
+
+    def test_partial_refresh_runs_on_backend(self, device, tiny_runner, backend):
+        client = GameStreamSRClient(device, tiny_runner, modeled_roi_side=300)
+        client.configure_sr(gop_reuse=True, sr_backend=backend)
+        server, decoder = make_server(), VideoDecoder()
+        partial = 0
+        for _ in range(N):
+            frame = server.next_frame()
+            result = client.process(frame)
+            decoded = decoder.decode_frame(frame.encoded)
+            span = result.trace.span("upscale")
+            meta = span.metadata
+            assert meta["sr_backend"] == backend.name
+            if meta["reuse"]["refresh"]:
+                continue
+            block, roi, s = frame.encoded.block, frame.roi, frame.geometry.scale
+            dirty, dirty_px = _dirty_mask(
+                decoded, frame.geometry, block, REUSE_DIRTY_THRESHOLD
+            )
+            dirty_roi = int(dirty_px[roi.y : roi.y_end, roi.x : roi.x_end].sum())
+            sr_ms = backend.latency_ms(300**2 * dirty_roi / roi.area, device)
+            assert meta["sr_ms"] == sr_ms
+            # The backend's charge leads the span's energy; the warp,
+            # bilinear rest and merge follow on the GPU.
+            assert (span.energy[0].component, span.energy[0].ms) == (
+                backend.component, backend.energy_charged_ms(sr_ms, device)
+            )
+            assert span.energy[-1].component is Component.GPU
+            # Inside the RoI every dirty block holds the backend's window.
+            blocks = [
+                (by, bx) for by, bx in np.argwhere(dirty)
+                if by * block < roi.y_end and (by + 1) * block > roi.y
+                and bx * block < roi.x_end and (bx + 1) * block > roi.x
+            ]
+            origins = np.array(blocks, dtype=np.int64) * block
+            tiles = backend.upscale_windows(
+                decoded.rgb, origins, tile=block, halo=client.REUSE_TILE_HALO
+            )
+            roi_hr = roi.scaled(s)
+            for tile_hr, (oy, ox) in zip(tiles, origins * s):
+                y0, x0 = max(oy, roi_hr.y), max(ox, roi_hr.x)
+                y1 = min(oy + block * s, roi_hr.y_end)
+                x1 = min(ox + block * s, roi_hr.x_end)
+                np.testing.assert_array_equal(
+                    result.hr_frame[y0:y1, x0:x1],
+                    tile_hr[y0 - oy : y1 - oy, x0 - ox : x1 - ox],
+                )
+            partial += bool(blocks)
+        assert partial
 
 
 class TestDispatchSessions:
